@@ -10,16 +10,18 @@ Two independent estimators live here:
   from the Born probabilities, giving empirical confidences and
   inconclusive rates with binomial error bars.
 
-Randomness contract: the counter-based Philox generator, one substream
-per trajectory obtained by jumping the base stream by the trajectory
-index, with statistics accumulated in fixed chunk order.  Results for a
-given seed are therefore reproducible bit for bit and independent of
-any thread-count setting.
+Randomness contract: the counter-based Philox generator keyed by
+SeedSequence(seed); trajectory i draws from the base stream with counter
+word 2 set to i (counter [0, 0, i, 0], empty buffer), which is exactly
+Philox.jumped(i), for 0 <= i < 2**64.  Statistics are accumulated in
+fixed chunk order.  Results for a given seed are therefore reproducible
+bit for bit and independent of any thread-count setting.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,7 @@ from .discrim import Povm
 from .errors import DomainError
 
 _CHUNK = 2048
+_MAX_STREAMS = 2**64  # trajectory indices fit counter word 2
 
 
 @dataclass(frozen=True)
@@ -51,8 +54,8 @@ class OuParams:
             raise DomainError("dt must satisfy 0 < dt <= tau_c/50")
         if self.T <= 0:
             raise DomainError("T must be > 0")
-        if self.n_traj < 1:
-            raise DomainError("n_traj must be >= 1")
+        if not 1 <= self.n_traj <= _MAX_STREAMS:
+            raise DomainError("n_traj must be in [1, 2**64]")
 
 
 @dataclass(frozen=True)
@@ -91,10 +94,34 @@ class ConfidenceEstimate:
     shots: int
 
 
+def _streams(seed: int) -> Callable[[int], np.random.Generator]:
+    """Return ``at(index)``, which reseats one generator to a trajectory stream.
+
+    ``at(i)`` sets the Philox state in place to that of
+    ``Philox(SeedSequence(seed)).jumped(i)`` -- same key, counter
+    [0, 0, i, 0], empty buffer -- and returns the one shared Generator,
+    so each call restarts the stream of the previous one.  The counter
+    goes in through the state dict's uint64 array: the
+    ``Philox(counter=...)`` constructor reads indices >= 2**63 differently.
+    """
+    bitgen = np.random.Philox(np.random.SeedSequence(seed))
+    state = bitgen.state  # counter [0, 0, 0, 0], empty buffer: jumped(0)
+    counter = state["state"]["counter"]
+    rng = np.random.Generator(bitgen)
+
+    def at(index: int) -> np.random.Generator:
+        if not 0 <= index < _MAX_STREAMS:
+            raise DomainError("trajectory index must be in [0, 2**64)")
+        counter[2] = index
+        bitgen.state = state
+        return rng
+
+    return at
+
+
 def substream(seed: int, index: int) -> np.random.Generator:
     """Independent per-trajectory stream: Philox jumped by the trajectory index."""
-    base = np.random.Philox(np.random.SeedSequence(seed))
-    return np.random.Generator(base.jumped(index))
+    return _streams(seed)(index)
 
 
 def _grid_and_weights(
@@ -137,16 +164,6 @@ def ou_trajectory(params: OuParams, index: int = 0) -> np.ndarray:
     return path
 
 
-def stationary_samples(params: OuParams) -> np.ndarray:
-    """The n_traj stationary starting values, one per trajectory substream."""
-    out = np.empty(params.n_traj)
-    for start in range(0, params.n_traj, _CHUNK):
-        stop = min(start + _CHUNK, params.n_traj)
-        for i in range(start, stop):
-            out[i] = params.kappa * substream(params.seed, i).standard_normal(1)[0]
-    return out
-
-
 def empirical_dephasing(
     params: OuParams, switching: SwitchingFunction | None = None
 ) -> DephasingEstimate:
@@ -173,16 +190,18 @@ def empirical_dephasing(
     sum_cos = sum_cos2 = 0.0
     sum_sin = sum_sin2 = 0.0
     n_pts = times.size
+    stream = _streams(params.seed)
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
         c = stop - start
-        eps = np.empty((c, n_pts))
+        # one column per trajectory, so the recursion reads contiguous rows
+        eps = np.empty((n_pts, c))
         for i in range(c):
-            eps[i] = substream(params.seed, start + i).standard_normal(n_pts)
-        b = params.kappa * eps[:, 0]
+            eps[:, i] = stream(start + i).standard_normal(n_pts)
+        b = params.kappa * eps[0]
         phase = weights[0] * b
         for k in range(n_pts - 1):
-            b = b * decay[k] + sig[k] * eps[:, k + 1]
+            b = b * decay[k] + sig[k] * eps[k + 1]
             phase += weights[k + 1] * b
         cos_p = np.cos(phase)
         sin_p = np.sin(phase)

@@ -186,6 +186,10 @@ def validate_config(cfg: SweepConfig) -> None:
         raise ConfigError("eta0 must be in (0, 1)")
     if cfg.p_inc_threshold is not None and not 0.0 <= cfg.p_inc_threshold <= 1.0:
         raise ConfigError("p_inc_threshold must be in [0, 1]")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
+    if cfg.n_traj < 2:
+        raise ConfigError("n_traj must be >= 2 (one trajectory has no standard error)")
     if cfg.scenario in _N_AXIS_SCENARIOS:
         if cfg.grid_start < 2:
             raise ConfigError("pulse-count grid must start at >= 2")
@@ -383,7 +387,8 @@ def _zline(name: str, analytic: float, observed: float, se: float) -> tuple[str,
         z = 0.0 if observed == analytic else math.inf
     else:
         z = (observed - analytic) / se
-    ok = abs(z) <= 3.0
+    # An infinite standard error makes z = 0 whatever was observed.
+    ok = math.isfinite(se) and abs(z) <= 3.0
     line = (
         f"{name}: analytic={analytic:.9g} observed={observed:.9g} "
         f"std_err={se:.3g} z={z:+.3f} {'PASS' if ok else 'FAIL'}"

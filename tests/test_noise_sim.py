@@ -17,7 +17,7 @@ from mcmag import (
 )
 from mcmag.discrim import Povm
 from mcmag.errors import DomainError
-from mcmag.noise_sim import ClickTally, stationary_samples
+from mcmag.noise_sim import ClickTally, _streams, substream
 
 KAPPA = 3.6
 TAU_C = 25.0
@@ -30,6 +30,40 @@ def test_params_validation():
         OuParams(kappa=1.0, tau_c=25.0, dt=0.1, T=1.0, seed=0, n_traj=0)
     with pytest.raises(DomainError):
         OuParams(kappa=-1.0, tau_c=25.0, dt=0.1, T=1.0, seed=0, n_traj=1)
+    with pytest.raises(DomainError):  # more trajectories than counter word 2 holds
+        OuParams(kappa=1.0, tau_c=25.0, dt=0.1, T=1.0, seed=0, n_traj=2**64 + 1)
+
+
+def jumped_stream(seed, index):
+    """The reference construction of trajectory ``index``'s stream."""
+    base = np.random.Philox(np.random.SeedSequence(seed))
+    return np.random.Generator(base.jumped(index))
+
+
+@pytest.mark.parametrize("seed", [0, 20260808])
+def test_trajectory_stream_equals_jumped(seed):
+    stream = _streams(seed)
+    for index in (0, 1, 2047, 2048, 2**32, 2**63 + 5, 2**64 - 1):
+        want = jumped_stream(seed, index).standard_normal(300).tobytes()
+        rng = stream(index)
+        assert rng.standard_normal(300).tobytes() == want
+        rng.random(3, dtype=np.float32)  # leave a half-used word behind
+        assert substream(seed, index).standard_normal(300).tobytes() == want
+
+
+def test_trajectory_index_bound():
+    stream = _streams(0)
+    for index in (-1, 2**64):
+        with pytest.raises(DomainError):
+            stream(index)
+
+
+def stationary_samples(params):
+    """The n_traj stationary starting values, one per trajectory stream."""
+    stream = _streams(params.seed)
+    return np.array(
+        [params.kappa * stream(i).standard_normal(1)[0] for i in range(params.n_traj)]
+    )
 
 
 def test_zero_coupling_is_silent():

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
@@ -51,6 +52,8 @@ def test_parse_round_trip(tmp_path):
         ("eta0 = 1.5\n", "eta0"),
         ("p_inc_threshold = 2\n", "p_inc_threshold"),
         ("grid_points = one\n", "grid_points"),
+        ("seed = -1\n", "seed"),
+        ("n_traj = 1\n", "n_traj"),
     ],
 )
 def test_named_config_errors(mutation, fragment):
@@ -276,6 +279,21 @@ shots       = 200000
     assert rc == 0
     assert "RESULT: PASS" in out
     assert (tmp_path / "report.txt").read_text().startswith("validation report")
+
+
+@pytest.mark.parametrize("mutation, key", [("seed = -1\n", "seed"), ("n_traj = 1\n", "n_traj")])
+def test_cli_validate_bad_monte_carlo_key_exit_code(tmp_path, capsys, mutation, key):
+    cfg = make_cfg(tmp_path, BASE + "kappa_per_us = 3.6\ntau_c_us = 25\n" + mutation)
+    assert cli.main(["validate", cfg]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_zline_infinite_std_err_fails():
+    # With std_err = inf, z reads 0 whatever was observed; such a check
+    # tests nothing and must not pass.
+    line, ok = sweep._zline("nu_free[T=0.1]", 0.937, 0.999, math.inf)
+    assert not ok
+    assert line.endswith("FAIL")
 
 
 def test_validate_tiny_inconclusive_rate_passes(capsys):
