@@ -264,7 +264,11 @@ def mu_cpmg(fieldm: FieldModel, n_pulses: int) -> complex:
 
 @dataclass(frozen=True)
 class StatePair:
-    """The two hypothesis states, their mixture, and the prior."""
+    """The two hypothesis states, their mixture, and the prior.
+
+    One pair, or a stack of ``n`` pairs sharing the prior: then ``nu``
+    and ``mu`` have shape ``(n,)`` and the density matrices ``(n, 2, 2)``.
+    """
 
     nu: float
     mu: complex
@@ -278,14 +282,63 @@ class StatePair:
         return 1.0 - self.eta0
 
 
+def build_state_stack(nu, mu, eta0: float = 0.5) -> StatePair:
+    """Stack of state pairs for arrays of ``nu`` and ``mu`` under one prior.
+
+    Row ``k`` is bitwise ``build_state_pair(nu[k], mu[k], eta0)``: the
+    off-diagonal ``nu*mu/2`` and the rescaling of ``|mu|`` slightly above
+    one repeat Python's complex arithmetic part by part.
+    """
+    nu = np.array(nu, dtype=float).reshape(-1)
+    mu = np.array(mu, dtype=complex).reshape(-1)
+    eta0 = float(eta0)
+    size = np.hypot(mu.real, mu.imag)
+    bad_nu = ~((0.0 < nu) & (nu <= 1.0 + 1e-12))
+    if np.count_nonzero(bad_nu):
+        raise DomainError(f"nu must be in (0, 1], got {float(nu[bad_nu][0])}")
+    bad_mu = ~(size <= 1.0 + 1e-12)
+    if np.count_nonzero(bad_mu):
+        raise DomainError(f"|mu| must be <= 1, got {float(size[bad_mu][0])}")
+    if not 0.0 < eta0 < 1.0:
+        raise DomainError(f"eta0 must be in (0, 1), got {eta0}")
+    nu = np.minimum(nu, 1.0)
+    over = size > 1.0
+    if np.count_nonzero(over):
+        re, im, size = mu.real[over], mu.imag[over], size[over]
+        mu[over] = _parts((re + im * 0.0) / size, (im - re * 0.0) / size)
+    off0 = 0.5 * nu
+    # Each pair as [rho0, rho1] flattened: 0.5, off0, off0, 0.5, 0.5, off1, conj(off1), 0.5.
+    pairs = np.empty((nu.size, 8), dtype=complex)
+    pairs.reshape(-1, 2, 4)[:, :, ::3] = 0.5
+    pairs[:, 1:3] = off0[:, None]
+    pairs[:, 5] = _parts(off0 * mu.real - 0.0 * mu.imag, off0 * mu.imag + 0.0 * mu.real)
+    pairs[:, 6] = np.conj(pairs[:, 5])
+    pairs = pairs.reshape(-1, 2, 2, 2)
+    rho0 = pairs[:, 0]
+    rho1 = pairs[:, 1]
+    rho = eta0 * rho0 + (1.0 - eta0) * rho1
+    return StatePair(nu=nu, mu=mu, eta0=eta0, rho0=rho0, rho1=rho1, rho=rho)
+
+
+def _parts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
 def build_state_pair(nu: float, mu: complex, eta0: float = 0.5) -> StatePair:
-    """Assemble rho0, rho1, and the prior mixture rho = eta0*rho0 + eta1*rho1."""
+    """Assemble rho0, rho1, and the prior mixture rho = eta0*rho0 + eta1*rho1.
+
+    One pair in scalar arithmetic; :func:`build_state_stack` builds the
+    same matrices for a whole grid at once.
+    """
     nu = float(nu)
     mu = complex(mu)
     eta0 = float(eta0)
     if not 0.0 < nu <= 1.0 + 1e-12:
         raise DomainError(f"nu must be in (0, 1], got {nu}")
-    if abs(mu) > 1.0 + 1e-12:
+    if not abs(mu) <= 1.0 + 1e-12:
         raise DomainError(f"|mu| must be <= 1, got {abs(mu)}")
     if not 0.0 < eta0 < 1.0:
         raise DomainError(f"eta0 must be in (0, 1), got {eta0}")

@@ -8,8 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
 contract violation (including failed Monte Carlo consistency), 1 I/O or
-unexpected failure.  MCMAG_THREADS sets the sweep worker count; output
-bytes do not depend on it.
+unexpected failure.  MCMAG_THREADS is accepted and has no effect: a sweep
+is solved as one stacked array pass.
 """
 
 from __future__ import annotations

@@ -58,16 +58,20 @@ class Dilation:
 
 
 def measurement_vector(op: np.ndarray) -> np.ndarray:
-    """Weighted vector |p> with op = |p><p|; zero vector for a zero operator."""
+    """Weighted vector |p> with op = |p><p|; zero vector for a zero operator.
+
+    ``op`` is one operator or a stack of them; each gets its own vector.
+    """
     eigvals, eigvecs = qmat.herm_eig2(op)
-    top = max(eigvals[1], 0.0)
-    if eigvals[0] > _RANK_TOL * max(1.0, top):
+    top = np.maximum(eigvals[..., 1], 0.0)
+    bad = eigvals[..., 0] > _RANK_TOL * np.maximum(1.0, top)
+    if bad.any():
         raise DilationRankError(
-            f"operator has second eigenvalue {eigvals[0]:.3e}; rank-one required"
+            f"operator has second eigenvalue {eigvals[..., 0][bad].flat[0]:.3e}; "
+            "rank-one required"
         )
-    if top <= _ZERO_WEIGHT:
-        return np.zeros(2, dtype=complex)
-    return np.sqrt(top) * qmat.pin_phase(eigvecs[:, 1])
+    vec = np.sqrt(top)[..., None] * qmat.pin_phase(eigvecs[..., :, 1])
+    return np.where((top <= _ZERO_WEIGHT)[..., None], 0.0, vec)
 
 
 def dilate_povm(povm: Povm) -> Dilation:
@@ -76,9 +80,7 @@ def dilate_povm(povm: Povm) -> Dilation:
     if float(np.max(np.abs(total - np.eye(2)))) > 1e-9:
         raise DomainError("measurement operators do not sum to the identity")
 
-    pis = np.zeros((3, 2), dtype=complex)
-    for k, op in enumerate(povm.operators()):
-        pis[k] = measurement_vector(op)
+    pis = measurement_vector(np.stack(povm.operators()))
 
     # Columns of U over the computational levels: U[k, j] = <p_k| j >.
     b = pis.conj()

@@ -58,6 +58,8 @@ class Povm:
     ``a, v`` (and ``b, w``) hold the rank-one decomposition
     ``pi0 = a |v><v|`` when one exists; they are ``None`` for operators of
     rank two (which occur only for interpolated, capped measurements).
+    In a :class:`SolutionStack` every field carries a leading axis of
+    length n.
     """
 
     pi0: np.ndarray
@@ -77,9 +79,8 @@ class McSolution:
     """Closed-form solver output.
 
     ``gamma`` is the eigenpair of the transformed detector state
-    (ascending, per :class:`~mcmag.qmat.EigPair2`), while ``rho_g`` stores
-    rho in the (top-eigenvector, bottom-eigenvector) order used by the
-    branch formulas, i.e. ``rho_g[0, 0]`` belongs to the top eigenvector.
+    (ascending, per :class:`~mcmag.qmat.EigPair2`); its top eigenvector
+    is the detector-0 direction before the pull-back through rho^(-1/2).
     """
 
     c0_max: float
@@ -88,7 +89,42 @@ class McSolution:
     povm: Povm
     branch: str
     gamma: qmat.EigPair2
-    rho_g: np.ndarray
+
+
+@dataclass(frozen=True)
+class SolutionStack:
+    """Closed-form solutions of a stack of n pairs, one array per field.
+
+    Row k is the solution of pair k: ``c0_max``, ``c1_max``, ``p_inc_opt``
+    and ``branch`` (an index into :data:`BRANCHES`) have shape ``(n,)``;
+    ``povm`` and ``gamma`` carry the same leading axis.
+    """
+
+    c0_max: np.ndarray
+    c1_max: np.ndarray
+    p_inc_opt: np.ndarray
+    branch: np.ndarray
+    povm: Povm
+    gamma: qmat.EigPair2
+
+    def row(self, k: int) -> McSolution:
+        p = self.povm
+        return McSolution(
+            c0_max=float(self.c0_max[k]),
+            c1_max=float(self.c1_max[k]),
+            p_inc_opt=float(self.p_inc_opt[k]),
+            povm=Povm(
+                pi0=p.pi0[k],
+                pi1=p.pi1[k],
+                pi_inc=p.pi_inc[k],
+                a=float(p.a[k]),
+                b=float(p.b[k]),
+                v=p.v[k],
+                w=p.w[k],
+            ),
+            branch=BRANCHES[self.branch[k]],
+            gamma=qmat.EigPair2(self.gamma.eigvals[k], self.gamma.eigvecs[k]),
+        )
 
 
 @dataclass(frozen=True)
@@ -113,11 +149,32 @@ class OracleSolution:
 
 
 def _proj(vec: np.ndarray) -> np.ndarray:
-    return np.outer(vec, vec.conj())
+    """|v><v| of a vector, or of each vector in a stack."""
+    return vec[..., :, None] * np.conj(vec)[..., None, :]
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + np.conj(m).swapaxes(-1, -2))
+
+
+def _clip01(x: np.ndarray) -> np.ndarray:
+    """``min(max(x, 0.0), 1.0)`` elementwise, signed zeros and NaN included."""
+    x = np.where(0.0 > x, 0.0, x)
+    return np.where(1.0 < x, 1.0, x)
+
+
+def _trace(m: np.ndarray) -> np.ndarray:
+    """Real part of the trace of a matrix or of each in a stack (``np.trace``'s sum)."""
+    return (m[..., 0, 0] + m[..., 1, 1]).real
+
+
+# Eigenvector rows (1 = top, 0 = bottom) paired up for r00, r11 and r01.
+_TOP_BOTTOM_TOP = np.array([1, 0, 1])
+_TOP_BOTTOM_BOTTOM = np.array([1, 0, 0])
+
+# The balanced projective measurement reported for identical hypotheses.
+_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+_MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
 
 
 def _check_pair(pair: StatePair) -> None:
@@ -129,112 +186,114 @@ def _check_pair(pair: StatePair) -> None:
         raise DomainError("eta0 must be in (0, 1)")
 
 
+def _detector_state(s_inv: np.ndarray, rho0: np.ndarray, eta0: float) -> np.ndarray:
+    return _hermitize(eta0 * (s_inv @ rho0 @ s_inv))
+
+
 def transformed_detector_state(pair: StatePair) -> np.ndarray:
     """eta0 * rho^(-1/2) rho0 rho^(-1/2), the operator whose spectrum caps C0."""
-    s_inv = qmat.psd_pow(pair.rho, -0.5)
-    return _hermitize(pair.eta0 * (s_inv @ pair.rho0 @ s_inv))
+    return _detector_state(qmat.psd_pow(pair.rho, -0.5), pair.rho0, pair.eta0)
 
 
-def _degenerate_solution(pair: StatePair, d0: np.ndarray) -> McSolution:
-    # Hypotheses operationally identical: confidences fall back to the
-    # priors and nothing is gained by an inconclusive outcome; report the
-    # balanced projective measurement as the continuity limit.
-    plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    minus = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
-    povm = Povm(
-        pi0=_proj(plus),
-        pi1=_proj(minus),
-        pi_inc=np.zeros((2, 2), dtype=complex),
-        a=1.0,
-        b=1.0,
-        v=plus,
-        w=minus,
-    )
+def solve_stack(pairs: StatePair) -> SolutionStack:
+    """Closed-form maximum-confidence measurement of every pair in a stack.
+
+    ``pairs`` comes from :func:`~mcmag.channel.build_state_stack`, or is
+    one checked pair (a stack of one).  Every row runs the same array
+    operations, so row k is bitwise the solution of pair k on its own.
+    Pairs whose mixture is rank-deficient or whose transformed detector
+    state is scalar take the ``degenerate`` branch: the hypotheses are
+    operationally identical, confidences fall back to the priors, nothing
+    is gained by an inconclusive outcome, and the balanced projective
+    measurement is reported as the continuity limit.
+    """
+    rho0 = pairs.rho0.reshape(-1, 2, 2)
+    rho = pairs.rho.reshape(-1, 2, 2)
+    eta0 = pairs.eta0
+    n = len(rho)
+    eig_rho = qmat.herm_eig2(rho)
+    s_inv = qmat.spectral_pow(eig_rho, -0.5)
+    d0 = _detector_state(s_inv, rho0, eta0)
     gamma = qmat.herm_eig2(d0)
-    g0 = gamma.eigvecs[:, 1]
-    g1 = gamma.eigvecs[:, 0]
-    rho_g = np.array(
-        [
-            [np.vdot(g0, pair.rho @ g0), np.vdot(g0, pair.rho @ g1)],
-            [np.vdot(g1, pair.rho @ g0), np.vdot(g1, pair.rho @ g1)],
-        ]
+
+    scale = np.maximum(1.0, np.maximum.reduce(np.abs(d0).reshape(n, 4), axis=1))
+    shift = (0.5 * _trace(d0))[:, None, None] * _I2
+    dev_from_scalar = np.maximum.reduce(np.abs(d0 - shift).reshape(n, 4), axis=1)
+    live = qmat.support(eig_rho.eigvals)[:, 0] & ~(dev_from_scalar <= DEGENERACY_TOL * scale)
+    n_live = np.count_nonzero(live)
+    if n_live == n:
+        values, branch, wv, ops = _measure(rho, s_inv, gamma)
+    else:
+        values = np.empty((n, 5))
+        values[:] = (1.0, 1.0, 0.0, eta0, 1.0 - eta0)
+        branch = np.full(n, 3)
+        wv = np.empty((n, 2, 2), dtype=complex)
+        wv[:] = (_MINUS, _PLUS)
+        ops = np.zeros((n, 3, 2, 2), dtype=complex)
+        ops[:, 0] = _proj(_PLUS)
+        ops[:, 1] = _proj(_MINUS)
+        if n_live:
+            rows = np.flatnonzero(live)
+            values[rows], branch[rows], wv[rows], ops[rows] = _measure(
+                rho[rows], s_inv[rows], qmat.EigPair2(gamma.eigvals[rows], gamma.eigvecs[rows])
+            )
+
+    a, b, p_inc, c0_max, c1_max = values.T
+    povm = Povm(pi0=ops[:, 0], pi1=ops[:, 1], pi_inc=ops[:, 2], a=a, b=b, v=wv[:, 1], w=wv[:, 0])
+    return SolutionStack(
+        c0_max=c0_max, c1_max=c1_max, p_inc_opt=p_inc, branch=branch, povm=povm, gamma=gamma
     )
-    return McSolution(
-        c0_max=pair.eta0,
-        c1_max=pair.eta1,
-        p_inc_opt=0.0,
-        povm=povm,
-        branch="degenerate",
-        gamma=gamma,
-        rho_g=rho_g,
-    )
+
+
+def _measure(rho: np.ndarray, s_inv: np.ndarray, gamma: qmat.EigPair2):
+    """The optimal measurement of pairs that are not degenerate.
+
+    Returns ``(values, branch, wv, ops)``: columns a, b, p_inc, c0_max,
+    c1_max; the branch index; the unit directions (w, v) of the two
+    detectors; the operators (pi0, pi1, pi_inc).
+    """
+    n = len(rho)
+    # Row j of gcols is eigenvector j of d0: j = 1 (top eigenvalue) is the
+    # detector-0 direction, j = 0 the detector-1 direction.
+    gcols = gamma.eigvecs.transpose(0, 2, 1)
+    rho_g = (rho[:, None] @ gcols[..., None])[..., 0]
+    r = np.vecdot(gcols[:, _TOP_BOTTOM_TOP], rho_g[:, _TOP_BOTTOM_BOTTOM])
+    r_diag = r[:, :2].real  # r00, r11
+    c = np.hypot(r[:, 2].real, r[:, 2].imag)  # |r01|
+    det_rho = np.linalg.det(rho).real
+    bound_a = c >= r_diag[:, 1]  # only detector 0 kept
+    bound_b = ~bound_a & (c >= r_diag[:, 0])  # only detector 1 kept
+    branch = bound_a + 2 * bound_b  # index into BRANCHES
+
+    # Columns a, b, p_inc, c0_max, c1_max before clipping to [0, 1]; the
+    # interior weights and rate first, then the boundary rows.
+    values = np.empty((n, 5))
+    values[:, :2] = (r_diag - c[:, None]) * r_diag[:, ::-1] / det_rho[:, None]
+    values[:, 2] = 2.0 * c
+    values[:, 3] = gamma.eigvals[:, 1]
+    values[:, 4] = 1.0 - gamma.eigvals[:, 0]
+    for rows, weights, r_kept in ((bound_a, (1.0, 0.0), 1), (bound_b, (0.0, 1.0), 0)):
+        if np.count_nonzero(rows):
+            values[rows, :2] = weights
+            values[rows, 2] = 1.0 - det_rho[rows] / r_diag[rows, r_kept]
+    values = _clip01(values)
+
+    # Detector directions (w, v): the eigenvectors pulled back through
+    # rho^(-1/2) and normalized.
+    wv = (s_inv[:, None] @ gcols[..., None])[..., 0]
+    wv = qmat.pin_phase(qmat.unit(wv.reshape(-1, 2))).reshape(n, 2, 2)
+    ops = np.empty((n, 3, 2, 2), dtype=complex)
+    ops[:, 1::-1] = _proj(wv) * values[:, 1::-1, None, None]  # a|v><v|, b|w><w|
+    ops[:, 2] = _hermitize(_I2 - ops[:, 0] - ops[:, 1])
+    if np.count_nonzero(~qmat.is_psd(ops[:, 2], tol=1e-10)):
+        raise PsdViolationError("inconclusive operator lost positivity")
+    return values, branch, wv, ops
 
 
 def solve_max_confidence(pair: StatePair) -> McSolution:
     """Closed-form maximum-confidence measurement for a state pair."""
     _check_pair(pair)
-    rho = pair.rho
-    d0 = transformed_detector_state(pair)
-
-    scale = max(1.0, float(np.max(np.abs(d0))))
-    dev_from_scalar = float(np.max(np.abs(d0 - 0.5 * np.trace(d0).real * _I2)))
-    if qmat.support_rank(rho) < 2 or dev_from_scalar <= DEGENERACY_TOL * scale:
-        return _degenerate_solution(pair, d0)
-
-    gamma = qmat.herm_eig2(d0)
-    g_min, g_max = gamma.eigvals
-    gvec0 = gamma.eigvecs[:, 1]  # top eigenvalue -> detector 0 direction
-    gvec1 = gamma.eigvecs[:, 0]
-
-    c0_max = min(max(float(g_max), 0.0), 1.0)
-    c1_max = min(max(float(1.0 - g_min), 0.0), 1.0)
-
-    r00 = float(np.vdot(gvec0, rho @ gvec0).real)
-    r11 = float(np.vdot(gvec1, rho @ gvec1).real)
-    r01 = complex(np.vdot(gvec0, rho @ gvec1))
-    c = abs(r01)
-    det_rho = float(np.linalg.det(rho).real)
-
-    if c >= r11:
-        branch = "boundary_a"
-        a, b = 1.0, 0.0
-        p_inc = 1.0 - det_rho / r11
-    elif c >= r00:
-        branch = "boundary_b"
-        a, b = 0.0, 1.0
-        p_inc = 1.0 - det_rho / r00
-    else:
-        branch = "interior"
-        a = (r00 - c) * r11 / det_rho
-        b = (r11 - c) * r00 / det_rho
-        a = min(max(a, 0.0), 1.0)
-        b = min(max(b, 0.0), 1.0)
-        p_inc = 2.0 * c
-    p_inc = min(max(p_inc, 0.0), 1.0)
-
-    s_inv = qmat.psd_pow(rho, -0.5)
-    v = s_inv @ gvec0
-    w = s_inv @ gvec1
-    v = qmat.pin_phase(v / np.linalg.norm(v))
-    w = qmat.pin_phase(w / np.linalg.norm(w))
-
-    pi0 = a * _proj(v)
-    pi1 = b * _proj(w)
-    pi_inc = _hermitize(_I2 - pi0 - pi1)
-    if not qmat.is_psd(pi_inc, tol=1e-10):
-        raise PsdViolationError("inconclusive operator lost positivity")
-
-    povm = Povm(pi0=pi0, pi1=pi1, pi_inc=pi_inc, a=a, b=b, v=v, w=w)
-    rho_g = np.array([[r00, r01], [np.conj(r01), r11]])
-    return McSolution(
-        c0_max=c0_max,
-        c1_max=c1_max,
-        p_inc_opt=p_inc,
-        povm=povm,
-        branch=branch,
-        gamma=gamma,
-        rho_g=rho_g,
-    )
+    return solve_stack(pair).row(0)
 
 
 def achieved_confidences(
@@ -259,11 +318,16 @@ def achieved_confidences(
     return out[0], out[1]
 
 
+def min_error_stack(pairs: StatePair) -> np.ndarray:
+    """Helstrom bound of every pair in a stack (row k = pair k)."""
+    diff = _hermitize(pairs.eta1 * pairs.rho1 - pairs.eta0 * pairs.rho0)
+    return 0.5 * (1.0 - qmat.trace_norm_herm2(diff))
+
+
 def min_error_probability(pair: StatePair) -> float:
     """Least average error of any two-outcome measurement (Helstrom bound)."""
     _check_pair(pair)
-    diff = _hermitize(pair.eta1 * pair.rho1 - pair.eta0 * pair.rho0)
-    return 0.5 * (1.0 - qmat.trace_norm_herm2(diff))
+    return float(min_error_stack(pair))
 
 
 def min_error_projectors(pair: StatePair) -> Povm:
@@ -291,22 +355,27 @@ def min_error_projectors(pair: StatePair) -> Povm:
         a, v = None, None  # pi0 = identity, rank two
         b, w = 0.0, None
     elif rank1 == 1:
-        b, w = 1.0, qmat.pin_phase(wvec)
-        vvec = qmat.pin_phase(np.array([-np.conj(wvec[1]), np.conj(wvec[0])]))
-        a, v = 1.0, vvec
+        w, v = qmat.pin_phase(np.array([wvec, [-np.conj(wvec[1]), np.conj(wvec[0])]]))
+        a, b = 1.0, 1.0
     else:
         b, w = None, None  # pi1 = identity
         a, v = 0.0, None
     return Povm(pi0=pi0, pi1=pi1, pi_inc=pi_inc, a=a, b=b, v=v, w=w)
 
 
-def _rank1_metadata(op: np.ndarray) -> tuple[float | None, np.ndarray | None]:
-    eigvals, eigvecs = qmat.herm_eig2(op)
-    if eigvals[0] > 1e-12 * max(1.0, eigvals[1]):
-        return None, None
-    if eigvals[1] <= 1e-14:
-        return 0.0, None
-    return float(eigvals[1]), qmat.pin_phase(eigvecs[:, 1])
+def _rank1_metadata(ops: np.ndarray) -> list[tuple[float | None, np.ndarray | None]]:
+    """``(a, v)`` with ``op = a |v><v|`` for each operator of a stack, if rank one."""
+    eigvals, eigvecs = qmat.herm_eig2(ops)
+    vecs = qmat.pin_phase(eigvecs[:, :, 1])
+    out: list[tuple[float | None, np.ndarray | None]] = []
+    for (lo, hi), vec in zip(eigvals.tolist(), vecs):
+        if lo > 1e-12 * max(1.0, hi):
+            out.append((None, None))
+        elif hi <= 1e-14:
+            out.append((0.0, None))
+        else:
+            out.append((hi, vec))
+    return out
 
 
 def threshold_inconclusive(
@@ -345,24 +414,34 @@ def threshold_inconclusive(
         pi0 = _hermitize((1.0 - mix) * sol.povm.pi0 + mix * me.pi0)
         pi1 = _hermitize((1.0 - mix) * sol.povm.pi1 + mix * me.pi1)
         pi_inc = _hermitize(_I2 - pi0 - pi1)
-        a, v = _rank1_metadata(pi0)
-        b, w = _rank1_metadata(pi1)
+        (a, v), (b, w) = _rank1_metadata(np.stack([pi0, pi1]))
         povm = Povm(pi0=pi0, pi1=pi1, pi_inc=pi_inc, a=a, b=b, v=v, w=w)
     c0, c1 = achieved_confidences(povm, pair)
     p_inc = float(np.trace(pair.rho @ povm.pi_inc).real)
     return ThresholdResult(povm=povm, c0=c0, c1=c1, p_inc=p_inc, mix=mix)
 
 
+def conditional_error_stack(povm: Povm, pairs: StatePair) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional error of each row's measurement on its pair.
+
+    Returns ``(error, defined)``; ``defined`` is False (and the error NaN)
+    where the measurement is (almost) never conclusive.
+    """
+    wrong = pairs.eta0 * _trace(pairs.rho0 @ povm.pi1) + pairs.eta1 * _trace(
+        pairs.rho1 @ povm.pi0
+    )
+    conclusive = 1.0 - _trace(pairs.rho @ povm.pi_inc)
+    defined = ~(conclusive <= 1e-12)
+    return wrong / np.where(defined, conclusive, np.nan), defined
+
+
 def conditional_error(povm: Povm, pair: StatePair) -> float:
     """Probability a conclusive call is wrong, given that it was conclusive."""
     _check_pair(pair)
-    wrong = pair.eta0 * float(np.trace(pair.rho0 @ povm.pi1).real) + pair.eta1 * float(
-        np.trace(pair.rho1 @ povm.pi0).real
-    )
-    conclusive = 1.0 - float(np.trace(pair.rho @ povm.pi_inc).real)
-    if conclusive <= 1e-12:
+    error, defined = conditional_error_stack(povm, pair)
+    if not defined:
         raise UndefinedConditionalError("measurement is (almost) never conclusive")
-    return wrong / conclusive
+    return float(error)
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +607,11 @@ def grid_search_povm(
     b = float(best_b[top])
     v = vs[top // ws.shape[0]]
     w = ws[top % ws.shape[0]]
-    pi0 = a * _proj(v)
-    pi1 = b * _proj(w)
-    pi_inc = _hermitize(_I2 - pi0 - pi1)
+    # Built with plain numpy: the oracle shares no code with the solver it checks.
+    pi0 = a * np.outer(v, v.conj())
+    pi1 = b * np.outer(w, w.conj())
+    pi_inc = _I2 - pi0 - pi1
+    pi_inc = 0.5 * (pi_inc + pi_inc.conj().T)
     lam = np.linalg.eigvalsh(pi_inc)
     if lam[0] < -1e-9:
         raise PsdViolationError("grid search produced a non-positive leftover")

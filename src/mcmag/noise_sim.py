@@ -56,6 +56,8 @@ class OuParams:
             raise DomainError("T must be > 0")
         if not 1 <= self.n_traj <= _MAX_STREAMS:
             raise DomainError("n_traj must be in [1, 2**64]")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -232,6 +234,8 @@ def simulate_clicks(povm: Povm, pair: StatePair, shots: int, seed: int) -> Click
     """Sample (true state, outcome) pairs from the Born probabilities."""
     if shots < 1:
         raise DomainError("shots must be >= 1")
+    if seed < 0:
+        raise DomainError("seed must be >= 0")
     probs = np.empty((2, 3))
     for j, rho_j in enumerate((pair.rho0, pair.rho1)):
         for k, op in enumerate(povm.operators()):

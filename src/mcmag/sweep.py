@@ -2,23 +2,21 @@
 
 A config is flat ``key = value`` text (``#`` comments allowed).  Each
 scenario names one way of producing the coherence/phase factors over a
-grid of interrogation times or pulse counts; every grid point is pushed
-through the channel -> discrimination pipeline and lands as one CSV row.
-Rows are pure functions of the config, so output bytes are identical
-across runs and worker counts.
+grid of interrogation times or pulse counts; the whole grid is pushed
+through the channel -> discrimination pipeline as one stack and every
+point lands as one CSV row.  Rows are pure functions of the config, so
+output bytes are identical across runs.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import channel, discrim, noise_sim
-from .errors import ConfigError, UndefinedConditionalError
+from .errors import ConfigError
 
 #: Coherence floor substituted for an underflowed dephasing factor so the
 #: far tail of a sweep stays well-defined (the solver then reports the
@@ -171,6 +169,10 @@ def load_config(path: str) -> SweepConfig:
 def validate_config(cfg: SweepConfig) -> None:
     if cfg.scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {cfg.scenario!r}")
+    for key, caster in _KEYS.items():
+        value = getattr(cfg, key)
+        if caster is float and value is not None and not math.isfinite(value):
+            raise ConfigError(f"key {key!r} must be finite, got {value!r}")
     for key in _REQUIRED[cfg.scenario]:
         if getattr(cfg, key) is None:
             raise ConfigError(f"scenario {cfg.scenario!r} requires key {key!r}")
@@ -193,10 +195,12 @@ def validate_config(cfg: SweepConfig) -> None:
     if cfg.scenario in _N_AXIS_SCENARIOS:
         if cfg.grid_start < 2:
             raise ConfigError("pulse-count grid must start at >= 2")
+        if cfg.delta_ms not in (None, 1):
+            raise ConfigError("key 'delta_ms': pulsed detection supports delta_ms = 1 only")
     elif cfg.grid_start < 0:
         raise ConfigError("time grid must start at >= 0")
     # Eagerly build the models so bad physics parameters fail with a
-    # named error before any worker starts.
+    # named error before any grid point is evaluated.
     try:
         _models_for(cfg)
     except Exception as exc:  # noqa: BLE001 - rewrap with the scenario name
@@ -263,9 +267,7 @@ def grid_values(cfg: SweepConfig) -> list[float]:
     return [float(n) for n in evens]
 
 
-def factors_at(cfg: SweepConfig, axis_value: float) -> tuple[float, complex]:
-    """Coherence and phase factors of one grid point."""
-    noise, field = _models_for(cfg)
+def _factors(cfg: SweepConfig, noise, field, axis_value: float) -> tuple[float, complex]:
     if cfg.scenario in _N_AXIS_SCENARIOS:
         n_pulses = int(axis_value)
         mu = channel.mu_cpmg(field, n_pulses)
@@ -281,60 +283,69 @@ def factors_at(cfg: SweepConfig, axis_value: float) -> tuple[float, complex]:
     return nu, mu
 
 
-def evaluate_point(cfg: SweepConfig, axis_value: float) -> SweepRow:
-    nu, mu = factors_at(cfg, axis_value)
-    pair = channel.build_state_pair(max(nu, NU_FLOOR), mu, cfg.eta0)
-    sol = discrim.solve_max_confidence(pair)
-    helstrom = discrim.min_error_probability(pair)
+def factors_at(cfg: SweepConfig, axis_value: float) -> tuple[float, complex]:
+    """Coherence and phase factors of one grid point."""
+    return _factors(cfg, *_models_for(cfg), axis_value)
 
-    c0_t = c1_t = p_inc_t = None
-    effective = sol.povm
+
+def _evaluate(cfg: SweepConfig, values: list[float]) -> list[SweepRow]:
+    """Rows of the given grid points, solved as one stack."""
+    noise, field = _models_for(cfg)
+    factors = [_factors(cfg, noise, field, v) for v in values]
+    nus = [nu for nu, _ in factors]
+    mus = [mu for _, mu in factors]
+    pairs = channel.build_state_stack(np.maximum(nus, NU_FLOOR), mus, cfg.eta0)
+    sols = discrim.solve_stack(pairs)
+    helstrom = discrim.min_error_stack(pairs)
+
+    c0_t = c1_t = p_inc_t = [None] * len(values)
+    effective = sols.povm
     if cfg.p_inc_threshold is not None:
-        capped = discrim.threshold_inconclusive(sol, pair, cfg.p_inc_threshold)
-        c0_t, c1_t, p_inc_t = capped.c0, capped.c1, capped.p_inc
-        effective = capped.povm
+        c0_t = sols.c0_max.tolist()
+        c1_t = sols.c1_max.tolist()
+        p_inc_t = sols.p_inc_opt.tolist()
+        ops = [op.copy() for op in sols.povm.operators()]
+        # Rows over the cap are re-measured one by one; the rest pass through.
+        for k in np.flatnonzero(~(sols.p_inc_opt <= cfg.p_inc_threshold)):
+            pair = channel.build_state_pair(max(nus[k], NU_FLOOR), mus[k], cfg.eta0)
+            capped = discrim.threshold_inconclusive(sols.row(k), pair, cfg.p_inc_threshold)
+            c0_t[k], c1_t[k], p_inc_t[k] = capped.c0, capped.c1, capped.p_inc
+            for op, capped_op in zip(ops, capped.povm.operators()):
+                op[k] = capped_op
+        effective = discrim.Povm(*ops)
 
-    try:
-        cond = discrim.conditional_error(effective, pair)
-    except UndefinedConditionalError:
-        cond = None
-    rel = cond / helstrom if (cond is not None and helstrom > 1e-300) else None
+    cond, defined = discrim.conditional_error_stack(effective, pairs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = cond / helstrom
+    rel_defined = defined & (helstrom > 1e-300)
 
-    return SweepRow(
-        axis=float(axis_value),
-        nu=nu,
-        mu_abs=abs(mu),
-        mu_arg=math.atan2(mu.imag, mu.real),
-        c0_max=sol.c0_max,
-        c1_max=sol.c1_max,
-        p_inc_opt=sol.p_inc_opt,
-        c0_thresh=c0_t,
-        c1_thresh=c1_t,
-        p_inc_thresh=p_inc_t,
-        helstrom_err=helstrom,
-        cond_err=cond,
-        rel_err=rel,
-        branch=sol.branch,
+    columns = (  # one per SweepRow field
+        [float(v) for v in values],
+        nus,
+        [abs(mu) for mu in mus],
+        [math.atan2(mu.imag, mu.real) for mu in mus],
+        sols.c0_max.tolist(),
+        sols.c1_max.tolist(),
+        sols.p_inc_opt.tolist(),
+        c0_t,
+        c1_t,
+        p_inc_t,
+        helstrom.tolist(),
+        [e if ok else None for e, ok in zip(cond.tolist(), defined.tolist())],
+        [r if ok else None for r, ok in zip(rel.tolist(), rel_defined.tolist())],
+        [discrim.BRANCHES[code] for code in sols.branch.tolist()],
     )
+    return [SweepRow(*cells) for cells in zip(*columns)]
 
 
-def worker_count() -> int:
-    raw = os.environ.get("MCMAG_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError("MCMAG_THREADS must be an integer") from exc
-    return max(1, n)
+def evaluate_point(cfg: SweepConfig, axis_value: float) -> SweepRow:
+    """One CSV row: the grid of :func:`run_sweep` cut down to one point."""
+    return _evaluate(cfg, [axis_value])[0]
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
-    """Evaluate every grid point; rows come back in grid order."""
-    values = grid_values(cfg)
-    workers = worker_count()
-    if workers == 1:
-        return [evaluate_point(cfg, v) for v in values]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda v: evaluate_point(cfg, v), values))
+    """Evaluate every grid point as one stacked solve; rows come back in grid order."""
+    return _evaluate(cfg, grid_values(cfg))
 
 
 def _fmt(x: float | None) -> str:
@@ -616,12 +627,3 @@ def plot_csv(csv_text: str, title: str = "") -> str:
         legend_y += 14.0
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def shipped_config(path: str, **overrides) -> SweepConfig:
-    """Load a config file and apply keyword overrides (tests use this)."""
-    cfg = load_config(path)
-    if overrides:
-        cfg = replace(cfg, **overrides)
-        validate_config(cfg)
-    return cfg

@@ -34,6 +34,16 @@ def test_params_validation():
         OuParams(kappa=1.0, tau_c=25.0, dt=0.1, T=1.0, seed=0, n_traj=2**64 + 1)
 
 
+def test_negative_seed_is_a_domain_error():
+    # Both used to reach SeedSequence and fail with its bare ValueError.
+    with pytest.raises(DomainError):
+        empirical_dephasing(OuParams(kappa=1.0, tau_c=25.0, dt=0.1, T=1.0, seed=-1, n_traj=10))
+    pair = build_state_pair(0.8, np.exp(-0.3j), 0.5)
+    sol = solve_max_confidence(pair)
+    with pytest.raises(DomainError):
+        simulate_clicks(sol.povm, pair, 100, seed=-1)
+
+
 def jumped_stream(seed, index):
     """The reference construction of trajectory ``index``'s stream."""
     base = np.random.Philox(np.random.SeedSequence(seed))

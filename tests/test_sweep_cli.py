@@ -288,6 +288,27 @@ def test_cli_validate_bad_monte_carlo_key_exit_code(tmp_path, capsys, mutation, 
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value", [("b0_uT", "nan"), ("grid_stop", "inf"), ("T2_star_us", "-inf")]
+)
+def test_cli_sweep_non_finite_key_exit_code(tmp_path, capsys, key, value):
+    # A NaN field used to run through and write nan cells (exit 0); an
+    # infinite grid end failed on a nan coherence without naming the key.
+    body = "".join(f"{line}\n" for line in BASE.splitlines() if not line.startswith(key))
+    cfg = make_cfg(tmp_path, body + f"{key} = {value}\nout = {tmp_path}/o.csv\n")
+    assert cli.main(["sweep", cfg]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["cpmg_single_sigma0p2", "cpmg_ens_sigma0p2"])
+def test_pulsed_double_quantum_rejected_at_parse(name):
+    text = (CONFIG_DIR / f"{name}.cfg").read_text(encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        sweep.parse_config_text(text + "delta_ms = 2\n")
+    assert "delta_ms" in str(err.value)
+
+
 def test_zline_infinite_std_err_fails():
     # With std_err = inf, z reads 0 whatever was observed; such a check
     # tests nothing and must not pass.
