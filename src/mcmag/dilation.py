@@ -31,12 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .discrim import Povm
+from .discrim import _I2, Povm, _trace
 from .errors import DilationRankError, DomainError
 
 _RANK_TOL = 1e-10
 _ZERO_WEIGHT = 1e-14
 _PIN_TOL = 1e-8
+_I3 = np.eye(3)
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])  # (a x b)_k = a_n b_l - a_l b_n
 
 
 @dataclass(frozen=True)
@@ -65,29 +67,34 @@ def measurement_vector(op: np.ndarray) -> np.ndarray:
     eigvals, eigvecs = qmat.herm_eig2(op)
     top = np.maximum(eigvals[..., 1], 0.0)
     bad = eigvals[..., 0] > _RANK_TOL * np.maximum(1.0, top)
-    if bad.any():
+    if np.count_nonzero(bad):
         raise DilationRankError(
             f"operator has second eigenvalue {eigvals[..., 0][bad].flat[0]:.3e}; "
             "rank-one required"
         )
     vec = np.sqrt(top)[..., None] * qmat.pin_phase(eigvecs[..., :, 1])
-    return np.where((top <= _ZERO_WEIGHT)[..., None], 0.0, vec)
+    zero = top <= _ZERO_WEIGHT
+    if np.count_nonzero(zero):
+        vec[zero] = 0.0
+    return vec
 
 
 def dilate_povm(povm: Povm) -> Dilation:
     """Build the three-level unitary realizing a rank-one measurement triple."""
     total = povm.pi0 + povm.pi1 + povm.pi_inc
-    if float(np.max(np.abs(total - np.eye(2)))) > 1e-9:
+    if not np.maximum.reduce(np.abs(total - _I2), axis=None) <= 1e-9:
         raise DomainError("measurement operators do not sum to the identity")
 
-    pis = measurement_vector(np.stack(povm.operators()))
+    pis = measurement_vector(np.array(povm.operators()))
 
-    # Columns of U over the computational levels: U[k, j] = <p_k| j >.
+    # Columns of U over the computational levels: U[k, j] = <p_k| j >.  The
+    # ancilla column is the conjugated cross product of the two, written
+    # out with the multiply and subtract np.cross uses.
     b = pis.conj()
     col0 = b[:, 0]
     col1 = b[:, 1]
-    anc = np.conj(np.cross(col0, col1))
-    anc = anc / np.linalg.norm(anc)
+    cross = col0[_NEXT] * col1[_LAST] - col0[_LAST] * col1[_NEXT]
+    anc = qmat.unit(np.conj(cross)[None])[0]
 
     # c_k = conj(U[k, 2]); pin the first non-negligible coefficient real >= 0.
     c = np.conj(anc)
@@ -97,37 +104,24 @@ def dilate_povm(povm: Povm) -> Dilation:
             c = c * phase
             c[k] = abs(c[k])
             break
-    anc = np.conj(c)
 
-    u = np.column_stack([col0, col1, anc])
-    e_vectors = np.column_stack([pis, c])
+    e_vectors = np.empty((3, 3), dtype=complex)
+    e_vectors[:, :2] = pis
+    e_vectors[:, 2] = c
     return Dilation(
-        u=u, c0=c[0], c1=c[1], c2=c[2], e_vectors=e_vectors, pi_vectors=pis
+        u=np.conj(e_vectors), c0=c[0], c1=c[1], c2=c[2], e_vectors=e_vectors, pi_vectors=pis
     )
 
 
 def born_residual(dilation: Dilation, povm: Povm, states) -> float:
-    """Largest deviation between Tr(rho Pi_k) and the projective readout."""
-    worst = 0.0
-    for rho in states:
-        ext = np.zeros((3, 3), dtype=complex)
-        ext[:2, :2] = rho
-        for k, op in enumerate(povm.operators()):
-            direct = float(np.trace(rho @ op).real)
-            e = dilation.e_vectors[k]
-            via_u = float(np.vdot(e, ext @ e).real)
-            worst = max(worst, abs(direct - via_u))
-    return worst
-
-
-def _two_level(block: np.ndarray, rows: tuple[int, int]) -> np.ndarray:
-    out = np.eye(3, dtype=complex)
-    i, j = rows
-    out[i, i] = block[0, 0]
-    out[i, j] = block[0, 1]
-    out[j, i] = block[1, 0]
-    out[j, j] = block[1, 1]
-    return out
+    """Largest deviation between Tr(rho Pi_k) and the projective readout (NaN if any is NaN)."""
+    rhos = np.array(states, dtype=complex).reshape(-1, 1, 2, 2)
+    direct = _trace(rhos @ np.array(povm.operators()))
+    ext = np.zeros((len(rhos), 1, 3, 3), dtype=complex)
+    ext[..., :2, :2] = rhos
+    e = dilation.e_vectors
+    via_u = np.vecdot(e, (ext @ e[..., None])[..., 0]).real
+    return float(np.maximum.reduce(np.abs(direct - via_u), axis=None, initial=0.0))
 
 
 def decompose_two_level(u: np.ndarray, tol: float = 1e-10) -> list[np.ndarray]:
@@ -141,26 +135,26 @@ def decompose_two_level(u: np.ndarray, tol: float = 1e-10) -> list[np.ndarray]:
     u = np.asarray(u, dtype=complex)
     if u.shape != (3, 3):
         raise DomainError("expected a 3x3 matrix")
-    if float(np.max(np.abs(u.conj().T @ u - np.eye(3)))) > tol:
+    if not np.maximum.reduce(np.abs(u.conj().T @ u - _I3), axis=None) <= tol:
         raise DomainError("input is not unitary within tolerance")
 
-    # Right-multiply by two-level rotations clearing the bottom row; what
-    # remains is a single 2x2 block on levels (0, 1).
+    # Right-multiply by two-level rotations on levels (j, 2) clearing the
+    # bottom row; what remains is a single 2x2 block on levels (0, 1).
     work = u.copy()
-    right_ops: list[np.ndarray] = []
-    for j, rows in ((0, (0, 2)), (1, (1, 2))):
+    inverses: list[np.ndarray] = []
+    for j in (0, 1):
         s = work[2, j]
         t = work[2, 2]
         n = np.hypot(abs(s), abs(t))
         if n == 0.0:
             continue
-        block = np.array([[t / n, np.conj(s) / n], [-s / n, np.conj(t) / n]])
-        k = _two_level(block, rows)
+        k = _I3.astype(complex)
+        k[j, j] = t / n
+        k[j, 2] = s.conjugate() / n
+        k[2, j] = -s / n
+        k[2, 2] = t.conjugate() / n
         work = work @ k
-        right_ops.append(k)
-    final = work  # block-diagonal: 2x2 on (0,1) plus a unit entry
+        inverses.append(k.conj().T)
 
-    factors = [final]
-    for k in reversed(right_ops):
-        factors.append(k.conj().T)
-    return [f for f in factors if float(np.max(np.abs(f - np.eye(3)))) > tol]
+    factors = [work, *reversed(inverses)]
+    return [f for f in factors if np.maximum.reduce(np.abs(f - _I3), axis=None) > tol]

@@ -158,19 +158,17 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
 
 
 def _clip01(x: np.ndarray) -> np.ndarray:
-    """``min(max(x, 0.0), 1.0)`` elementwise, signed zeros and NaN included."""
-    x = np.where(0.0 > x, 0.0, x)
-    return np.where(1.0 < x, 1.0, x)
+    """``min(max(x, 0.0), 1.0)`` elementwise, signed zeros and NaN included (``x`` if inside)."""
+    low, high = 0.0 > x, 1.0 < x
+    if np.count_nonzero(low) or np.count_nonzero(high):
+        x = np.where(low, 0.0, np.where(high, 1.0, x))
+    return x
 
 
 def _trace(m: np.ndarray) -> np.ndarray:
     """Real part of the trace of a matrix or of each in a stack (``np.trace``'s sum)."""
     return (m[..., 0, 0] + m[..., 1, 1]).real
 
-
-# Eigenvector rows (1 = top, 0 = bottom) paired up for r00, r11 and r01.
-_TOP_BOTTOM_TOP = np.array([1, 0, 1])
-_TOP_BOTTOM_BOTTOM = np.array([1, 0, 0])
 
 # The balanced projective measurement reported for identical hypotheses.
 _PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -257,9 +255,10 @@ def _measure(rho: np.ndarray, s_inv: np.ndarray, gamma: qmat.EigPair2):
     # detector-0 direction, j = 0 the detector-1 direction.
     gcols = gamma.eigvecs.transpose(0, 2, 1)
     rho_g = (rho[:, None] @ gcols[..., None])[..., 0]
-    r = np.vecdot(gcols[:, _TOP_BOTTOM_TOP], rho_g[:, _TOP_BOTTOM_BOTTOM])
-    r_diag = r[:, :2].real  # r00, r11
-    c = np.hypot(r[:, 2].real, r[:, 2].imag)  # |r01|
+    rows = np.ascontiguousarray(gcols)  # r_jk = <g_j| rho |g_k>: dots of contiguous 2-vectors
+    r_diag = np.vecdot(rows[:, ::-1], rho_g[:, ::-1]).real  # r00, r11
+    r01 = np.vecdot(rows[:, 1], rho_g[:, 0])
+    c = np.hypot(r01.real, r01.imag)  # |r01|
     det_rho = np.linalg.det(rho).real
     bound_a = c >= r_diag[:, 1]  # only detector 0 kept
     bound_b = ~bound_a & (c >= r_diag[:, 0])  # only detector 1 kept
@@ -309,11 +308,11 @@ def achieved_confidences(
         (povm.pi0, pair.rho0, pair.eta0),
         (povm.pi1, pair.rho1, pair.eta1),
     ):
-        fire = float(np.trace(pair.rho @ op).real)
+        fire = float(_trace(pair.rho @ op))
         if fire <= zero_tol:
             out.append(None)
         else:
-            conf = eta_j * float(np.trace(rho_j @ op).real) / fire
+            conf = eta_j * float(_trace(rho_j @ op)) / fire
             out.append(min(max(conf, 0.0), 1.0))
     return out[0], out[1]
 
@@ -417,7 +416,7 @@ def threshold_inconclusive(
         (a, v), (b, w) = _rank1_metadata(np.stack([pi0, pi1]))
         povm = Povm(pi0=pi0, pi1=pi1, pi_inc=pi_inc, a=a, b=b, v=v, w=w)
     c0, c1 = achieved_confidences(povm, pair)
-    p_inc = float(np.trace(pair.rho @ povm.pi_inc).real)
+    p_inc = float(_trace(pair.rho @ povm.pi_inc))
     return ThresholdResult(povm=povm, c0=c0, c1=c1, p_inc=p_inc, mix=mix)
 
 
@@ -425,14 +424,15 @@ def conditional_error_stack(povm: Povm, pairs: StatePair) -> tuple[np.ndarray, n
     """Conditional error of each row's measurement on its pair.
 
     Returns ``(error, defined)``; ``defined`` is False (and the error NaN)
-    where the measurement is (almost) never conclusive.
+    where the measurement is (almost) never conclusive; defined errors are
+    clipped to [0, 1] (one that is never wrong can round below 0).
     """
     wrong = pairs.eta0 * _trace(pairs.rho0 @ povm.pi1) + pairs.eta1 * _trace(
         pairs.rho1 @ povm.pi0
     )
     conclusive = 1.0 - _trace(pairs.rho @ povm.pi_inc)
     defined = ~(conclusive <= 1e-12)
-    return wrong / np.where(defined, conclusive, np.nan), defined
+    return _clip01(wrong / np.where(defined, conclusive, np.nan)), defined
 
 
 def conditional_error(povm: Povm, pair: StatePair) -> float:

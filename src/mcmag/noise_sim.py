@@ -156,14 +156,13 @@ def ou_trajectory(params: OuParams, index: int = 0) -> np.ndarray:
     """
     n_steps = math.ceil(params.T / params.dt - 1e-9)
     rng = substream(params.seed, index)
-    eps = rng.standard_normal(n_steps + 1)
+    eps = rng.standard_normal(n_steps + 1).tolist()
     decay = math.exp(-params.dt / params.tau_c)
     sig = params.kappa * math.sqrt(max(0.0, 1.0 - decay * decay))
-    path = np.empty(n_steps + 1)
-    path[0] = params.kappa * eps[0]
-    for i in range(n_steps):
-        path[i + 1] = path[i] * decay + sig * eps[i + 1]
-    return path
+    path = [params.kappa * eps[0]]
+    for e in eps[1:]:
+        path.append(path[-1] * decay + sig * e)
+    return np.array(path)
 
 
 def empirical_dephasing(

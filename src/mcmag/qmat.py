@@ -13,7 +13,12 @@ Matrices are plain ``numpy`` arrays of ``complex128``; no wrapper types.
 Bitwise stability rests on a few rules: magnitudes of complex numbers
 are ``np.hypot`` of the parts, inner products and norms go through
 ``np.vecdot`` and ``@`` (the BLAS dot and gemv kernels, as ``np.vdot``
-and ``np.linalg.norm`` use them), and real powers go through ``math.pow``.
+and ``np.linalg.norm`` use them), real powers go through ``math.pow``,
+traces are the sum of the two diagonal entries (``np.trace``'s sum
+without its call), and a cross product is written out with the multiply
+and subtract ``np.cross`` uses.  Fixed per-call cost matters as much as
+the arithmetic: one pair is a stack of one, so helpers avoid numpy's
+Python-level wrappers (``np.max``, ``np.stack``, ``np.cross``) on 2x2 data.
 """
 
 from __future__ import annotations
@@ -159,9 +164,9 @@ def spectral_pow(eig: EigPair2, exponent: float) -> np.ndarray:
         raise PsdViolationError(
             f"eigenvalue {np.min(eigvals[..., 0]):.3e} below -{PSD_TOL:g}"
         )
-    powered = np.frompyfunc(lambda lam, kept: math.pow(lam, exponent) if kept else 0.0, 2, 1)
-    powered = powered(eigvals, support(eigvals)).astype(float)
-    out = (eigvecs * powered[..., None, :]) @ _dagger(eigvecs)
+    lams, kept = eigvals.ravel().tolist(), support(eigvals).ravel().tolist()
+    powered = np.array([math.pow(lam, exponent) if k else 0.0 for lam, k in zip(lams, kept)])
+    out = (eigvecs * powered.reshape(eigvals.shape)[..., None, :]) @ _dagger(eigvecs)
     return 0.5 * (out + _dagger(out))
 
 

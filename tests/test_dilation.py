@@ -188,3 +188,27 @@ def test_decompose_reconstructs_solver_unitaries():
             ]
             assert len(moved) <= 2
         assert np.max(np.abs(prod - u)) <= 1e-10
+
+
+def test_decompose_rejects_nan():
+    # max|U^H U - I| is NaN here; a NaN-blind "> tol" check let it through as the identity.
+    with pytest.raises(DomainError):
+        decompose_two_level(np.full((3, 3), np.nan, dtype=complex))
+
+
+@pytest.mark.parametrize("which", ["all", "pi0"])
+def test_dilate_rejects_nan_measurement(which):
+    sol = solve_max_confidence(build_state_pair(0.8, 0.3 + 0.4j, 0.4))
+    nan = np.full((2, 2), np.nan, dtype=complex)
+    ops = [nan, nan, nan] if which == "all" else [nan, sol.povm.pi1, sol.povm.pi_inc]
+    with pytest.raises(DomainError, match="identity"):
+        dilate_povm(Povm(pi0=ops[0], pi1=ops[1], pi_inc=ops[2]))
+
+
+def test_born_residual_propagates_nan():
+    pair = build_state_pair(0.8, 0.3 + 0.4j, 0.4)
+    sol = solve_max_confidence(pair)
+    dil = dilate_povm(sol.povm)
+    assert math.isnan(born_residual(dil, sol.povm, (pair.rho0 * np.nan,)))
+    assert math.isnan(born_residual(dil, sol.povm, (pair.rho0, pair.rho1 * np.nan)))
+    assert born_residual(dil, sol.povm, ()) == 0.0

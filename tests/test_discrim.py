@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mcmag import build_state_pair, qmat
+from mcmag import build_state_pair, channel, qmat
 from mcmag import discrim
 from mcmag.discrim import (
     achieved_confidences,
@@ -296,6 +296,22 @@ def test_conditional_error_cases():
     )
     with pytest.raises(UndefinedConditionalError):
         conditional_error(all_inc, pair)
+
+
+def test_conditional_error_of_pure_state_is_not_negative():
+    # nu = 1: the optimum's wrong-call weight rounds to -7.2e-18 before the clamp.
+    pair = build_state_pair(1.0, -0.9976005057690599 + 0.0692331632190524j, 0.49688464952256395)
+    sol = solve_max_confidence(pair)
+    assert conditional_error(sol.povm, pair) == 0.0
+    pairs = channel.build_state_stack([1.0, 1.0], [pair.mu, 1.0], pair.eta0)
+    povm = discrim.Povm(
+        pi0=np.stack([sol.povm.pi0, np.zeros((2, 2))]),
+        pi1=np.stack([sol.povm.pi1, np.zeros((2, 2))]),
+        pi_inc=np.stack([sol.povm.pi_inc, I2]),
+    )
+    errors, defined = discrim.conditional_error_stack(povm, pairs)
+    assert errors[0] == 0.0 and defined.tolist() == [True, False]
+    assert np.isnan(errors[1])  # undefined rows stay NaN
 
 
 def test_capped_measurement_beats_forced_choice():

@@ -94,6 +94,30 @@ def test_trajectory_seed_determinism():
     assert est1 == est2
 
 
+def numpy_scalar_ou_trajectory(params, index):
+    """The OU recursion as first written, on numpy scalars: the reference path."""
+    n_steps = math.ceil(params.T / params.dt - 1e-9)
+    eps = substream(params.seed, index).standard_normal(n_steps + 1)
+    decay = math.exp(-params.dt / params.tau_c)
+    sig = params.kappa * math.sqrt(max(0.0, 1.0 - decay * decay))
+    path = np.empty(n_steps + 1)
+    path[0] = params.kappa * eps[0]
+    for i in range(n_steps):
+        path[i + 1] = path[i] * decay + sig * eps[i + 1]
+    return path
+
+
+@pytest.mark.parametrize("seed", [0, 8, 20260808])
+def test_trajectory_equals_numpy_scalar_recursion(seed):
+    for kappa, tau_c, dt, T in ((KAPPA, TAU_C, TAU_C / 100.0, TAU_C),
+                                (0.7, 3.0, 0.01, 1.0), (12.0, 400.0, 0.05, 2.0)):
+        params = OuParams(kappa=kappa, tau_c=tau_c, dt=dt, T=T, seed=seed, n_traj=2**41)
+        for index in (0, 1, 999, 2**40):
+            want = numpy_scalar_ou_trajectory(params, index)
+            got = ou_trajectory(params, index)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_stationary_variance():
     params = OuParams(kappa=KAPPA, tau_c=TAU_C, dt=0.1, T=1.0, seed=7, n_traj=100_000)
     samples = stationary_samples(params)

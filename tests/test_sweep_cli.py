@@ -142,6 +142,15 @@ def test_zero_field_gives_prior_confidence():
         assert r.branch == "degenerate"
 
 
+def test_pure_state_conditional_error_stays_in_range():
+    # Without dephasing (nu = 1) the optimum is never wrong (exact value 0);
+    # the cond_err and rel_err cells used to round to about -1e-12.
+    text = BASE.replace("T2_star_us  = 0.4", "T2_star_us  = 1e12")
+    cfg = sweep.parse_config_text(text.replace("b0_uT       = 50", "b0_uT       = 1"))
+    for r in sweep.run_sweep(cfg):
+        assert 0.0 <= r.cond_err <= 1e-9 and 0.0 <= r.rel_err <= 1.0
+
+
 def test_limit_behavior_past_five_t2():
     # grid extends past 5*T2*; emitted confidences settle at max(eta0, eta1)
     for name in ("static_single_b50.cfg", "ens_static_b50.cfg"):
