@@ -55,20 +55,13 @@ BRANCHES = ("interior", "boundary_a", "boundary_b", "degenerate")
 class Povm:
     """Three-outcome measurement (detector 0, detector 1, inconclusive).
 
-    ``a, v`` (and ``b, w``) hold the rank-one decomposition
-    ``pi0 = a |v><v|`` when one exists; they are ``None`` for operators of
-    rank two (which occur only for interpolated, capped measurements).
-    In a :class:`SolutionStack` every field carries a leading axis of
-    length n.
+    Each field is a 2x2 operator; in a :class:`SolutionStack` each carries
+    a leading axis of length n.
     """
 
     pi0: np.ndarray
     pi1: np.ndarray
     pi_inc: np.ndarray
-    a: float | None = None
-    b: float | None = None
-    v: np.ndarray | None = None
-    w: np.ndarray | None = None
 
     def operators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.pi0, self.pi1, self.pi_inc
@@ -78,9 +71,9 @@ class Povm:
 class McSolution:
     """Closed-form solver output.
 
-    ``gamma`` is the eigenpair of the transformed detector state
-    (ascending, per :class:`~mcmag.qmat.EigPair2`); its top eigenvector
-    is the detector-0 direction before the pull-back through rho^(-1/2).
+    Unless the pair is degenerate (confidences at the priors), ``c0_max``
+    is the top eigenvalue of :func:`transformed_detector_state` and
+    ``c1_max`` one minus its bottom one, both clipped to [0, 1].
     """
 
     c0_max: float
@@ -88,7 +81,6 @@ class McSolution:
     p_inc_opt: float
     povm: Povm
     branch: str
-    gamma: qmat.EigPair2
 
 
 @dataclass(frozen=True)
@@ -97,7 +89,7 @@ class SolutionStack:
 
     Row k is the solution of pair k: ``c0_max``, ``c1_max``, ``p_inc_opt``
     and ``branch`` (an index into :data:`BRANCHES`) have shape ``(n,)``;
-    ``povm`` and ``gamma`` carry the same leading axis.
+    the operators of ``povm`` carry the same leading axis.
     """
 
     c0_max: np.ndarray
@@ -105,7 +97,6 @@ class SolutionStack:
     p_inc_opt: np.ndarray
     branch: np.ndarray
     povm: Povm
-    gamma: qmat.EigPair2
 
     def row(self, k: int) -> McSolution:
         p = self.povm
@@ -113,17 +104,8 @@ class SolutionStack:
             c0_max=float(self.c0_max[k]),
             c1_max=float(self.c1_max[k]),
             p_inc_opt=float(self.p_inc_opt[k]),
-            povm=Povm(
-                pi0=p.pi0[k],
-                pi1=p.pi1[k],
-                pi_inc=p.pi_inc[k],
-                a=float(p.a[k]),
-                b=float(p.b[k]),
-                v=p.v[k],
-                w=p.w[k],
-            ),
+            povm=Povm(pi0=p.pi0[k], pi1=p.pi1[k], pi_inc=p.pi_inc[k]),
             branch=BRANCHES[self.branch[k]],
-            gamma=qmat.EigPair2(self.gamma.eigvals[k], self.gamma.eigvecs[k]),
         )
 
 
@@ -220,35 +202,30 @@ def solve_stack(pairs: StatePair) -> SolutionStack:
     live = qmat.support(eig_rho.eigvals)[:, 0] & ~(dev_from_scalar <= DEGENERACY_TOL * scale)
     n_live = np.count_nonzero(live)
     if n_live == n:
-        values, branch, wv, ops = _measure(rho, s_inv, gamma)
+        values, branch, ops = _measure(rho, s_inv, gamma)
     else:
-        values = np.empty((n, 5))
-        values[:] = (1.0, 1.0, 0.0, eta0, 1.0 - eta0)
+        values = np.empty((n, 3))
+        values[:] = (0.0, eta0, 1.0 - eta0)
         branch = np.full(n, 3)
-        wv = np.empty((n, 2, 2), dtype=complex)
-        wv[:] = (_MINUS, _PLUS)
         ops = np.zeros((n, 3, 2, 2), dtype=complex)
         ops[:, 0] = _proj(_PLUS)
         ops[:, 1] = _proj(_MINUS)
         if n_live:
             rows = np.flatnonzero(live)
-            values[rows], branch[rows], wv[rows], ops[rows] = _measure(
+            values[rows], branch[rows], ops[rows] = _measure(
                 rho[rows], s_inv[rows], qmat.EigPair2(gamma.eigvals[rows], gamma.eigvecs[rows])
             )
 
-    a, b, p_inc, c0_max, c1_max = values.T
-    povm = Povm(pi0=ops[:, 0], pi1=ops[:, 1], pi_inc=ops[:, 2], a=a, b=b, v=wv[:, 1], w=wv[:, 0])
-    return SolutionStack(
-        c0_max=c0_max, c1_max=c1_max, p_inc_opt=p_inc, branch=branch, povm=povm, gamma=gamma
-    )
+    p_inc, c0_max, c1_max = values.T
+    povm = Povm(pi0=ops[:, 0], pi1=ops[:, 1], pi_inc=ops[:, 2])
+    return SolutionStack(c0_max=c0_max, c1_max=c1_max, p_inc_opt=p_inc, branch=branch, povm=povm)
 
 
 def _measure(rho: np.ndarray, s_inv: np.ndarray, gamma: qmat.EigPair2):
     """The optimal measurement of pairs that are not degenerate.
 
-    Returns ``(values, branch, wv, ops)``: columns a, b, p_inc, c0_max,
-    c1_max; the branch index; the unit directions (w, v) of the two
-    detectors; the operators (pi0, pi1, pi_inc).
+    Returns ``(values, branch, ops)``: columns p_inc, c0_max, c1_max; the
+    branch index; the operators (pi0, pi1, pi_inc).
     """
     n = len(rho)
     # Row j of gcols is eigenvector j of d0: j = 1 (top eigenvalue) is the
@@ -286,7 +263,7 @@ def _measure(rho: np.ndarray, s_inv: np.ndarray, gamma: qmat.EigPair2):
     ops[:, 2] = _hermitize(_I2 - ops[:, 0] - ops[:, 1])
     if np.count_nonzero(~qmat.is_psd(ops[:, 2], tol=1e-10)):
         raise PsdViolationError("inconclusive operator lost positivity")
-    return values, branch, wv, ops
+    return values[:, 2:], branch, ops
 
 
 def solve_max_confidence(pair: StatePair) -> McSolution:
@@ -339,42 +316,11 @@ def min_error_projectors(pair: StatePair) -> Povm:
     diff = _hermitize(pair.eta1 * pair.rho1 - pair.eta0 * pair.rho0)
     eigvals, eigvecs = qmat.herm_eig2(diff)
     pi1 = np.zeros((2, 2), dtype=complex)
-    rank1 = 0
-    wvec = None
     for i in range(2):
         if eigvals[i] > 0.0:
-            vec = eigvecs[:, i]
-            pi1 = pi1 + _proj(vec)
-            rank1 += 1
-            wvec = vec
+            pi1 = pi1 + _proj(eigvecs[:, i])
     pi0 = _hermitize(_I2 - pi1)
-    pi_inc = np.zeros((2, 2), dtype=complex)
-
-    if rank1 == 0:
-        a, v = None, None  # pi0 = identity, rank two
-        b, w = 0.0, None
-    elif rank1 == 1:
-        w, v = qmat.pin_phase(np.array([wvec, [-np.conj(wvec[1]), np.conj(wvec[0])]]))
-        a, b = 1.0, 1.0
-    else:
-        b, w = None, None  # pi1 = identity
-        a, v = 0.0, None
-    return Povm(pi0=pi0, pi1=pi1, pi_inc=pi_inc, a=a, b=b, v=v, w=w)
-
-
-def _rank1_metadata(ops: np.ndarray) -> list[tuple[float | None, np.ndarray | None]]:
-    """``(a, v)`` with ``op = a |v><v|`` for each operator of a stack, if rank one."""
-    eigvals, eigvecs = qmat.herm_eig2(ops)
-    vecs = qmat.pin_phase(eigvecs[:, :, 1])
-    out: list[tuple[float | None, np.ndarray | None]] = []
-    for (lo, hi), vec in zip(eigvals.tolist(), vecs):
-        if lo > 1e-12 * max(1.0, hi):
-            out.append((None, None))
-        elif hi <= 1e-14:
-            out.append((0.0, None))
-        else:
-            out.append((hi, vec))
-    return out
+    return Povm(pi0=pi0, pi1=pi1, pi_inc=np.zeros((2, 2), dtype=complex))
 
 
 def threshold_inconclusive(
@@ -412,9 +358,7 @@ def threshold_inconclusive(
         mix = 1.0 - p_thresh / sol.p_inc_opt
         pi0 = _hermitize((1.0 - mix) * sol.povm.pi0 + mix * me.pi0)
         pi1 = _hermitize((1.0 - mix) * sol.povm.pi1 + mix * me.pi1)
-        pi_inc = _hermitize(_I2 - pi0 - pi1)
-        (a, v), (b, w) = _rank1_metadata(np.stack([pi0, pi1]))
-        povm = Povm(pi0=pi0, pi1=pi1, pi_inc=pi_inc, a=a, b=b, v=v, w=w)
+        povm = Povm(pi0=pi0, pi1=pi1, pi_inc=_hermitize(_I2 - pi0 - pi1))
     c0, c1 = achieved_confidences(povm, pair)
     p_inc = float(_trace(pair.rho @ povm.pi_inc))
     return ThresholdResult(povm=povm, c0=c0, c1=c1, p_inc=p_inc, mix=mix)
@@ -615,7 +559,7 @@ def grid_search_povm(
     lam = np.linalg.eigvalsh(pi_inc)
     if lam[0] < -1e-9:
         raise PsdViolationError("grid search produced a non-positive leftover")
-    povm = Povm(pi0=pi0, pi1=pi1, pi_inc=pi_inc, a=a, b=b, v=v, w=w)
+    povm = Povm(pi0=pi0, pi1=pi1, pi_inc=pi_inc)
     return OracleSolution(
         c0=c0_best, c1=c1_best, p_inc=1.0 - best_conclusive, povm=povm
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -22,18 +23,6 @@ from .errors import ConfigError
 #: far tail of a sweep stays well-defined (the solver then reports the
 #: identical-state limit).
 NU_FLOOR = 1e-300
-
-SCENARIOS = (
-    "static_single",
-    "static_gaussian_single",
-    "cpmg_single",
-    "static_ensemble",
-    "static_ensemble_dq",
-    "gaussian_ensemble",
-    "cpmg_ensemble",
-)
-
-_N_AXIS_SCENARIOS = ("cpmg_single", "cpmg_ensemble")
 
 CSV_HEADER = (
     "axis,nu,mu_abs,mu_arg,c0_max,c1_max,p_inc_opt,"
@@ -63,25 +52,6 @@ _KEYS = {
     "n_traj": int,
     "point": float,
     "out": str,
-}
-
-_DEFAULT_P = {
-    "static_single": 2.0,
-    "static_gaussian_single": 2.0,
-    "static_ensemble": 1.0,
-    "static_ensemble_dq": 1.0,
-    "gaussian_ensemble": 1.0,
-    "cpmg_ensemble": 1.0,
-}
-
-_REQUIRED = {
-    "static_single": ("T2_star_us", "b0_uT"),
-    "static_gaussian_single": ("T2_star_us", "b0_uT", "sigma_b_uT"),
-    "cpmg_single": ("kappa_per_us", "tau_c_us", "f_MHz", "b0_uT"),
-    "static_ensemble": ("T2_star_us", "b0_uT"),
-    "static_ensemble_dq": ("T2_star_us", "b0_uT"),
-    "gaussian_ensemble": ("T2_star_us", "b0_uT", "sigma_b_uT"),
-    "cpmg_ensemble": ("T2_us", "s", "f_MHz", "b0_uT"),
 }
 
 
@@ -129,6 +99,116 @@ class SweepRow:
     branch: str
 
 
+_Models = tuple[channel.NoiseModel, channel.FieldModel]
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """What the sweep layer knows about one scenario.
+
+    ``axis`` is ``"time"`` (interrogation time in us, >= 0) or ``"pulse
+    count"`` (even, >= 2); ``required`` names the keys the scenario reads
+    that have no default.  ``models(cfg, p, delta_ms)`` builds the noise
+    and field models, with the defaults already put in for unset ``p`` and
+    ``delta_ms``; ``factors(noise, field, axis_value)`` is ``(nu, mu)`` at
+    one axis value.
+    """
+
+    axis: str
+    required: tuple[str, ...]
+    default_p: float
+    default_delta_ms: int
+    models: Callable[[SweepConfig, float, int], _Models]
+    factors: Callable[[channel.NoiseModel, channel.FieldModel, float], tuple[float, complex]]
+
+    @property
+    def lowest(self) -> float:
+        """Smallest value on the axis."""
+        return 0.0 if self.axis == "time" else 2.0
+
+    def snap(self, value: float) -> float:
+        """``value`` on the axis: a pulse count rounds to the nearest even count >= 2."""
+        if self.axis == "time":
+            return float(value)
+        return float(max(2, int(round(value / 2.0)) * 2))
+
+
+def _stretched(cfg: SweepConfig, p: float) -> channel.NoiseModel:
+    return channel.NoiseModel(kind="stretched_exp", T2_star=cfg.T2_star_us, p=p)
+
+
+def _oscillating(cfg: SweepConfig, delta_ms: int) -> channel.FieldModel:
+    return channel.FieldModel(
+        kind="oscillating_gaussian",
+        b0=cfg.b0_uT,
+        sigma_b=cfg.sigma_b_uT,
+        f=cfg.f_MHz,
+        delta_ms=delta_ms,
+    )
+
+
+def _known_field(cfg: SweepConfig, p: float, delta_ms: int) -> _Models:
+    if cfg.sigma_b_uT != 0.0:
+        raise ConfigError("known-field scenario requires sigma_b_uT = 0")
+    return _stretched(cfg, p), channel.FieldModel(
+        kind="static_known", b0=cfg.b0_uT, delta_ms=delta_ms
+    )
+
+
+def _gaussian_field(cfg: SweepConfig, p: float, delta_ms: int) -> _Models:
+    return _stretched(cfg, p), channel.FieldModel(
+        kind="static_gaussian",
+        b0=cfg.b0_uT,
+        sigma_b=cfg.sigma_b_uT,
+        delta_ms=delta_ms,
+    )
+
+
+def _ou_bath(cfg: SweepConfig, p: float, delta_ms: int) -> _Models:
+    noise = channel.NoiseModel(kind="ou_cpmg", kappa=cfg.kappa_per_us, tau_c=cfg.tau_c_us)
+    return noise, _oscillating(cfg, delta_ms)
+
+
+def _driven_ensemble(cfg: SweepConfig, p: float, delta_ms: int) -> _Models:
+    noise = channel.NoiseModel(kind="ensemble_cpmg", T2=cfg.T2_us, s=cfg.s, p=p)
+    return noise, _oscillating(cfg, delta_ms)
+
+
+def _free_decay(noise, field, t: float) -> tuple[float, complex]:
+    t = float(t)
+    return channel.nu_stretched(noise, t), channel.mu_static(field, t)
+
+
+def _ou_train(noise, field, n: float) -> tuple[float, complex]:
+    n_pulses = int(n)
+    switching = channel.cpmg_switching(n_pulses, 1.0 / (2.0 * field.f))
+    return channel.nu_ou(noise.kappa, noise.tau_c, switching), channel.mu_cpmg(field, n_pulses)
+
+
+def _ensemble_train(noise, field, n: float) -> tuple[float, complex]:
+    n_pulses = int(n)
+    return channel.nu_ensemble_cpmg(noise, n_pulses, field.f), channel.mu_cpmg(field, n_pulses)
+
+
+#: Every scenario by name: axis, keys without a default that it needs,
+#: default p and delta_ms, model builder, factor function.
+SCENARIOS = {
+    "static_single": Scenario("time", ("T2_star_us",), 2.0, 1, _known_field, _free_decay),
+    "static_gaussian_single": Scenario(
+        "time", ("T2_star_us",), 2.0, 1, _gaussian_field, _free_decay
+    ),
+    "cpmg_single": Scenario(
+        "pulse count", ("kappa_per_us", "tau_c_us", "f_MHz"), 1.0, 1, _ou_bath, _ou_train
+    ),
+    "static_ensemble": Scenario("time", ("T2_star_us",), 1.0, 1, _known_field, _free_decay),
+    "static_ensemble_dq": Scenario("time", ("T2_star_us",), 1.0, 2, _known_field, _free_decay),
+    "gaussian_ensemble": Scenario("time", ("T2_star_us",), 1.0, 1, _gaussian_field, _free_decay),
+    "cpmg_ensemble": Scenario(
+        "pulse count", ("T2_us", "s", "f_MHz"), 1.0, 1, _driven_ensemble, _ensemble_train
+    ),
+}
+
+
 def parse_config_text(text: str) -> SweepConfig:
     """Parse flat ``key = value`` config text into a validated SweepConfig."""
     raw: dict[str, str] = {}
@@ -167,13 +247,14 @@ def load_config(path: str) -> SweepConfig:
 
 
 def validate_config(cfg: SweepConfig) -> None:
-    if cfg.scenario not in SCENARIOS:
+    scenario = SCENARIOS.get(cfg.scenario)
+    if scenario is None:
         raise ConfigError(f"unknown scenario {cfg.scenario!r}")
     for key, caster in _KEYS.items():
         value = getattr(cfg, key)
         if caster is float and value is not None and not math.isfinite(value):
             raise ConfigError(f"key {key!r} must be finite, got {value!r}")
-    for key in _REQUIRED[cfg.scenario]:
+    for key in scenario.required:
         if getattr(cfg, key) is None:
             raise ConfigError(f"scenario {cfg.scenario!r} requires key {key!r}")
     if cfg.grid_scale not in ("lin", "log"):
@@ -192,13 +273,14 @@ def validate_config(cfg: SweepConfig) -> None:
         raise ConfigError("seed must be >= 0")
     if cfg.n_traj < 2:
         raise ConfigError("n_traj must be >= 2 (one trajectory has no standard error)")
-    if cfg.scenario in _N_AXIS_SCENARIOS:
-        if cfg.grid_start < 2:
-            raise ConfigError("pulse-count grid must start at >= 2")
-        if cfg.delta_ms not in (None, 1):
-            raise ConfigError("key 'delta_ms': pulsed detection supports delta_ms = 1 only")
-    elif cfg.grid_start < 0:
-        raise ConfigError("time grid must start at >= 0")
+    if cfg.shots < 1:
+        raise ConfigError("shots must be >= 1")
+    for key in ("grid_start", "point"):
+        value = getattr(cfg, key)
+        if value is not None and value < scenario.lowest:
+            raise ConfigError(f"key {key!r}: {scenario.axis} must be >= {scenario.lowest:g}")
+    if scenario.axis != "time" and cfg.delta_ms not in (None, 1):
+        raise ConfigError("key 'delta_ms': pulsed detection supports delta_ms = 1 only")
     # Eagerly build the models so bad physics parameters fail with a
     # named error before any grid point is evaluated.
     try:
@@ -207,48 +289,12 @@ def validate_config(cfg: SweepConfig) -> None:
         raise ConfigError(f"scenario {cfg.scenario!r}: {exc}") from exc
 
 
-def _models_for(cfg: SweepConfig):
+def _models_for(cfg: SweepConfig) -> _Models:
     """(noise model, field model) pair implied by the config."""
-    delta_default = 2 if cfg.scenario == "static_ensemble_dq" else 1
-    delta_ms = cfg.delta_ms if cfg.delta_ms is not None else delta_default
-    p = cfg.p if cfg.p is not None else _DEFAULT_P.get(cfg.scenario, 1.0)
-
-    if cfg.scenario in ("static_single", "static_ensemble", "static_ensemble_dq"):
-        if cfg.sigma_b_uT != 0.0:
-            raise ConfigError("known-field scenario requires sigma_b_uT = 0")
-        noise = channel.NoiseModel(kind="stretched_exp", T2_star=cfg.T2_star_us, p=p)
-        field = channel.FieldModel(
-            kind="static_known", b0=cfg.b0_uT, delta_ms=delta_ms
-        )
-    elif cfg.scenario in ("static_gaussian_single", "gaussian_ensemble"):
-        noise = channel.NoiseModel(kind="stretched_exp", T2_star=cfg.T2_star_us, p=p)
-        field = channel.FieldModel(
-            kind="static_gaussian",
-            b0=cfg.b0_uT,
-            sigma_b=cfg.sigma_b_uT,
-            delta_ms=delta_ms,
-        )
-    elif cfg.scenario == "cpmg_single":
-        noise = channel.NoiseModel(
-            kind="ou_cpmg", kappa=cfg.kappa_per_us, tau_c=cfg.tau_c_us
-        )
-        field = channel.FieldModel(
-            kind="oscillating_gaussian",
-            b0=cfg.b0_uT,
-            sigma_b=cfg.sigma_b_uT,
-            f=cfg.f_MHz,
-            delta_ms=delta_ms,
-        )
-    else:  # cpmg_ensemble
-        noise = channel.NoiseModel(kind="ensemble_cpmg", T2=cfg.T2_us, s=cfg.s, p=p)
-        field = channel.FieldModel(
-            kind="oscillating_gaussian",
-            b0=cfg.b0_uT,
-            sigma_b=cfg.sigma_b_uT,
-            f=cfg.f_MHz,
-            delta_ms=delta_ms,
-        )
-    return noise, field
+    scenario = SCENARIOS[cfg.scenario]
+    p = scenario.default_p if cfg.p is None else cfg.p
+    delta_ms = scenario.default_delta_ms if cfg.delta_ms is None else cfg.delta_ms
+    return scenario.models(cfg, p, delta_ms)
 
 
 def grid_values(cfg: SweepConfig) -> list[float]:
@@ -257,41 +303,27 @@ def grid_values(cfg: SweepConfig) -> list[float]:
         values = np.geomspace(cfg.grid_start, cfg.grid_stop, cfg.grid_points)
     else:
         values = np.linspace(cfg.grid_start, cfg.grid_stop, cfg.grid_points)
-    if cfg.scenario not in _N_AXIS_SCENARIOS:
+    scenario = SCENARIOS[cfg.scenario]
+    if scenario.axis == "time":
         return [float(v) for v in values]
-    evens = []
+    evens: list[float] = []
     for v in values:
-        n = max(2, int(round(v / 2.0)) * 2)
+        n = scenario.snap(v)
         if not evens or n > evens[-1]:
             evens.append(n)
-    return [float(n) for n in evens]
-
-
-def _factors(cfg: SweepConfig, noise, field, axis_value: float) -> tuple[float, complex]:
-    if cfg.scenario in _N_AXIS_SCENARIOS:
-        n_pulses = int(axis_value)
-        mu = channel.mu_cpmg(field, n_pulses)
-        if cfg.scenario == "cpmg_single":
-            tau = 1.0 / (2.0 * field.f)
-            nu = channel.nu_ou(noise.kappa, noise.tau_c, channel.cpmg_switching(n_pulses, tau))
-        else:
-            nu = channel.nu_ensemble_cpmg(noise, n_pulses, field.f)
-    else:
-        t = float(axis_value)
-        nu = channel.nu_stretched(noise, t)
-        mu = channel.mu_static(field, t)
-    return nu, mu
+    return evens
 
 
 def factors_at(cfg: SweepConfig, axis_value: float) -> tuple[float, complex]:
     """Coherence and phase factors of one grid point."""
-    return _factors(cfg, *_models_for(cfg), axis_value)
+    return SCENARIOS[cfg.scenario].factors(*_models_for(cfg), axis_value)
 
 
 def _evaluate(cfg: SweepConfig, values: list[float]) -> list[SweepRow]:
     """Rows of the given grid points, solved as one stack."""
     noise, field = _models_for(cfg)
-    factors = [_factors(cfg, noise, field, v) for v in values]
+    factors_of = SCENARIOS[cfg.scenario].factors
+    factors = [factors_of(noise, field, v) for v in values]
     nus = [nu for nu, _ in factors]
     mus = [mu for _, mu in factors]
     pairs = channel.build_state_stack(np.maximum(nus, NU_FLOOR), mus, cfg.eta0)
@@ -421,7 +453,7 @@ def validate_report(cfg: SweepConfig) -> tuple[str, bool]:
     noise, field = _models_for(cfg)
     if cfg.kappa_per_us is not None and cfg.tau_c_us is not None:
         kappa, tau_c = cfg.kappa_per_us, cfg.tau_c_us
-        if cfg.scenario == "cpmg_single":
+        if noise.kind == "ou_cpmg":  # the sampled bath is the one the pulse train filters
             picks = sorted({values[0], values[len(values) // 2], values[-1]})
             for n_val in picks:
                 n_pulses = int(n_val)
@@ -442,7 +474,7 @@ def validate_report(cfg: SweepConfig) -> tuple[str, bool]:
                 lines.append(line)
                 all_ok &= ok
         else:
-            t_hi = values[-1] if cfg.scenario not in _N_AXIS_SCENARIOS else 1.0
+            t_hi = values[-1] if SCENARIOS[cfg.scenario].axis == "time" else 1.0
             for t in (0.25 * t_hi, 0.5 * t_hi, t_hi):
                 switching = channel.free_decay(t)
                 analytic = channel.nu_ou(kappa, tau_c, switching)
@@ -507,9 +539,7 @@ def neumark_report(cfg: SweepConfig) -> str:
 
     if cfg.point is None:
         raise ConfigError("neumark requires key 'point' (time or pulse count)")
-    axis_value = cfg.point
-    if cfg.scenario in _N_AXIS_SCENARIOS:
-        axis_value = float(max(2, int(round(cfg.point / 2.0)) * 2))
+    axis_value = SCENARIOS[cfg.scenario].snap(cfg.point)
     nu, mu = factors_at(cfg, axis_value)
     pair = channel.build_state_pair(max(nu, NU_FLOOR), mu, cfg.eta0)
     sol = discrim.solve_max_confidence(pair)

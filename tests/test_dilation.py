@@ -18,10 +18,6 @@ def projective_povm():
         pi0=np.outer(PLUS, PLUS.conj()),
         pi1=np.outer(MINUS, MINUS.conj()),
         pi_inc=np.zeros((2, 2), dtype=complex),
-        a=1.0,
-        b=1.0,
-        v=PLUS,
-        w=MINUS,
     )
 
 
@@ -63,7 +59,7 @@ def test_ancilla_coefficients_match_closed_form():
     while checked < 200:
         pair = random_pair(rng)
         sol = solve_max_confidence(pair)
-        if sol.branch != "interior" or sol.povm.a > 1.0 - 1e-6:
+        if sol.branch != "interior" or np.trace(sol.povm.pi0).real > 1.0 - 1e-6:
             continue
         dil = dilate_povm(sol.povm)
         p0, p1, pq = dil.pi_vectors
@@ -117,8 +113,6 @@ def test_rank_two_operator_rejected():
         pi0=0.25 * I2,
         pi1=0.25 * I2,
         pi_inc=0.5 * I2,
-        a=None,
-        b=None,
     )
     with pytest.raises(DilationRankError):
         dilate_povm(rank2)

@@ -102,10 +102,14 @@ def test_branch_assignment_matches_search():
         assert abs(sol.c0_max - oracle.c0) <= 2e-3
         assert abs(sol.c1_max - oracle.c1) <= 2e-3
         assert sol.p_inc_opt <= oracle.p_inc + 2e-3
-        if sol.branch == "boundary_a":
-            assert sol.povm.a == 1.0 and sol.povm.b == 0.0
-        else:
-            assert sol.povm.a == 0.0 and sol.povm.b == 1.0
+        # The dropped detector has weight 0, the kept one weight 1: a
+        # rank-one projector, up to the rounding of its unit direction.
+        kept, dropped = sol.povm.operators()[:2]
+        if sol.branch == "boundary_b":
+            kept, dropped = dropped, kept
+        assert np.all(dropped == 0.0)
+        assert abs(np.trace(kept).real - 1.0) <= 1e-15
+        assert np.max(np.abs(kept @ kept - kept)) <= 1e-15
         if len(seen) == 2:
             break
     assert seen == {"boundary_a", "boundary_b"}
@@ -114,13 +118,15 @@ def test_branch_assignment_matches_search():
 def test_completeness_positivity_10k_random():
     rng = np.random.default_rng(1)
     for _ in range(10_000):
-        sol = solve_max_confidence(random_pair(rng))
+        pair = random_pair(rng)
+        sol = solve_max_confidence(pair)
         total = sol.povm.pi0 + sol.povm.pi1 + sol.povm.pi_inc
         assert np.max(np.abs(total - I2)) <= 1e-12
         for op in sol.povm.operators():
             eigvals, _ = qmat.herm_eig2(op)
             assert eigvals[0] >= -1e-12
-        assert sol.c0_max >= sol.gamma.eigvals[1] - 1e-12  # top eigenvalue
+        top = qmat.herm_eig2(transformed_detector_state(pair)).eigvals[1]
+        assert sol.c0_max >= top - 1e-12
 
 
 def test_confidence_floor_is_prior():
@@ -291,8 +297,6 @@ def test_conditional_error_cases():
         pi0=np.zeros((2, 2), dtype=complex),
         pi1=np.zeros((2, 2), dtype=complex),
         pi_inc=I2.copy(),
-        a=0.0,
-        b=0.0,
     )
     with pytest.raises(UndefinedConditionalError):
         conditional_error(all_inc, pair)

@@ -210,8 +210,6 @@ def test_clicks_all_inconclusive():
         pi0=np.zeros((2, 2), dtype=complex),
         pi1=np.zeros((2, 2), dtype=complex),
         pi_inc=np.eye(2, dtype=complex),
-        a=0.0,
-        b=0.0,
     )
     tally = simulate_clicks(all_inc, pair, 10_000, seed=12)
     assert tally.counts[:, 2].sum() == 10_000

@@ -32,8 +32,8 @@ def draws(rng, n):
 
 def blob(sol):
     p = sol.povm
-    arrays = (p.pi0, p.pi1, p.pi_inc, p.v, p.w, sol.gamma.eigvals, sol.gamma.eigvecs)
-    scalars = np.array([sol.c0_max, sol.c1_max, sol.p_inc_opt, p.a, p.b])
+    arrays = (p.pi0, p.pi1, p.pi_inc)
+    scalars = np.array([sol.c0_max, sol.c1_max, sol.p_inc_opt])
     return (sol.branch, scalars.tobytes()) + tuple(np.asarray(a).tobytes() for a in arrays)
 
 

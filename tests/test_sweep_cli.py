@@ -54,6 +54,8 @@ def test_parse_round_trip(tmp_path):
         ("grid_points = one\n", "grid_points"),
         ("seed = -1\n", "seed"),
         ("n_traj = 1\n", "n_traj"),
+        ("shots = 0\n", "shots"),
+        ("shots = -5\n", "shots"),
     ],
 )
 def test_named_config_errors(mutation, fragment):
@@ -62,11 +64,59 @@ def test_named_config_errors(mutation, fragment):
     assert fragment in str(err.value)
 
 
-def test_missing_scenario_field_named():
-    text = BASE.replace("T2_star_us  = 0.4\n", "")
+#: A valid value for every key some scenario requires.
+REQUIRED_VALUES = {
+    "T2_star_us": "0.4",
+    "kappa_per_us": "3.6",
+    "tau_c_us": "25",
+    "f_MHz": "1",
+    "T2_us": "53",
+    "s": "0.5",
+}
+
+
+def scenario_text(name, drop=None):
+    """A valid config of scenario ``name``, without key ``drop``."""
+    start = 2 if sweep.SCENARIOS[name].axis == "pulse count" else 0.01
+    lines = [f"scenario = {name}", f"grid_start = {start}", "grid_stop = 40", "grid_points = 5"]
+    for key in sweep.SCENARIOS[name].required:
+        if key != drop:
+            lines.append(f"{key} = {REQUIRED_VALUES[key]}")
+    return "\n".join(lines) + "\nb0_uT = 1\n"
+
+
+PULSED = [name for name, s in sweep.SCENARIOS.items() if s.axis == "pulse count"]
+
+
+@pytest.mark.parametrize(
+    "name, key", [(n, k) for n, s in sweep.SCENARIOS.items() for k in s.required]
+)
+def test_missing_scenario_field_named(name, key):
+    assert sweep.parse_config_text(scenario_text(name)).scenario == name
     with pytest.raises(ConfigError) as err:
-        sweep.parse_config_text(text)
-    assert "T2_star_us" in str(err.value)
+        sweep.parse_config_text(scenario_text(name, drop=key))
+    assert key in str(err.value)
+
+
+@pytest.mark.parametrize("name", list(sweep.SCENARIOS))
+def test_point_below_axis_start_rejected_at_parse(name):
+    # A time below 0 used to parse and fail in neumark without the key;
+    # a pulse count below 2 used to snap silently up to 2.
+    lowest = sweep.SCENARIOS[name].lowest
+    sweep.parse_config_text(scenario_text(name) + f"point = {lowest}\n")
+    with pytest.raises(ConfigError) as err:
+        sweep.parse_config_text(scenario_text(name) + f"point = {lowest - 1}\n")
+    assert "point" in str(err.value)
+
+
+def test_readme_scenario_table_matches_the_code():
+    readme = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("Scenarios and their grid axis:", 1)[1].split("\n\n")[1]
+    documented = {}
+    for row in table.splitlines()[2:]:
+        name, axis = (cell.strip() for cell in row.strip("|").split("|")[:2])
+        documented[name.strip("`")] = axis.removesuffix(" (us)")
+    assert documented == {name: s.axis for name, s in sweep.SCENARIOS.items()}
 
 
 def test_duplicate_key_rejected():
@@ -225,6 +275,13 @@ def test_cli_neumark_dump(tmp_path, capsys):
     assert "two-level factors" in out
 
 
+def test_cli_neumark_negative_point_exit_code(tmp_path, capsys):
+    # Used to exit 3 with "time must be >= 0", which does not name the key.
+    cfg = make_cfg(tmp_path, BASE + "point = -1\n", name="neu_neg.cfg")
+    assert cli.main(["neumark", cfg]) == 2
+    assert "'point'" in capsys.readouterr().err
+
+
 def test_cli_neumark_rank_error_exit_code(tmp_path, capsys):
     # capping the inconclusive rate makes the conclusive operators rank
     # two, which the projective extension must refuse by contract
@@ -290,7 +347,10 @@ shots       = 200000
     assert (tmp_path / "report.txt").read_text().startswith("validation report")
 
 
-@pytest.mark.parametrize("mutation, key", [("seed = -1\n", "seed"), ("n_traj = 1\n", "n_traj")])
+@pytest.mark.parametrize(
+    "mutation, key",
+    [("seed = -1\n", "seed"), ("n_traj = 1\n", "n_traj"), ("shots = 0\n", "shots")],
+)
 def test_cli_validate_bad_monte_carlo_key_exit_code(tmp_path, capsys, mutation, key):
     cfg = make_cfg(tmp_path, BASE + "kappa_per_us = 3.6\ntau_c_us = 25\n" + mutation)
     assert cli.main(["validate", cfg]) == 2
@@ -310,11 +370,11 @@ def test_cli_sweep_non_finite_key_exit_code(tmp_path, capsys, key, value):
     assert not (tmp_path / "o.csv").exists()
 
 
-@pytest.mark.parametrize("name", ["cpmg_single_sigma0p2", "cpmg_ens_sigma0p2"])
+@pytest.mark.parametrize("name", PULSED)
 def test_pulsed_double_quantum_rejected_at_parse(name):
-    text = (CONFIG_DIR / f"{name}.cfg").read_text(encoding="utf-8")
+    sweep.parse_config_text(scenario_text(name) + "delta_ms = 1\n")
     with pytest.raises(ConfigError) as err:
-        sweep.parse_config_text(text + "delta_ms = 2\n")
+        sweep.parse_config_text(scenario_text(name) + "delta_ms = 2\n")
     assert "delta_ms" in str(err.value)
 
 
