@@ -125,12 +125,6 @@ class SwitchingFunction:
             sign = -sign
         return out
 
-    def sign_at(self, t: float) -> int:
-        if not 0.0 <= t <= self.total_time:
-            raise DomainError("t outside [0, T]")
-        flips = sum(1 for ft in self.flip_times if ft <= t)
-        return 1 if flips % 2 == 0 else -1
-
     def min_gap(self) -> float:
         """Smallest spacing between consecutive flips (inf when < 2 flips)."""
         if len(self.flip_times) < 2:

@@ -29,17 +29,20 @@ outcome.  For a pair of qubit states the optimum is closed-form:
 Also here: the minimum-error (Helstrom) baseline, capping of the
 inconclusive rate by mixing toward the minimum-error measurement, the
 conditional error of a conclusive call, and an independent brute-force
-grid search used to verify all of the above.
+grid search used to verify all of the above.  Each operation is one
+kernel on a stack of pairs (``*_stack``) whose row k is bitwise the
+kernel on pair k alone; the one-pair functions are a stack of one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qmat
-from .channel import StatePair, build_state_pair
+from .channel import StatePair
 from .errors import DomainError, PsdViolationError, UndefinedConditionalError
 
 _I2 = np.eye(2, dtype=complex)
@@ -111,13 +114,28 @@ class SolutionStack:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Measurement after capping the inconclusive rate."""
+    """Measurement after capping the inconclusive rate.
+
+    A confidence that is undefined (the detector never fires) is None for
+    one pair; in a stack every field has a leading axis and it is NaN.
+    """
 
     povm: Povm
     c0: float | None
     c1: float | None
     p_inc: float
     mix: float  # 0 = untouched optimum, 1 = pure minimum-error measurement
+
+    def row(self, k: int) -> ThresholdResult:
+        p = self.povm
+        c0, c1 = float(self.c0[k]), float(self.c1[k])
+        return ThresholdResult(
+            povm=Povm(pi0=p.pi0[k], pi1=p.pi1[k], pi_inc=p.pi_inc[k]),
+            c0=None if math.isnan(c0) else c0,
+            c1=None if math.isnan(c1) else c1,
+            p_inc=float(self.p_inc[k]),
+            mix=float(self.mix[k]),
+        )
 
 
 @dataclass(frozen=True)
@@ -280,18 +298,18 @@ def achieved_confidences(
     Returns ``None`` for a detector that never fires (firing probability
     below ``zero_tol``), where the conditional probability is undefined.
     """
-    out: list[float | None] = []
-    for op, rho_j, eta_j in (
-        (povm.pi0, pair.rho0, pair.eta0),
-        (povm.pi1, pair.rho1, pair.eta1),
-    ):
-        fire = float(_trace(pair.rho @ op))
-        if fire <= zero_tol:
-            out.append(None)
-        else:
-            conf = eta_j * float(_trace(rho_j @ op)) / fire
-            out.append(min(max(conf, 0.0), 1.0))
-    return out[0], out[1]
+    c0, c1 = _confidence_stack(np.stack((povm.pi0, povm.pi1)), pair, zero_tol).tolist()
+    return (None if math.isnan(c0) else c0), (None if math.isnan(c1) else c1)
+
+
+def _confidence_stack(detectors: np.ndarray, pairs: StatePair, zero_tol: float = 1e-15):
+    """Confidences ``(c0, c1)`` that detectors ``(pi0, pi1)``, an array of
+    shape ``(..., 2, 2, 2)``, attain on their pairs, clipped to [0, 1];
+    NaN where a detector fires with probability <= ``zero_tol``."""
+    fire = _trace(pairs.rho[..., None, :, :] @ detectors)
+    hit = _trace(np.stack((pairs.rho0, pairs.rho1), axis=-3) @ detectors)
+    eta = np.array([pairs.eta0, pairs.eta1])
+    return _clip01(eta * hit / np.where(fire <= zero_tol, np.nan, fire))
 
 
 def min_error_stack(pairs: StatePair) -> np.ndarray:
@@ -306,6 +324,19 @@ def min_error_probability(pair: StatePair) -> float:
     return float(min_error_stack(pair))
 
 
+def _min_error_ops(pairs: StatePair) -> np.ndarray:
+    """:func:`min_error_projectors` of every pair in a stack, as an
+    ``(n, 3, 2, 2)`` array of the operators (pi0, pi1, pi_inc)."""
+    diff = _hermitize(pairs.eta1 * pairs.rho1 - pairs.eta0 * pairs.rho0).reshape(-1, 2, 2)
+    eigvals, eigvecs = qmat.herm_eig2(diff)
+    kept = np.where((eigvals > 0.0)[..., None, None], _proj(eigvecs.swapaxes(1, 2)), 0.0)
+    ops = np.zeros((len(diff), 3, 2, 2), dtype=complex)
+    # Summed from +0.0, so no entry is -0.0 (the neumark dump prints the sign).
+    ops[:, 1] = 0.0 + kept[:, 0] + kept[:, 1]
+    ops[:, 0] = _hermitize(_I2 - ops[:, 1])
+    return ops
+
+
 def min_error_projectors(pair: StatePair) -> Povm:
     """Two-outcome measurement attaining the minimum-error bound.
 
@@ -313,55 +344,64 @@ def min_error_projectors(pair: StatePair) -> Povm:
     eta1*rho1 - eta0*rho0; ties at zero go to detector 0.
     """
     _check_pair(pair)
-    diff = _hermitize(pair.eta1 * pair.rho1 - pair.eta0 * pair.rho0)
-    eigvals, eigvecs = qmat.herm_eig2(diff)
-    pi1 = np.zeros((2, 2), dtype=complex)
-    for i in range(2):
-        if eigvals[i] > 0.0:
-            pi1 = pi1 + _proj(eigvecs[:, i])
-    pi0 = _hermitize(_I2 - pi1)
-    return Povm(pi0=pi0, pi1=pi1, pi_inc=np.zeros((2, 2), dtype=complex))
+    return Povm(*_min_error_ops(pair)[0])
 
 
-def threshold_inconclusive(
-    sol: McSolution, pair: StatePair, p_thresh: float
-) -> ThresholdResult:
-    """Cap the inconclusive rate at ``p_thresh``.
+def threshold_stack(sols: SolutionStack, pairs: StatePair, p_thresh: float) -> ThresholdResult:
+    """Cap the inconclusive rate of every row of a stack at ``p_thresh``.
 
-    When the optimum already satisfies the cap the solution passes
-    through untouched.  Otherwise the measurement is mixed linearly with
-    the minimum-error projectors,
+    Rows whose optimum already satisfies the cap pass through untouched.
+    The others are mixed linearly with the minimum-error projectors,
 
         Pi_k(mix) = (1 - mix) * Pi_k_opt + mix * Pi_k_minerr,
 
     with mix = 1 - p_thresh / p_inc_opt; the inconclusive operator only
     shrinks, so Tr(rho Pi_?) = p_thresh holds exactly, positivity is
     automatic, and mix = 1 reproduces the minimum-error measurement.
-    Confidences are re-evaluated on the mixed measurement.
+    Confidences are re-evaluated on the mixed measurement.  ``sols`` is
+    :func:`solve_stack` of ``pairs``; row k of the result is bitwise
+    :func:`threshold_inconclusive` of pair k.
     """
-    _check_pair(pair)
     if not 0.0 <= p_thresh <= 1.0:
         raise DomainError("p_thresh must be in [0, 1]")
-    if sol.p_inc_opt <= p_thresh:
+    over = ~(sols.p_inc_opt <= p_thresh)
+    n_over = np.count_nonzero(over)
+    if not n_over:
         return ThresholdResult(
-            povm=sol.povm,
-            c0=sol.c0_max,
-            c1=sol.c1_max,
-            p_inc=sol.p_inc_opt,
-            mix=0.0,
+            povm=sols.povm,
+            c0=sols.c0_max,
+            c1=sols.c1_max,
+            p_inc=sols.p_inc_opt,
+            mix=np.zeros(len(over)),
         )
-    me = min_error_projectors(pair)
-    if p_thresh == 0.0:
-        mix = 1.0
-        povm = me
-    else:
-        mix = 1.0 - p_thresh / sol.p_inc_opt
-        pi0 = _hermitize((1.0 - mix) * sol.povm.pi0 + mix * me.pi0)
-        pi1 = _hermitize((1.0 - mix) * sol.povm.pi1 + mix * me.pi1)
-        povm = Povm(pi0=pi0, pi1=pi1, pi_inc=_hermitize(_I2 - pi0 - pi1))
-    c0, c1 = achieved_confidences(povm, pair)
-    p_inc = float(_trace(pair.rho @ povm.pi_inc))
-    return ThresholdResult(povm=povm, c0=c0, c1=c1, p_inc=p_inc, mix=mix)
+    # Rows under the cap get mix = 1 here and keep their optimum below.
+    mix = 1.0 - p_thresh / np.where(over, sols.p_inc_opt, np.inf)
+    ops = _min_error_ops(pairs)
+    if p_thresh > 0.0:  # else mix = 1: the minimum-error measurement itself
+        weight = mix[:, None, None, None]
+        optimum = np.stack((sols.povm.pi0, sols.povm.pi1), axis=1)
+        ops[:, :2] = _hermitize((1.0 - weight) * optimum + weight * ops[:, :2])
+        ops[:, 2] = _hermitize(_I2 - ops[:, 0] - ops[:, 1])
+    c0, c1 = _confidence_stack(ops[:, :2], pairs).T
+    p_inc = _trace(pairs.rho @ ops[:, 2])
+    if n_over < len(over):  # rows under the cap keep their optimum
+        ops = np.where(over[:, None, None, None], ops, np.stack(sols.povm.operators(), axis=1))
+        c0 = np.where(over, c0, sols.c0_max)
+        c1 = np.where(over, c1, sols.c1_max)
+        p_inc = np.where(over, p_inc, sols.p_inc_opt)
+        mix = np.where(over, mix, 0.0)
+    return ThresholdResult(povm=Povm(*ops.swapaxes(0, 1)), c0=c0, c1=c1, p_inc=p_inc, mix=mix)
+
+
+def threshold_inconclusive(
+    sol: McSolution, pair: StatePair, p_thresh: float
+) -> ThresholdResult:
+    """Cap the inconclusive rate at ``p_thresh``: :func:`threshold_stack` on one pair."""
+    _check_pair(pair)
+    c0, c1, p_inc = np.array([[sol.c0_max], [sol.c1_max], [sol.p_inc_opt]])
+    branch = np.array([BRANCHES.index(sol.branch)])
+    povm = Povm(sol.povm.pi0[None], sol.povm.pi1[None], sol.povm.pi_inc[None])
+    return threshold_stack(SolutionStack(c0, c1, p_inc, branch, povm), pair, p_thresh).row(0)
 
 
 def conditional_error_stack(povm: Povm, pairs: StatePair) -> tuple[np.ndarray, np.ndarray]:
@@ -563,17 +603,3 @@ def grid_search_povm(
     return OracleSolution(
         c0=c0_best, c1=c1_best, p_inc=1.0 - best_conclusive, povm=povm
     )
-
-
-def random_pair(
-    rng: np.random.Generator,
-    nu_range: tuple[float, float] = (1e-3, 1.0),
-    eta_range: tuple[float, float] = (0.1, 0.9),
-) -> StatePair:
-    """Draw a random state pair (uniform nu, uniform |mu|<=1 disk, uniform prior)."""
-    nu = rng.uniform(*nu_range)
-    r = np.sqrt(rng.uniform(0.0, 1.0))
-    ang = rng.uniform(0.0, 2.0 * np.pi)
-    mu = r * np.exp(1j * ang)
-    eta0 = rng.uniform(*eta_range)
-    return build_state_pair(nu, mu, eta0)

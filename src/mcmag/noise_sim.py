@@ -251,10 +251,7 @@ def simulate_clicks(povm: Povm, pair: StatePair, shots: int, seed: int) -> Click
     t2 = t1 + np.where(states == 0, probs[0, 1], probs[1, 1])
     outcomes = (u >= t1).astype(np.int64) + (u >= t2).astype(np.int64)
 
-    counts = np.zeros((2, 3), dtype=np.int64)
-    for j in range(2):
-        for k in range(3):
-            counts[j, k] = int(np.sum((states == j) & (outcomes == k)))
+    counts = np.bincount(3 * states + outcomes, minlength=6).reshape(2, 3)
     return ClickTally(counts=counts, shots=shots)
 
 

@@ -181,12 +181,6 @@ def psd_pow(m: np.ndarray, exponent: float) -> np.ndarray:
     return spectral_pow(herm_eig2(m), exponent)
 
 
-def support_rank(m: np.ndarray) -> np.ndarray | int:
-    """Number of eigenvalues above the relative support cutoff (per matrix)."""
-    rank = support(herm_eig2(m).eigvals).sum(axis=-1)
-    return int(rank) if rank.ndim == 0 else rank
-
-
 def trace_norm_herm2(m: np.ndarray) -> np.ndarray | float:
     """Sum of absolute eigenvalues of a 2x2 Hermitian matrix (or of each in a stack)."""
     shape = np.shape(m)[:-2]

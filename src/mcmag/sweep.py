@@ -111,7 +111,9 @@ class Scenario:
     that have no default.  ``models(cfg, p, delta_ms)`` builds the noise
     and field models, with the defaults already put in for unset ``p`` and
     ``delta_ms``; ``factors(noise, field, axis_value)`` is ``(nu, mu)`` at
-    one axis value.
+    one axis value.  ``dephasing(cfg, field, values)`` lists validate's Monte
+    Carlo checks of the OU bath (``kappa_per_us``, ``tau_c_us``) as (label,
+    imaginary-part label or None, switching, dt); None: the scenario has no bath.
     """
 
     axis: str
@@ -120,6 +122,7 @@ class Scenario:
     default_delta_ms: int
     models: Callable[[SweepConfig, float, int], _Models]
     factors: Callable[[channel.NoiseModel, channel.FieldModel, float], tuple[float, complex]]
+    dephasing: Callable[[SweepConfig, channel.FieldModel, list[float]], list[tuple]] | None
 
     @property
     def lowest(self) -> float:
@@ -190,21 +193,44 @@ def _ensemble_train(noise, field, n: float) -> tuple[float, complex]:
     return channel.nu_ensemble_cpmg(noise, n_pulses, field.f), channel.mu_cpmg(field, n_pulses)
 
 
+def _mc_train(cfg: SweepConfig, field, values: list[float]) -> list[tuple]:
+    """The OU bath under the pulse train at the first, middle and last pulse count."""
+    tau = 1.0 / (2.0 * field.f)
+    dt = min(cfg.tau_c_us / 50.0, tau / 50.0)
+    picks = sorted({values[0], values[len(values) // 2], values[-1]})
+    return [(f"nu_cpmg[N={int(n)}]", None, channel.cpmg_switching(int(n), tau), dt) for n in picks]
+
+
+def _mc_free(cfg: SweepConfig, field, values: list[float]) -> list[tuple]:
+    """The OU bath in free decay at 1/4, 1/2 and all of the last grid time."""
+    checks = []
+    for t in (0.25 * values[-1], 0.5 * values[-1], values[-1]):
+        dt = min(cfg.tau_c_us / 50.0, t / 100.0)
+        checks.append((f"nu_free[T={t:g}]", f"nu_free_imag[T={t:g}]", channel.free_decay(t), dt))
+    return checks
+
+
 #: Every scenario by name: axis, keys without a default that it needs,
-#: default p and delta_ms, model builder, factor function.
+#: default p and delta_ms, model builder, factor function, OU bath checks.
 SCENARIOS = {
-    "static_single": Scenario("time", ("T2_star_us",), 2.0, 1, _known_field, _free_decay),
+    "static_single": Scenario("time", ("T2_star_us",), 2.0, 1, _known_field, _free_decay, _mc_free),
     "static_gaussian_single": Scenario(
-        "time", ("T2_star_us",), 2.0, 1, _gaussian_field, _free_decay
+        "time", ("T2_star_us",), 2.0, 1, _gaussian_field, _free_decay, _mc_free
     ),
     "cpmg_single": Scenario(
-        "pulse count", ("kappa_per_us", "tau_c_us", "f_MHz"), 1.0, 1, _ou_bath, _ou_train
+        "pulse count", ("kappa_per_us", "tau_c_us", "f_MHz"), 1.0, 1, _ou_bath, _ou_train, _mc_train
     ),
-    "static_ensemble": Scenario("time", ("T2_star_us",), 1.0, 1, _known_field, _free_decay),
-    "static_ensemble_dq": Scenario("time", ("T2_star_us",), 1.0, 2, _known_field, _free_decay),
-    "gaussian_ensemble": Scenario("time", ("T2_star_us",), 1.0, 1, _gaussian_field, _free_decay),
+    "static_ensemble": Scenario(
+        "time", ("T2_star_us",), 1.0, 1, _known_field, _free_decay, _mc_free
+    ),
+    "static_ensemble_dq": Scenario(
+        "time", ("T2_star_us",), 1.0, 2, _known_field, _free_decay, _mc_free
+    ),
+    "gaussian_ensemble": Scenario(
+        "time", ("T2_star_us",), 1.0, 1, _gaussian_field, _free_decay, _mc_free
+    ),
     "cpmg_ensemble": Scenario(
-        "pulse count", ("T2_us", "s", "f_MHz"), 1.0, 1, _driven_ensemble, _ensemble_train
+        "pulse count", ("T2_us", "s", "f_MHz"), 1.0, 1, _driven_ensemble, _ensemble_train, None
     ),
 }
 
@@ -281,6 +307,9 @@ def validate_config(cfg: SweepConfig) -> None:
             raise ConfigError(f"key {key!r}: {scenario.axis} must be >= {scenario.lowest:g}")
     if scenario.axis != "time" and cfg.delta_ms not in (None, 1):
         raise ConfigError("key 'delta_ms': pulsed detection supports delta_ms = 1 only")
+    for key in ("kappa_per_us", "tau_c_us"):
+        if scenario.dephasing is None and getattr(cfg, key) is not None:
+            raise ConfigError(f"key {key!r}: scenario {cfg.scenario!r} has no OU bath to check")
     # Eagerly build the models so bad physics parameters fail with a
     # named error before any grid point is evaluated.
     try:
@@ -333,18 +362,11 @@ def _evaluate(cfg: SweepConfig, values: list[float]) -> list[SweepRow]:
     c0_t = c1_t = p_inc_t = [None] * len(values)
     effective = sols.povm
     if cfg.p_inc_threshold is not None:
-        c0_t = sols.c0_max.tolist()
-        c1_t = sols.c1_max.tolist()
-        p_inc_t = sols.p_inc_opt.tolist()
-        ops = [op.copy() for op in sols.povm.operators()]
-        # Rows over the cap are re-measured one by one; the rest pass through.
-        for k in np.flatnonzero(~(sols.p_inc_opt <= cfg.p_inc_threshold)):
-            pair = channel.build_state_pair(max(nus[k], NU_FLOOR), mus[k], cfg.eta0)
-            capped = discrim.threshold_inconclusive(sols.row(k), pair, cfg.p_inc_threshold)
-            c0_t[k], c1_t[k], p_inc_t[k] = capped.c0, capped.c1, capped.p_inc
-            for op, capped_op in zip(ops, capped.povm.operators()):
-                op[k] = capped_op
-        effective = discrim.Povm(*ops)
+        capped = discrim.threshold_stack(sols, pairs, cfg.p_inc_threshold)
+        c0_t = [None if math.isnan(c) else c for c in capped.c0.tolist()]
+        c1_t = [None if math.isnan(c) else c for c in capped.c1.tolist()]
+        p_inc_t = capped.p_inc.tolist()
+        effective = capped.povm
 
     cond, defined = discrim.conditional_error_stack(effective, pairs)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -442,58 +464,30 @@ def _zline(name: str, analytic: float, observed: float, se: float) -> tuple[str,
 def validate_report(cfg: SweepConfig) -> tuple[str, bool]:
     """Cross-check analytics against the stochastic estimators.
 
-    Dephasing checks run when the scenario carries a correlated-bath
-    description (kappa, tau_c); click checks run for every scenario at
-    the middle grid point.  A check passes when |z| <= 3.
+    The scenario's OU bath check (:attr:`Scenario.dephasing`) runs when
+    ``kappa_per_us`` and ``tau_c_us`` are set; click checks run for every
+    scenario at the middle grid point.  A check passes when |z| <= 3.
     """
     lines = [f"validation report: scenario={cfg.scenario} seed={cfg.seed}"]
-    all_ok = True
-    values = grid_values(cfg)
+    oks = []
 
-    noise, field = _models_for(cfg)
-    if cfg.kappa_per_us is not None and cfg.tau_c_us is not None:
-        kappa, tau_c = cfg.kappa_per_us, cfg.tau_c_us
-        if noise.kind == "ou_cpmg":  # the sampled bath is the one the pulse train filters
-            picks = sorted({values[0], values[len(values) // 2], values[-1]})
-            for n_val in picks:
-                n_pulses = int(n_val)
-                tau = 1.0 / (2.0 * field.f)
-                switching = channel.cpmg_switching(n_pulses, tau)
-                analytic = channel.nu_ou(kappa, tau_c, switching)
-                dt = min(tau_c / 50.0, tau / 50.0)
-                params = noise_sim.OuParams(
-                    kappa=kappa,
-                    tau_c=tau_c,
-                    dt=dt,
-                    T=switching.total_time,
-                    seed=cfg.seed,
-                    n_traj=cfg.n_traj,
-                )
-                est = noise_sim.empirical_dephasing(params, switching)
-                line, ok = _zline(f"nu_cpmg[N={n_pulses}]", analytic, est.nu_hat, est.std_err)
-                lines.append(line)
-                all_ok &= ok
-        else:
-            t_hi = values[-1] if SCENARIOS[cfg.scenario].axis == "time" else 1.0
-            for t in (0.25 * t_hi, 0.5 * t_hi, t_hi):
-                switching = channel.free_decay(t)
-                analytic = channel.nu_ou(kappa, tau_c, switching)
-                dt = min(tau_c / 50.0, t / 100.0)
-                params = noise_sim.OuParams(
-                    kappa=kappa,
-                    tau_c=tau_c,
-                    dt=dt,
-                    T=t,
-                    seed=cfg.seed,
-                    n_traj=cfg.n_traj,
-                )
-                est = noise_sim.empirical_dephasing(params)
-                line, ok = _zline(f"nu_free[T={t:g}]", analytic, est.nu_hat, est.std_err)
-                lines.append(line)
-                all_ok &= ok
-                line, ok = _zline(f"nu_free_imag[T={t:g}]", 0.0, est.imag_hat, est.imag_std_err)
-                lines.append(line)
-                all_ok &= ok
+    def check(name: str, analytic: float, observed: float, se: float) -> None:
+        line, ok = _zline(name, analytic, observed, se)
+        lines.append(line)
+        oks.append(ok)
+
+    values = grid_values(cfg)
+    dephasing = SCENARIOS[cfg.scenario].dephasing
+    kappa, tau_c = cfg.kappa_per_us, cfg.tau_c_us
+    if dephasing is not None and kappa is not None and tau_c is not None:
+        for label, imag_label, switching, dt in dephasing(cfg, _models_for(cfg)[1], values):
+            params = noise_sim.OuParams(
+                kappa, tau_c, dt, switching.total_time, cfg.seed, cfg.n_traj
+            )
+            est = noise_sim.empirical_dephasing(params, switching)
+            check(label, channel.nu_ou(kappa, tau_c, switching), est.nu_hat, est.std_err)
+            if imag_label is not None:
+                check(imag_label, 0.0, est.imag_hat, est.imag_std_err)
 
     mid = values[len(values) // 2]
     nu, mu = factors_at(cfg, mid)
@@ -509,21 +503,13 @@ def validate_report(cfg: SweepConfig) -> tuple[str, bool]:
         return math.sqrt(max(0.0, p_true * (1.0 - p_true)) / n) if n > 0 else 0.0
 
     counts = tally.counts
-    for j, (hat, analytic) in enumerate(
-        ((est.c0_hat, sol.c0_max), (est.c1_hat, sol.c1_max))
-    ):
-        if hat is None:
-            continue
-        fired = int(counts[0, j] + counts[1, j])
-        line, ok = _zline(f"C{j}", analytic, hat, score_se(analytic, fired))
-        lines.append(line)
-        all_ok &= ok
-    line, ok = _zline(
-        "P_inc", sol.p_inc_opt, est.p_inc_hat, score_se(sol.p_inc_opt, cfg.shots)
-    )
-    lines.append(line)
-    all_ok &= ok
+    for j, (hat, analytic) in enumerate(((est.c0_hat, sol.c0_max), (est.c1_hat, sol.c1_max))):
+        if hat is not None:
+            fired = int(counts[0, j] + counts[1, j])
+            check(f"C{j}", analytic, hat, score_se(analytic, fired))
+    check("P_inc", sol.p_inc_opt, est.p_inc_hat, score_se(sol.p_inc_opt, cfg.shots))
 
+    all_ok = all(oks)
     lines.append("RESULT: " + ("PASS" if all_ok else "FAIL"))
     return "\n".join(lines) + "\n", all_ok
 

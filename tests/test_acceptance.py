@@ -30,11 +30,9 @@ from mcmag import (
 )
 from mcmag import channel, sweep
 from mcmag.dilation import born_residual
-from mcmag.discrim import (
-    achieved_confidences,
-    grid_search_povm,
-    random_pair,
-)
+from mcmag.discrim import achieved_confidences, grid_search_povm
+
+from helpers import random_pair, sign_at
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 KAPPA = 3.6
@@ -112,7 +110,7 @@ def _overlap_autocorr(switching, s):
     acc = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         mid = 0.5 * (a + b)
-        acc += switching.sign_at(mid) * switching.sign_at(mid + s) * (b - a)
+        acc += sign_at(switching, mid) * sign_at(switching, mid + s) * (b - a)
     return acc
 
 

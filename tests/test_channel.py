@@ -7,6 +7,8 @@ from scipy.integrate import quad
 from mcmag import channel
 from mcmag.errors import DomainError
 
+from helpers import sign_at
+
 KAPPA = 3.6
 TAU_C = 25.0
 
@@ -22,7 +24,7 @@ def overlap_autocorr(switching, s):
     acc = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         mid = 0.5 * (a + b)
-        acc += switching.sign_at(mid) * switching.sign_at(mid + s) * (b - a)
+        acc += sign_at(switching, mid) * sign_at(switching, mid + s) * (b - a)
     return acc
 
 

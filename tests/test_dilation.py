@@ -5,8 +5,10 @@ import pytest
 
 from mcmag import build_state_pair, decompose_two_level, dilate_povm
 from mcmag.dilation import born_residual, measurement_vector
-from mcmag.discrim import Povm, random_pair, solve_max_confidence
+from mcmag.discrim import Povm, solve_max_confidence
 from mcmag.errors import DilationRankError, DomainError
+
+from helpers import random_pair
 
 I2 = np.eye(2, dtype=complex)
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)

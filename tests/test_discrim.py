@@ -11,12 +11,13 @@ from mcmag.discrim import (
     grid_search_povm,
     min_error_probability,
     min_error_projectors,
-    random_pair,
     solve_max_confidence,
     threshold_inconclusive,
     transformed_detector_state,
 )
 from mcmag.errors import DomainError, UndefinedConditionalError
+
+from helpers import random_pair
 
 I2 = np.eye(2, dtype=complex)
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)

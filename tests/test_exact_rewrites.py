@@ -4,8 +4,10 @@ Each ``reference_*`` function below is the earlier, slower construction
 kept verbatim as the oracle: ``np.cross`` and ``np.column_stack`` in
 ``dilate_povm``, ``np.trace`` in ``born_residual``,
 ``achieved_confidences`` and ``threshold_inconclusive``, ``np.frompyfunc``
-in ``spectral_pow`` and the per-level block builder in
-``decompose_two_level``.  The rewrites run the same floating-point
+in ``spectral_pow``, the per-level block builder in
+``decompose_two_level``, and the one-pair capping (the per-eigenvalue
+loop of ``min_error_projectors``, the scalar ``threshold_inconclusive``)
+that the stacked ``threshold_stack`` replaced.  The rewrites run the same floating-point
 operations in the same order, so every field must match exactly, not
 within a tolerance.
 """
@@ -125,6 +127,39 @@ def reference_achieved_confidences(povm, pair, zero_tol=1e-15):
     return tuple(out)
 
 
+def reference_min_error_projectors(pair):
+    diff = discrim._hermitize(pair.eta1 * pair.rho1 - pair.eta0 * pair.rho0)
+    eigvals, eigvecs = qmat.herm_eig2(diff)
+    pi1 = np.zeros((2, 2), dtype=complex)
+    for i in range(2):
+        if eigvals[i] > 0.0:
+            pi1 = pi1 + discrim._proj(eigvecs[:, i])
+    pi0 = discrim._hermitize(discrim._I2 - pi1)
+    return discrim.Povm(pi0=pi0, pi1=pi1, pi_inc=np.zeros((2, 2), dtype=complex))
+
+
+def reference_threshold_inconclusive(sol, pair, p_thresh):
+    """The one-pair capping before the stacked kernel; its confidences are
+    ``reference_achieved_confidences``, which ``test_traces_equal_np_trace``
+    holds equal to the construction it used."""
+    if sol.p_inc_opt <= p_thresh:
+        return discrim.ThresholdResult(
+            povm=sol.povm, c0=sol.c0_max, c1=sol.c1_max, p_inc=sol.p_inc_opt, mix=0.0
+        )
+    me = reference_min_error_projectors(pair)
+    if p_thresh == 0.0:
+        mix = 1.0
+        povm = me
+    else:
+        mix = 1.0 - p_thresh / sol.p_inc_opt
+        pi0 = discrim._hermitize((1.0 - mix) * sol.povm.pi0 + mix * me.pi0)
+        pi1 = discrim._hermitize((1.0 - mix) * sol.povm.pi1 + mix * me.pi1)
+        povm = discrim.Povm(pi0=pi0, pi1=pi1, pi_inc=discrim._hermitize(discrim._I2 - pi0 - pi1))
+    c0, c1 = reference_achieved_confidences(povm, pair)
+    p_inc = float(discrim._trace(pair.rho @ povm.pi_inc))
+    return discrim.ThresholdResult(povm=povm, c0=c0, c1=c1, p_inc=p_inc, mix=mix)
+
+
 def reference_spectral_pow(eig, exponent):
     eigvals, eigvecs = eig
     powered = np.frompyfunc(lambda lam, kept: math.pow(lam, exponent) if kept else 0.0, 2, 1)
@@ -189,3 +224,25 @@ def test_spectral_pow_equals_frompyfunc():
         for m in (stack, *stack[:200]):
             eig = qmat.herm_eig2(m)
             assert same(qmat.spectral_pow(eig, exponent), reference_spectral_pow(eig, exponent))
+
+
+def numbers(res):
+    """The floats of a one-pair capping result as bytes, None kept."""
+    return [None if x is None else np.float64(x).tobytes() for x in (res.c0, res.c1, res.p_inc, res.mix)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_capping_equals_scalar_construction(seed):
+    for pair, sol in solved(seed):
+        me = discrim.min_error_projectors(pair)
+        assert all(same(a, b) for a, b in zip(me.operators(),
+                                              reference_min_error_projectors(pair).operators()))
+        for povm in (sol.povm, me):
+            assert discrim.achieved_confidences(povm, pair) == reference_achieved_confidences(
+                povm, pair)
+        # 0.5 * p_inc_opt mixes with weight exactly 1/2; 0.37 gives other weights.
+        for cap in (0.0, 0.5 * sol.p_inc_opt, 0.37, 1.0):
+            got = discrim.threshold_inconclusive(sol, pair, cap)
+            want = reference_threshold_inconclusive(sol, pair, cap)
+            assert all(same(a, b) for a, b in zip(got.povm.operators(), want.povm.operators()))
+            assert numbers(got) == numbers(want)

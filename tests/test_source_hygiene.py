@@ -1,0 +1,54 @@
+"""The package holds no code that only the tests use."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "mcmag").glob("*.py"))
+#: Where a use of a package name counts: the package, the benchmark, the build file.
+USERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def definitions(tree):
+    """Top-level functions and classes, and the non-dunder methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield item
+
+
+def uses(tree):
+    """(name, line) of every name, attribute and identifier-shaped word in a
+    string constant; strings carry ``__all__``, the names the benchmark
+    tracer wraps and the cross-references of docstrings."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for word in _WORD.findall(node.value):
+                yield word, node.lineno
+
+
+def test_every_package_name_is_used_outside_the_tests():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in USERS}
+    used = {path: list(uses(tree)) for path, tree in trees.items()}
+    build_words = set(_WORD.findall((ROOT / "pyproject.toml").read_text(encoding="utf-8")))
+    unused = []
+    for path in SOURCES:
+        for node in definitions(trees[path]):
+            inside = range(node.lineno, node.end_lineno + 1)
+            found = node.name in build_words or any(
+                name == node.name and not (user == path and line in inside)
+                for user, names in used.items()
+                for name, line in names
+            )
+            if not found:
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unused, "used only by the tests (or by nobody): " + ", ".join(unused)

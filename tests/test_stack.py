@@ -1,4 +1,5 @@
-"""The stacked solve: every row bitwise its batch-of-one call, plus the POVM invariants."""
+"""The stacked solve and capping: every row bitwise its batch-of-one call, plus the POVM
+invariants."""
 
 import numpy as np
 import pytest
@@ -143,3 +144,26 @@ def test_oracle_shares_no_code_with_the_solver(monkeypatch):
         monkeypatch.setattr(discrim, name, broken)
     got = grid_search_povm(pair, grid_density=64, refine=1)
     assert (got.c0, got.c1, got.p_inc) == (want.c0, want.c1, want.p_inc)
+
+
+def same_confidence(one, stacked):
+    """A one-pair confidence (None where undefined) against a stacked one (NaN there)."""
+    return np.isnan(stacked) if one is None else np.float64(one).tobytes() == stacked.tobytes()
+
+
+@pytest.mark.parametrize("eta0", [0.5, 0.23, 0.81, 4e-7, 1.0 - 4e-7])
+def test_threshold_rows_equal_batch_of_one(eta0):
+    rng = np.random.default_rng([7, int(eta0 * 1e9)])
+    nu, mu = draws(rng, 300)
+    pairs = channel.build_state_stack(nu, mu, eta0)
+    sols = discrim.solve_stack(pairs)
+    for cap in (0.0, 0.37, 1.0):
+        capped = discrim.threshold_stack(sols, pairs, cap)
+        for k in range(len(nu)):
+            pair = channel.build_state_pair(nu[k], mu[k], eta0)
+            one = discrim.threshold_inconclusive(discrim.solve_max_confidence(pair), pair, cap)
+            for op, ops in zip(one.povm.operators(), capped.povm.operators()):
+                assert op.tobytes() == ops[k].tobytes(), (cap, k)
+            assert same_confidence(one.c0, capped.c0[k]) and same_confidence(one.c1, capped.c1[k])
+            for x, xs in ((one.p_inc, capped.p_inc), (one.mix, capped.mix)):
+                assert np.float64(x).tobytes() == xs[k].tobytes(), (cap, k)

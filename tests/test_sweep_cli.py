@@ -357,6 +357,23 @@ def test_cli_validate_bad_monte_carlo_key_exit_code(tmp_path, capsys, mutation, 
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["kappa_per_us", "tau_c_us"])
+def test_cli_validate_rejects_a_bath_the_scenario_never_uses(tmp_path, capsys, key):
+    # cpmg_ensemble has no Monte Carlo dephasing check.  With the OU bath
+    # keys set, validate used to run six nu_free checks at the off-axis
+    # times 0.25, 0.5 and 1 us and report PASS about a bath the sweep
+    # never reads.
+    text = (CONFIG_DIR / "cpmg_ens_sigma0p2.cfg").read_text(encoding="utf-8")
+    bath = {"kappa_per_us": "3.6", "tau_c_us": "25"}
+    for both in (False, True):
+        added = bath if both else {key: bath[key]}
+        cfg = make_cfg(tmp_path, text + "".join(f"{k} = {v}\n" for k, v in added.items()))
+        assert cli.main(["validate", cfg, "--out", str(tmp_path / "report.txt")]) == 2
+        err = capsys.readouterr().err
+        assert ("kappa_per_us" if both else key) in err
+    assert not (tmp_path / "report.txt").exists()
+
+
 @pytest.mark.parametrize(
     "key, value", [("b0_uT", "nan"), ("grid_stop", "inf"), ("T2_star_us", "-inf")]
 )
