@@ -65,38 +65,38 @@ def unit(vec: np.ndarray) -> np.ndarray:
     return vec / np.sqrt(np.vecdot(vec.real, vec.real) + np.vecdot(vec.imag, vec.imag))[:, None]
 
 
-def require_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
+def require_hermitian(m: np.ndarray) -> np.ndarray:
     """Return ``m`` as a complex array, raising if any matrix is not Hermitian.
 
-    Matrix k fails when ``max|m_k - m_k^H| > tol * max(1, max|m_k|)``.
+    Matrix k fails when ``max|m_k - m_k^H| > HERM_TOL * max(1, max|m_k|)``.
     """
     m = np.asarray(m, dtype=complex)
     dev = np.abs(m - _dagger(m))
-    if np.maximum.reduce(dev, axis=None, initial=0.0) > tol:  # else no matrix can fail
+    if np.maximum.reduce(dev, axis=None, initial=0.0) > HERM_TOL:  # else no matrix can fail
         dev = np.maximum.reduce(dev.reshape(-1, 4), axis=1)
-        bad = dev > tol * np.maximum(1.0, np.maximum.reduce(np.abs(m).reshape(-1, 4), axis=1))
+        bad = dev > HERM_TOL * np.maximum(1.0, np.maximum.reduce(np.abs(m).reshape(-1, 4), axis=1))
         if np.count_nonzero(bad):
             raise HermiticityError(f"matrix deviates from Hermiticity by {dev[bad].max():.3e}")
     return m
 
 
-def pin_phase(vec: np.ndarray, tol: float = _PHASE_TOL) -> np.ndarray:
+def pin_phase(vec: np.ndarray) -> np.ndarray:
     """Rotate a global phase so the first non-negligible component is real >= 0.
 
     ``vec`` is a 2-vector or a stack of them (last axis); a vector with
-    no component above ``tol`` comes back unchanged.
+    no component above ``_PHASE_TOL`` comes back unchanged.
     """
     vec = np.asarray(vec, dtype=complex)
     flat = vec.reshape(-1, 2)
     head = flat[:, 0]
     head_size = np.hypot(head.real, head.imag)
-    first = head_size > tol
+    first = head_size > _PHASE_TOL
     if np.count_nonzero(first) == len(flat):  # every pivot is the first component
         return (flat * (np.conj(head) / head_size)[:, None]).reshape(vec.shape)
     tail = flat[:, 1]
     pivot = np.where(first, head, tail)
     size = np.where(first, head_size, np.hypot(tail.real, tail.imag))
-    found = size > tol
+    found = size > _PHASE_TOL
     phase = np.conj(pivot) / np.where(found, size, 1.0)
     return np.where(found[:, None], flat * phase[:, None], flat).reshape(vec.shape)
 

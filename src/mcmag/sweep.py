@@ -6,53 +6,28 @@ grid of interrogation times or pulse counts; the whole grid is pushed
 through the channel -> discrimination pipeline as one stack and every
 point lands as one CSV row.  Rows are pure functions of the config, so
 output bytes are identical across runs.
+
+Two records are the tables of the format: the fields of
+:class:`SweepConfig` are the config keys (a field's annotation is how its
+value parses, a field without a default is a required key), and the
+fields of :class:`SweepRow` are the CSV columns, in order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import MISSING, dataclass, fields
+from typing import Callable, NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
-from . import channel, discrim, noise_sim
+from . import channel, dilation, discrim, noise_sim
 from .errors import ConfigError
 
 #: Coherence floor substituted for an underflowed dephasing factor so the
 #: far tail of a sweep stays well-defined (the solver then reports the
 #: identical-state limit).
 NU_FLOOR = 1e-300
-
-CSV_HEADER = (
-    "axis,nu,mu_abs,mu_arg,c0_max,c1_max,p_inc_opt,"
-    "c0_thresh,c1_thresh,p_inc_thresh,helstrom_err,cond_err,rel_err,branch"
-)
-
-_KEYS = {
-    "scenario": str,
-    "b0_uT": float,
-    "sigma_b_uT": float,
-    "f_MHz": float,
-    "kappa_per_us": float,
-    "tau_c_us": float,
-    "T2_star_us": float,
-    "p": float,
-    "s": float,
-    "T2_us": float,
-    "delta_ms": int,
-    "eta0": float,
-    "p_inc_threshold": float,
-    "grid_start": float,
-    "grid_stop": float,
-    "grid_points": int,
-    "grid_scale": str,
-    "seed": int,
-    "shots": int,
-    "n_traj": int,
-    "point": float,
-    "out": str,
-}
 
 
 @dataclass(frozen=True)
@@ -81,8 +56,7 @@ class SweepConfig:
     out: str | None = None
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     axis: float
     nu: float
     mu_abs: float
@@ -97,6 +71,15 @@ class SweepRow:
     cond_err: float | None
     rel_err: float | None
     branch: str
+
+
+def _parser(hint) -> type:
+    """How a key's value parses: its annotation without ``| None``."""
+    return next((t for t in get_args(hint) if t is not type(None)), hint)
+
+
+_KEYS = {key: _parser(hint) for key, hint in get_type_hints(SweepConfig).items()}
+CSV_HEADER = ",".join(SweepRow._fields)
 
 
 _Models = tuple[channel.NoiseModel, channel.FieldModel]
@@ -259,9 +242,9 @@ def parse_config_text(text: str) -> SweepConfig:
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: cannot parse {value!r}") from exc
 
-    for key in ("scenario", "grid_start", "grid_stop", "grid_points"):
-        if key not in typed:
-            raise ConfigError(f"missing required key {key!r}")
+    for field in fields(SweepConfig):
+        if field.default is MISSING and field.name not in typed:
+            raise ConfigError(f"missing required key {field.name!r}")
     cfg = SweepConfig(**typed)
     validate_config(cfg)
     return cfg
@@ -307,9 +290,13 @@ def validate_config(cfg: SweepConfig) -> None:
             raise ConfigError(f"key {key!r}: {scenario.axis} must be >= {scenario.lowest:g}")
     if scenario.axis != "time" and cfg.delta_ms not in (None, 1):
         raise ConfigError("key 'delta_ms': pulsed detection supports delta_ms = 1 only")
-    for key in ("kappa_per_us", "tau_c_us"):
-        if scenario.dephasing is None and getattr(cfg, key) is not None:
+    for key, other in (("kappa_per_us", "tau_c_us"), ("tau_c_us", "kappa_per_us")):
+        if getattr(cfg, key) is None:
+            continue
+        if scenario.dephasing is None:
             raise ConfigError(f"key {key!r}: scenario {cfg.scenario!r} has no OU bath to check")
+        if getattr(cfg, other) is None:
+            raise ConfigError(f"missing key {other!r}: the OU bath takes it together with {key!r}")
     # Eagerly build the models so bad physics parameters fail with a
     # named error before any grid point is evaluated.
     try:
@@ -408,27 +395,8 @@ def _fmt(x: float | None) -> str:
 
 def rows_to_csv(rows: list[SweepRow]) -> str:
     lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.axis),
-                    _fmt(r.nu),
-                    _fmt(r.mu_abs),
-                    _fmt(r.mu_arg),
-                    _fmt(r.c0_max),
-                    _fmt(r.c1_max),
-                    _fmt(r.p_inc_opt),
-                    _fmt(r.c0_thresh),
-                    _fmt(r.c1_thresh),
-                    _fmt(r.p_inc_thresh),
-                    _fmt(r.helstrom_err),
-                    _fmt(r.cond_err),
-                    _fmt(r.rel_err),
-                    r.branch,
-                ]
-            )
-        )
+    for *cells, branch in rows:
+        lines.append(",".join([*map(_fmt, cells), branch]))
     return "\n".join(lines) + "\n"
 
 
@@ -464,9 +432,11 @@ def _zline(name: str, analytic: float, observed: float, se: float) -> tuple[str,
 def validate_report(cfg: SweepConfig) -> tuple[str, bool]:
     """Cross-check analytics against the stochastic estimators.
 
-    The scenario's OU bath check (:attr:`Scenario.dephasing`) runs when
-    ``kappa_per_us`` and ``tau_c_us`` are set; click checks run for every
-    scenario at the middle grid point.  A check passes when |z| <= 3.
+    The scenario's OU bath check (:attr:`Scenario.dephasing`) runs when the
+    config sets the bath (:func:`validate_config` takes ``kappa_per_us`` and
+    ``tau_c_us`` only together, and only for a scenario with a check); click
+    checks run for every scenario at the middle grid point.  A check passes
+    when |z| <= 3.
     """
     lines = [f"validation report: scenario={cfg.scenario} seed={cfg.seed}"]
     oks = []
@@ -479,7 +449,7 @@ def validate_report(cfg: SweepConfig) -> tuple[str, bool]:
     values = grid_values(cfg)
     dephasing = SCENARIOS[cfg.scenario].dephasing
     kappa, tau_c = cfg.kappa_per_us, cfg.tau_c_us
-    if dephasing is not None and kappa is not None and tau_c is not None:
+    if kappa is not None:
         for label, imag_label, switching, dt in dephasing(cfg, _models_for(cfg)[1], values):
             params = noise_sim.OuParams(
                 kappa, tau_c, dt, switching.total_time, cfg.seed, cfg.n_traj
@@ -521,8 +491,6 @@ def validate_report(cfg: SweepConfig) -> tuple[str, bool]:
 
 def neumark_report(cfg: SweepConfig) -> str:
     """Text dump of the projective extension at one parameter point."""
-    from . import dilation as _dilation
-
     if cfg.point is None:
         raise ConfigError("neumark requires key 'point' (time or pulse count)")
     axis_value = SCENARIOS[cfg.scenario].snap(cfg.point)
@@ -532,9 +500,9 @@ def neumark_report(cfg: SweepConfig) -> str:
     povm = sol.povm
     if cfg.p_inc_threshold is not None:
         povm = discrim.threshold_inconclusive(sol, pair, cfg.p_inc_threshold).povm
-    dil = _dilation.dilate_povm(povm)
-    factors = _dilation.decompose_two_level(dil.u)
-    residual = _dilation.born_residual(dil, povm, (pair.rho0, pair.rho1))
+    dil = dilation.dilate_povm(povm)
+    factors = dilation.decompose_two_level(dil.u)
+    residual = dilation.born_residual(dil, povm, (pair.rho0, pair.rho1))
     unit_dev = float(np.max(np.abs(dil.u.conj().T @ dil.u - np.eye(3))))
 
     def mat_lines(name: str, m: np.ndarray) -> list[str]:

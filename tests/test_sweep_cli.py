@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +39,19 @@ grid_points = 40
 """
 
 
+def without(key):
+    """BASE with the line that sets ``key`` taken out."""
+    lines = BASE.splitlines(keepends=True)
+    return "".join(line for line in lines if line.split("=")[0].strip() != key)
+
+
+#: Config keys by the type their annotation in SweepConfig names.
+KEYS_OF = {
+    kind: [f.name for f in dataclasses.fields(sweep.SweepConfig) if f.type.split(" |")[0] == kind]
+    for kind in ("int", "float")
+}
+
+
 def test_parse_round_trip(tmp_path):
     cfg = sweep.parse_config_text(BASE + "out = x.csv\n")
     assert cfg.scenario == "static_single"
@@ -56,12 +71,23 @@ def test_parse_round_trip(tmp_path):
         ("n_traj = 1\n", "n_traj"),
         ("shots = 0\n", "shots"),
         ("shots = -5\n", "shots"),
-    ],
+    ]
+    + [(f"{key} = 2.5\n", f"key {key!r}: cannot parse") for key in KEYS_OF["int"]]
+    + [(f"{key} = abc\n", f"key {key!r}: cannot parse") for key in KEYS_OF["float"]],
 )
 def test_named_config_errors(mutation, fragment):
+    key = mutation.split("=")[0].strip()
     with pytest.raises(ConfigError) as err:
-        sweep.parse_config_text(BASE + mutation)
+        sweep.parse_config_text(without(key) + mutation)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("key", KEYS_OF["float"])
+def test_float_key_parses_a_fraction(key):
+    try:
+        sweep.parse_config_text(without(key) + f"{key} = 2.5\n")
+    except ConfigError as exc:  # a domain rule of the key may still refuse 2.5
+        assert "cannot parse" not in str(exc)
 
 
 #: A valid value for every key some scenario requires.
@@ -117,6 +143,16 @@ def test_readme_scenario_table_matches_the_code():
         name, axis = (cell.strip() for cell in row.strip("|").split("|")[:2])
         documented[name.strip("`")] = axis.removesuffix(" (us)")
     assert documented == {name: s.axis for name, s in sweep.SCENARIOS.items()}
+
+
+def test_readme_key_and_column_lists_match_the_code():
+    readme = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+    keys = readme.split("### Config keys", 1)[1].split("Keys:", 1)[1].split(".", 1)[0]
+    keys = re.sub(r"\([^)]*\)", "", keys)
+    fields = [f.name for f in dataclasses.fields(sweep.SweepConfig)]
+    assert re.findall(r"`(\w+)`", keys) == fields
+    columns = readme.split("### CSV columns", 1)[1].split("`", 2)[1]
+    assert [c.strip() for c in columns.split(",")] == list(sweep.SweepRow._fields)
 
 
 def test_duplicate_key_rejected():
@@ -375,13 +411,25 @@ def test_cli_validate_rejects_a_bath_the_scenario_never_uses(tmp_path, capsys, k
 
 
 @pytest.mark.parametrize(
+    "given, missing", [("kappa_per_us", "tau_c_us"), ("tau_c_us", "kappa_per_us")]
+)
+def test_cli_validate_rejects_half_a_bath(tmp_path, capsys, given, missing):
+    # With one of the two OU bath keys alone, validate used to skip the
+    # bath check without a word, print RESULT: PASS and exit 0.
+    value = {"kappa_per_us": "3.6", "tau_c_us": "25"}[given]
+    cfg = make_cfg(tmp_path, BASE + f"{given} = {value}\n")
+    assert cli.main(["validate", cfg, "--out", str(tmp_path / "report.txt")]) == 2
+    assert repr(missing) in capsys.readouterr().err
+    assert not (tmp_path / "report.txt").exists()
+
+
+@pytest.mark.parametrize(
     "key, value", [("b0_uT", "nan"), ("grid_stop", "inf"), ("T2_star_us", "-inf")]
 )
 def test_cli_sweep_non_finite_key_exit_code(tmp_path, capsys, key, value):
     # A NaN field used to run through and write nan cells (exit 0); an
     # infinite grid end failed on a nan coherence without naming the key.
-    body = "".join(f"{line}\n" for line in BASE.splitlines() if not line.startswith(key))
-    cfg = make_cfg(tmp_path, body + f"{key} = {value}\nout = {tmp_path}/o.csv\n")
+    cfg = make_cfg(tmp_path, without(key) + f"{key} = {value}\nout = {tmp_path}/o.csv\n")
     assert cli.main(["sweep", cfg]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()
