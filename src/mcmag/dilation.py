@@ -37,6 +37,7 @@ from .errors import DilationRankError, DomainError
 _RANK_TOL = 1e-10
 _ZERO_WEIGHT = 1e-14
 _PIN_TOL = 1e-8
+_UNITARY_TOL = 1e-10
 _I3 = np.eye(3)
 _NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])  # (a x b)_k = a_n b_l - a_l b_n
 
@@ -124,18 +125,18 @@ def born_residual(dilation: Dilation, povm: Povm, states) -> float:
     return float(np.maximum.reduce(np.abs(direct - via_u), axis=None, initial=0.0))
 
 
-def decompose_two_level(u: np.ndarray, tol: float = 1e-10) -> list[np.ndarray]:
+def decompose_two_level(u: np.ndarray) -> list[np.ndarray]:
     """Factor a 3x3 unitary into at most three two-level unitaries.
 
     The ordered product of the returned factors reconstructs ``u``; each
     factor differs from the identity on exactly one pair of levels, and
-    factors within ``tol`` of the identity are dropped (so the identity
+    factors within ``_UNITARY_TOL`` of the identity are dropped (so the identity
     yields an empty list and a block-diagonal input a single factor).
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (3, 3):
         raise DomainError("expected a 3x3 matrix")
-    if not np.maximum.reduce(np.abs(u.conj().T @ u - _I3), axis=None) <= tol:
+    if not np.maximum.reduce(np.abs(u.conj().T @ u - _I3), axis=None) <= _UNITARY_TOL:
         raise DomainError("input is not unitary within tolerance")
 
     # Right-multiply by two-level rotations on levels (j, 2) clearing the
@@ -157,4 +158,4 @@ def decompose_two_level(u: np.ndarray, tol: float = 1e-10) -> list[np.ndarray]:
         inverses.append(k.conj().T)
 
     factors = [work, *reversed(inverses)]
-    return [f for f in factors if np.maximum.reduce(np.abs(f - _I3), axis=None) > tol]
+    return [f for f in factors if np.maximum.reduce(np.abs(f - _I3), axis=None) > _UNITARY_TOL]

@@ -290,26 +290,28 @@ def solve_max_confidence(pair: StatePair) -> McSolution:
     return solve_stack(pair).row(0)
 
 
-def achieved_confidences(
-    povm: Povm, pair: StatePair, zero_tol: float = 1e-15
-) -> tuple[float | None, float | None]:
+#: Firing probability at or below which a detector counts as never firing.
+_ZERO_FIRE = 1e-15
+
+
+def achieved_confidences(povm: Povm, pair: StatePair) -> tuple[float | None, float | None]:
     """Confidences a given measurement actually attains on a pair.
 
     Returns ``None`` for a detector that never fires (firing probability
-    below ``zero_tol``), where the conditional probability is undefined.
+    at most ``_ZERO_FIRE``), where the conditional probability is undefined.
     """
-    c0, c1 = _confidence_stack(np.stack((povm.pi0, povm.pi1)), pair, zero_tol).tolist()
+    c0, c1 = _confidence_stack(np.stack((povm.pi0, povm.pi1)), pair).tolist()
     return (None if math.isnan(c0) else c0), (None if math.isnan(c1) else c1)
 
 
-def _confidence_stack(detectors: np.ndarray, pairs: StatePair, zero_tol: float = 1e-15):
+def _confidence_stack(detectors: np.ndarray, pairs: StatePair):
     """Confidences ``(c0, c1)`` that detectors ``(pi0, pi1)``, an array of
     shape ``(..., 2, 2, 2)``, attain on their pairs, clipped to [0, 1];
-    NaN where a detector fires with probability <= ``zero_tol``."""
+    NaN where a detector fires with probability <= ``_ZERO_FIRE``."""
     fire = _trace(pairs.rho[..., None, :, :] @ detectors)
     hit = _trace(np.stack((pairs.rho0, pairs.rho1), axis=-3) @ detectors)
     eta = np.array([pairs.eta0, pairs.eta1])
-    return _clip01(eta * hit / np.where(fire <= zero_tol, np.nan, fire))
+    return _clip01(eta * hit / np.where(fire <= _ZERO_FIRE, np.nan, fire))
 
 
 def min_error_stack(pairs: StatePair) -> np.ndarray:
@@ -455,6 +457,8 @@ def _directions(theta_lo, theta_hi, phi_lo, phi_hi, n):
 
 _COARSE_GRIDS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 _REFINE_GRID = 64  # window subdivisions per refinement round
+_NEAR_TOL = 1e-3  # confidence shortfall that still counts as optimal
+_POOL = 32  # near-optimal directions kept for the weight search, both detectors
 
 
 def _coarse_directions(n):
@@ -514,8 +518,6 @@ def grid_search_povm(
     pair: StatePair,
     grid_density: int = 256,
     refine: int = 3,
-    near_tol: float = 1e-3,
-    pool: int = 32,
 ) -> OracleSolution:
     """Exhaustive-search verifier for the closed-form solver.
 
@@ -542,8 +544,8 @@ def grid_search_povm(
         # on the maximum-confidence family instead of trading confidence
         # away for conclusiveness.
         conf, tt, pp = scan
-        idx = np.nonzero(conf >= c_best - near_tol)[0]
-        order = np.argsort(conf[idx], kind="stable")[::-1][: max(1, pool // 2)]
+        idx = np.nonzero(conf >= c_best - _NEAR_TOL)[0]
+        order = np.argsort(conf[idx], kind="stable")[::-1][: _POOL // 2]
         return [(float(tt[i]), float(pp[i])) for i in idx[order]]
 
     vs = np.array([_ket(t, p) for (t, p) in near_optimal(c0_best, final0)])

@@ -7,16 +7,19 @@ through the channel -> discrimination pipeline as one stack and every
 point lands as one CSV row.  Rows are pure functions of the config, so
 output bytes are identical across runs.
 
-Two records are the tables of the format: the fields of
-:class:`SweepConfig` are the config keys (a field's annotation is how its
-value parses, a field without a default is a required key), and the
-fields of :class:`SweepRow` are the CSV columns, in order.
+Three tables define the format: the fields of :class:`SweepConfig` are
+the config keys (a field's annotation is how its value parses, a field
+without a default is a required key), the fields of :class:`SweepRow` are
+the CSV columns, in order, and :data:`SCENARIOS` names the keys each
+scenario reads.  A key that some scenarios read and others do not may be
+set, for a scenario that does not read it, only to the value that
+scenario uses anyway.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Callable, NamedTuple, get_args, get_type_hints
 
 import numpy as np
@@ -79,6 +82,7 @@ def _parser(hint) -> type:
 
 
 _KEYS = {key: _parser(hint) for key, hint in get_type_hints(SweepConfig).items()}
+_DEFAULTS = {field.name: field.default for field in fields(SweepConfig)}
 CSV_HEADER = ",".join(SweepRow._fields)
 
 
@@ -90,20 +94,22 @@ class Scenario:
     """What the sweep layer knows about one scenario.
 
     ``axis`` is ``"time"`` (interrogation time in us, >= 0) or ``"pulse
-    count"`` (even, >= 2); ``required`` names the keys the scenario reads
-    that have no default.  ``models(cfg, p, delta_ms)`` builds the noise
-    and field models, with the defaults already put in for unset ``p`` and
-    ``delta_ms``; ``factors(noise, field, axis_value)`` is ``(nu, mu)`` at
-    one axis value.  ``dephasing(cfg, field, values)`` lists validate's Monte
-    Carlo checks of the OU bath (``kappa_per_us``, ``tau_c_us``) as (label,
-    imaginary-part label or None, switching, dt); None: the scenario has no bath.
+    count"`` (even, >= 2).  ``required`` and ``optional`` name the
+    scenario-dependent keys it reads that a config must and may set;
+    ``defaults`` holds the values it uses for unset keys where these are
+    not the :class:`SweepConfig` defaults.  ``models(cfg)`` builds the noise
+    and field models with ``defaults`` put in; ``factors(noise, field,
+    axis_value)`` is ``(nu, mu)`` at one axis value.  ``dephasing(cfg,
+    field, values)`` lists validate's Monte Carlo checks of the OU bath
+    (``kappa_per_us``, ``tau_c_us``) as (label, imaginary-part label or
+    None, switching, dt); None: the scenario has no bath.
     """
 
     axis: str
     required: tuple[str, ...]
-    default_p: float
-    default_delta_ms: int
-    models: Callable[[SweepConfig, float, int], _Models]
+    optional: tuple[str, ...]
+    defaults: dict[str, float]
+    models: Callable[[SweepConfig], _Models]
     factors: Callable[[channel.NoiseModel, channel.FieldModel, float], tuple[float, complex]]
     dephasing: Callable[[SweepConfig, channel.FieldModel, list[float]], list[tuple]] | None
 
@@ -119,45 +125,35 @@ class Scenario:
         return float(max(2, int(round(value / 2.0)) * 2))
 
 
-def _stretched(cfg: SweepConfig, p: float) -> channel.NoiseModel:
-    return channel.NoiseModel(kind="stretched_exp", T2_star=cfg.T2_star_us, p=p)
-
-
-def _oscillating(cfg: SweepConfig, delta_ms: int) -> channel.FieldModel:
+def _oscillating(cfg: SweepConfig) -> channel.FieldModel:
     return channel.FieldModel(
         kind="oscillating_gaussian",
         b0=cfg.b0_uT,
         sigma_b=cfg.sigma_b_uT,
         f=cfg.f_MHz,
-        delta_ms=delta_ms,
+        delta_ms=cfg.delta_ms,
     )
 
 
-def _known_field(cfg: SweepConfig, p: float, delta_ms: int) -> _Models:
-    if cfg.sigma_b_uT != 0.0:
-        raise ConfigError("known-field scenario requires sigma_b_uT = 0")
-    return _stretched(cfg, p), channel.FieldModel(
-        kind="static_known", b0=cfg.b0_uT, delta_ms=delta_ms
-    )
-
-
-def _gaussian_field(cfg: SweepConfig, p: float, delta_ms: int) -> _Models:
-    return _stretched(cfg, p), channel.FieldModel(
+def _static_field(cfg: SweepConfig) -> _Models:
+    """T2* decay and a constant field; a known field is one with ``sigma_b_uT = 0``."""
+    noise = channel.NoiseModel(kind="stretched_exp", T2_star=cfg.T2_star_us, p=cfg.p)
+    return noise, channel.FieldModel(
         kind="static_gaussian",
         b0=cfg.b0_uT,
         sigma_b=cfg.sigma_b_uT,
-        delta_ms=delta_ms,
+        delta_ms=cfg.delta_ms,
     )
 
 
-def _ou_bath(cfg: SweepConfig, p: float, delta_ms: int) -> _Models:
+def _ou_bath(cfg: SweepConfig) -> _Models:
     noise = channel.NoiseModel(kind="ou_cpmg", kappa=cfg.kappa_per_us, tau_c=cfg.tau_c_us)
-    return noise, _oscillating(cfg, delta_ms)
+    return noise, _oscillating(cfg)
 
 
-def _driven_ensemble(cfg: SweepConfig, p: float, delta_ms: int) -> _Models:
-    noise = channel.NoiseModel(kind="ensemble_cpmg", T2=cfg.T2_us, s=cfg.s, p=p)
-    return noise, _oscillating(cfg, delta_ms)
+def _driven_ensemble(cfg: SweepConfig) -> _Models:
+    noise = channel.NoiseModel(kind="ensemble_cpmg", T2=cfg.T2_us, s=cfg.s, p=cfg.p)
+    return noise, _oscillating(cfg)
 
 
 def _free_decay(noise, field, t: float) -> tuple[float, complex]:
@@ -193,29 +189,48 @@ def _mc_free(cfg: SweepConfig, field, values: list[float]) -> list[tuple]:
     return checks
 
 
-#: Every scenario by name: axis, keys without a default that it needs,
-#: default p and delta_ms, model builder, factor function, OU bath checks.
+#: Optional keys of a free-decay scenario: the T2* stretch, the readout
+#: transition and the OU bath that validate checks.
+_FREE = ("p", "delta_ms", "kappa_per_us", "tau_c_us")
+
+#: Every scenario by name: axis, required and optional keys it reads, its
+#: defaults, model builder, factor function, OU bath checks.
 SCENARIOS = {
-    "static_single": Scenario("time", ("T2_star_us",), 2.0, 1, _known_field, _free_decay, _mc_free),
+    "static_single": Scenario(
+        "time", ("T2_star_us",), _FREE, {"p": 2.0, "delta_ms": 1},
+        _static_field, _free_decay, _mc_free,
+    ),
     "static_gaussian_single": Scenario(
-        "time", ("T2_star_us",), 2.0, 1, _gaussian_field, _free_decay, _mc_free
+        "time", ("T2_star_us",), (*_FREE, "sigma_b_uT"), {"p": 2.0, "delta_ms": 1},
+        _static_field, _free_decay, _mc_free,
     ),
     "cpmg_single": Scenario(
-        "pulse count", ("kappa_per_us", "tau_c_us", "f_MHz"), 1.0, 1, _ou_bath, _ou_train, _mc_train
+        "pulse count", ("kappa_per_us", "tau_c_us", "f_MHz"), ("sigma_b_uT",), {"delta_ms": 1},
+        _ou_bath, _ou_train, _mc_train,
     ),
     "static_ensemble": Scenario(
-        "time", ("T2_star_us",), 1.0, 1, _known_field, _free_decay, _mc_free
+        "time", ("T2_star_us",), _FREE, {"p": 1.0, "delta_ms": 1},
+        _static_field, _free_decay, _mc_free,
     ),
     "static_ensemble_dq": Scenario(
-        "time", ("T2_star_us",), 1.0, 2, _known_field, _free_decay, _mc_free
+        "time", ("T2_star_us",), _FREE, {"p": 1.0, "delta_ms": 2},
+        _static_field, _free_decay, _mc_free,
     ),
     "gaussian_ensemble": Scenario(
-        "time", ("T2_star_us",), 1.0, 1, _gaussian_field, _free_decay, _mc_free
+        "time", ("T2_star_us",), (*_FREE, "sigma_b_uT"), {"p": 1.0, "delta_ms": 1},
+        _static_field, _free_decay, _mc_free,
     ),
     "cpmg_ensemble": Scenario(
-        "pulse count", ("T2_us", "s", "f_MHz"), 1.0, 1, _driven_ensemble, _ensemble_train, None
+        "pulse count", ("T2_us", "s", "f_MHz"), ("p", "sigma_b_uT"), {"p": 1.0, "delta_ms": 1},
+        _driven_ensemble, _ensemble_train, None,
     ),
 }
+
+#: Keys that some scenarios read and others do not, in SweepConfig order.
+_SCENARIO_KEYS = [
+    key for key in _KEYS
+    if 0 < sum(key in s.required + s.optional for s in SCENARIOS.values()) < len(SCENARIOS)
+]
 
 
 def parse_config_text(text: str) -> SweepConfig:
@@ -242,9 +257,9 @@ def parse_config_text(text: str) -> SweepConfig:
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: cannot parse {value!r}") from exc
 
-    for field in fields(SweepConfig):
-        if field.default is MISSING and field.name not in typed:
-            raise ConfigError(f"missing required key {field.name!r}")
+    for key, default in _DEFAULTS.items():
+        if default is MISSING and key not in typed:
+            raise ConfigError(f"missing required key {key!r}")
     cfg = SweepConfig(**typed)
     validate_config(cfg)
     return cfg
@@ -266,6 +281,12 @@ def validate_config(cfg: SweepConfig) -> None:
     for key in scenario.required:
         if getattr(cfg, key) is None:
             raise ConfigError(f"scenario {cfg.scenario!r} requires key {key!r}")
+    reads = scenario.required + scenario.optional
+    for key in _SCENARIO_KEYS:
+        used = scenario.defaults.get(key, _DEFAULTS[key])
+        if key not in reads and getattr(cfg, key) not in (None, used):
+            rule = "does not read it" if used is None else f"takes only {key} = {used:g}"
+            raise ConfigError(f"key {key!r}: scenario {cfg.scenario!r} {rule}")
     if cfg.grid_scale not in ("lin", "log"):
         raise ConfigError("grid_scale must be 'lin' or 'log'")
     if not cfg.grid_start < cfg.grid_stop:
@@ -288,15 +309,13 @@ def validate_config(cfg: SweepConfig) -> None:
         value = getattr(cfg, key)
         if value is not None and value < scenario.lowest:
             raise ConfigError(f"key {key!r}: {scenario.axis} must be >= {scenario.lowest:g}")
-    if scenario.axis != "time" and cfg.delta_ms not in (None, 1):
-        raise ConfigError("key 'delta_ms': pulsed detection supports delta_ms = 1 only")
     for key, other in (("kappa_per_us", "tau_c_us"), ("tau_c_us", "kappa_per_us")):
-        if getattr(cfg, key) is None:
-            continue
-        if scenario.dephasing is None:
-            raise ConfigError(f"key {key!r}: scenario {cfg.scenario!r} has no OU bath to check")
-        if getattr(cfg, other) is None:
+        if getattr(cfg, key) is not None and getattr(cfg, other) is None:
             raise ConfigError(f"missing key {other!r}: the OU bath takes it together with {key!r}")
+    if cfg.kappa_per_us is not None and cfg.kappa_per_us < 0:
+        raise ConfigError("key 'kappa_per_us' must be >= 0")
+    if cfg.tau_c_us is not None and cfg.tau_c_us <= 0:
+        raise ConfigError("key 'tau_c_us' must be > 0")
     # Eagerly build the models so bad physics parameters fail with a
     # named error before any grid point is evaluated.
     try:
@@ -308,9 +327,8 @@ def validate_config(cfg: SweepConfig) -> None:
 def _models_for(cfg: SweepConfig) -> _Models:
     """(noise model, field model) pair implied by the config."""
     scenario = SCENARIOS[cfg.scenario]
-    p = scenario.default_p if cfg.p is None else cfg.p
-    delta_ms = scenario.default_delta_ms if cfg.delta_ms is None else cfg.delta_ms
-    return scenario.models(cfg, p, delta_ms)
+    unset = {key: value for key, value in scenario.defaults.items() if getattr(cfg, key) is None}
+    return scenario.models(replace(cfg, **unset))
 
 
 def grid_values(cfg: SweepConfig) -> list[float]:
@@ -434,7 +452,7 @@ def validate_report(cfg: SweepConfig) -> tuple[str, bool]:
 
     The scenario's OU bath check (:attr:`Scenario.dephasing`) runs when the
     config sets the bath (:func:`validate_config` takes ``kappa_per_us`` and
-    ``tau_c_us`` only together, and only for a scenario with a check); click
+    ``tau_c_us`` only together, and only for a scenario that reads them); click
     checks run for every scenario at the middle grid point.  A check passes
     when |z| <= 3.
     """

@@ -140,9 +140,12 @@ def test_readme_scenario_table_matches_the_code():
     table = readme.split("Scenarios and their grid axis:", 1)[1].split("\n\n")[1]
     documented = {}
     for row in table.splitlines()[2:]:
-        name, axis = (cell.strip() for cell in row.strip("|").split("|")[:2])
-        documented[name.strip("`")] = axis.removesuffix(" (us)")
-    assert documented == {name: s.axis for name, s in sweep.SCENARIOS.items()}
+        name, axis, _, reads = (cell.strip() for cell in row.strip("|").split("|"))
+        required, optional = (tuple(re.findall(r"`(\w+)`", part)) for part in reads.split(";"))
+        documented[name.strip("`")] = (axis.removesuffix(" (us)"), required, optional)
+    assert documented == {
+        name: (s.axis, s.required, s.optional) for name, s in sweep.SCENARIOS.items()
+    }
 
 
 def test_readme_key_and_column_lists_match_the_code():
@@ -441,6 +444,109 @@ def test_pulsed_double_quantum_rejected_at_parse(name):
     with pytest.raises(ConfigError) as err:
         sweep.parse_config_text(scenario_text(name) + "delta_ms = 2\n")
     assert "delta_ms" in str(err.value)
+
+
+BATH = {"kappa_per_us": "tau_c_us", "tau_c_us": "kappa_per_us"}
+
+
+def with_key(name, key, value):
+    """``scenario_text(name)`` with ``key = value``, and the other OU bath
+    key at a valid value if ``key`` is one of the two and the scenario
+    reads the bath."""
+    text = scenario_text(name, drop=key) + f"{key} = {value}\n"
+    other = BATH.get(key)
+    if other in sweep.SCENARIOS[name].optional:
+        text += f"{other} = {REQUIRED_VALUES[other]}\n"
+    return text
+
+
+@pytest.mark.parametrize(
+    "name, key, value",
+    [(n, k, v) for n in sweep.SCENARIOS for k, v in (("kappa_per_us", "-1"), ("tau_c_us", "0"))],
+)
+def test_cli_out_of_domain_bath_key_named_at_parse(tmp_path, capsys, name, key, value):
+    # The time-axis scenarios used to accept these: sweep exited 0 and
+    # validate failed later with "kappa must be >= 0" or "tau_c must be > 0",
+    # which name the model parameter and not the key.
+    cfg = make_cfg(tmp_path, with_key(name, key, value))
+    assert cli.main(["validate", cfg, "--out", str(tmp_path / "report.txt")]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "report.txt").exists()
+
+
+#: The keys that some scenarios read and others do not.
+READS = {name: set(s.required + s.optional) for name, s in sweep.SCENARIOS.items()}
+DEPENDENT = set.union(*READS.values()) - set.intersection(*READS.values())
+#: Values of the scenario-dependent keys; a perturbation takes the first
+#: one that the scenario does not use already.
+VALUES = {
+    "sigma_b_uT": ("0.3",),
+    "f_MHz": ("2",),
+    "kappa_per_us": ("1.5",),
+    "tau_c_us": ("10",),
+    "T2_star_us": ("0.7",),
+    "p": ("1.5",),
+    "s": ("0.3",),
+    "T2_us": ("40",),
+    "delta_ms": ("2", "1"),
+}
+
+
+def used_value(name, key):
+    """The value scenario ``name`` uses for ``key`` when the config leaves it out."""
+    default = {f.name: f.default for f in dataclasses.fields(sweep.SweepConfig)}[key]
+    return sweep.SCENARIOS[name].defaults.get(key, default)
+
+
+def other_value(name, key):
+    used = used_value(name, key)
+    return next(v for v in VALUES[key] if used is None or float(v) != used)
+
+
+def outputs(text):
+    """The sweep CSV of a config, and its validate report at a small Monte Carlo size."""
+    cfg = sweep.parse_config_text(text + "n_traj = 50\nshots = 200\n")
+    return sweep.rows_to_csv(sweep.run_sweep(cfg)), sweep.validate_report(cfg)[0]
+
+
+@pytest.mark.parametrize(
+    "name, key", [(n, k) for n in sweep.SCENARIOS for k in sorted(DEPENDENT - READS[n])]
+)
+def test_key_the_scenario_does_not_read_is_refused(tmp_path, capsys, name, key):
+    # These used to parse and change no output byte (cpmg_single with p,
+    # T2_star_us, s or T2_us; a time-axis scenario with f_MHz, s or T2_us).
+    text = scenario_text(name) + f"{key} = {other_value(name, key)}\n"
+    with pytest.raises(ConfigError) as err:
+        sweep.parse_config_text(text)
+    assert repr(key) in str(err.value) and repr(name) in str(err.value)
+    assert cli.main(["sweep", make_cfg(tmp_path, text + f"out = {tmp_path}/o.csv\n")]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "name, key", [(n, k) for n, s in sweep.SCENARIOS.items() for k in s.optional]
+)
+def test_optional_key_the_scenario_reads_changes_its_output(name, key):
+    # The OU bath keys reach only the validate report; the others the sweep CSV.
+    base = with_key(name, key, REQUIRED_VALUES[key]) if key in BATH else scenario_text(name)
+    which = int(key in BATH)
+    changed = outputs(with_key(name, key, other_value(name, key)))[which]
+    assert changed != outputs(base)[which]
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [
+        (n, k)
+        for n, s in sweep.SCENARIOS.items()
+        for k in sorted(DEPENDENT - set(s.required))
+        if used_value(n, k) is not None
+    ],
+)
+def test_restating_the_value_a_scenario_uses_changes_nothing(name, key):
+    restated = scenario_text(name) + f"{key} = {used_value(name, key):g}\n"
+    assert outputs(restated) == outputs(scenario_text(name))
 
 
 def test_zline_infinite_std_err_fails():
