@@ -1,8 +1,6 @@
 """Maximum-confidence detection of weak magnetic fields with NV-center sensors."""
 
 from .channel import (
-    FieldModel,
-    NoiseModel,
     StatePair,
     SwitchingFunction,
     build_state_pair,
@@ -43,9 +41,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ClickTally",
     "Dilation",
-    "FieldModel",
     "McSolution",
-    "NoiseModel",
     "OuParams",
     "Povm",
     "StatePair",

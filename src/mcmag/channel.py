@@ -9,9 +9,20 @@ density matrices
     rho0 = [[1, nu], [nu, 1]] / 2
     rho1 = [[1, nu*mu], [conj(nu*mu), 1]] / 2
 
-This module computes ``nu`` and ``mu`` for every supported protocol and
-assembles the pair.  Units throughout: time in microseconds, frequency
-in MHz, field in microtesla, so every exponent is dimensionless and the
+Each factor function takes a protocol's physics parameters as plain
+numbers and raises DomainError outside their domain:
+
+    nu_stretched(T2_star, p, t)              free decay, exp(-(t/T2*)^p)
+    nu_ou(kappa, tau_c, switching)           correlated bath, any switching
+    nu_ensemble_cpmg(T2, s, p, n_pulses, f)  driven ensemble under a pulse train
+    mu_static(b0, sigma_b, delta_ms, t)      constant field, Gaussian spread
+    mu_cpmg(b0, sigma_b, f, n_pulses)        oscillating field, pulse train
+
+Where a power in a formula overflows, the function returns the formula's
+limit: a coherence or damping of 0 (or a vanishing 1/rate**2 term).
+:func:`build_state_pair` assembles the pair.  Units throughout: time in
+microseconds, frequency in MHz, field in microtesla (gyromagnetic ratio
+:data:`GAMMA_E_DEFAULT`), so every exponent is dimensionless and the
 interesting parameter values are order one.
 """
 
@@ -26,73 +37,6 @@ from .errors import DomainError
 
 #: Electron gyromagnetic ratio, 1/(us*uT).  Equals 28 Hz/nT.
 GAMMA_E_DEFAULT = 0.028
-
-NOISE_KINDS = ("stretched_exp", "ou_cpmg", "ensemble_cpmg")
-FIELD_KINDS = ("static_known", "static_gaussian", "oscillating_gaussian")
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Parameters of the dephasing environment.
-
-    kind selects the evaluation path:
-      * ``stretched_exp``  -- free decay exp(-(T/T2_star)^p)
-      * ``ou_cpmg``        -- exponentially correlated bath (strength
-        ``kappa``, correlation time ``tau_c``) filtered by a pulse train
-      * ``ensemble_cpmg``  -- driven-ensemble form with coherence time
-        ``T2`` and spectral exponent ``s``
-    """
-
-    kind: str
-    T2_star: float | None = None
-    p: float = 1.0
-    kappa: float | None = None
-    tau_c: float | None = None
-    T2: float | None = None
-    s: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in NOISE_KINDS:
-            raise DomainError(f"unknown noise kind {self.kind!r}")
-        if self.p <= 0:
-            raise DomainError("stretch exponent p must be > 0")
-        if self.kind == "stretched_exp":
-            if self.T2_star is None or self.T2_star <= 0:
-                raise DomainError("stretched_exp requires T2_star > 0")
-        elif self.kind == "ou_cpmg":
-            if self.kappa is None or self.kappa < 0:
-                raise DomainError("ou_cpmg requires kappa >= 0")
-            if self.tau_c is None or self.tau_c <= 0:
-                raise DomainError("ou_cpmg requires tau_c > 0")
-        else:
-            if self.T2 is None or self.T2 <= 0:
-                raise DomainError("ensemble_cpmg requires T2 > 0")
-            if self.s is None or not (0.0 <= self.s < 1.0):
-                raise DomainError("ensemble_cpmg requires 0 <= s < 1")
-
-
-@dataclass(frozen=True)
-class FieldModel:
-    """Target-field hypothesis: mean, spread, frequency, transition order."""
-
-    kind: str
-    b0: float = 0.0
-    sigma_b: float = 0.0
-    f: float | None = None
-    delta_ms: int = 1
-    gamma: float = GAMMA_E_DEFAULT
-
-    def __post_init__(self) -> None:
-        if self.kind not in FIELD_KINDS:
-            raise DomainError(f"unknown field kind {self.kind!r}")
-        if self.sigma_b < 0:
-            raise DomainError("sigma_b must be >= 0")
-        if self.gamma <= 0:
-            raise DomainError("gamma must be > 0")
-        if self.delta_ms not in (1, 2):
-            raise DomainError("delta_ms must be 1 or 2")
-        if self.kind == "oscillating_gaussian" and (self.f is None or self.f <= 0):
-            raise DomainError("oscillating field requires f > 0")
 
 
 @dataclass(frozen=True)
@@ -137,29 +81,38 @@ def free_decay(total_time: float) -> SwitchingFunction:
     return SwitchingFunction((), total_time)
 
 
+def _check_pulses(n_pulses: int) -> None:
+    if n_pulses < 2 or n_pulses % 2 != 0:
+        raise DomainError("pulse count must be an even integer >= 2")
+
+
 def cpmg_switching(n_pulses: int, tau: float) -> SwitchingFunction:
     """Sign profile of an N-pulse equally spaced echo train.
 
     Pulses (sign flips) sit at tau/2, 3*tau/2, ..., (N - 1/2)*tau, giving
     N flips on [0, N*tau] and a time-average of exactly zero.
     """
-    if n_pulses < 2 or n_pulses % 2 != 0:
-        raise DomainError("pulse count must be an even integer >= 2")
+    _check_pulses(n_pulses)
     if tau <= 0:
         raise DomainError("tau must be > 0")
     flips = tuple((2 * k - 1) * (tau / 2.0) for k in range(1, n_pulses + 1))
     return SwitchingFunction(flips, n_pulses * tau)
 
 
-def nu_stretched(model: NoiseModel, total_time: float) -> float:
-    """Free-decay coherence exp(-(T/T2_star)^p)."""
-    if model.kind != "stretched_exp":
-        raise DomainError("nu_stretched needs a stretched_exp noise model")
-    if total_time < 0:
+def nu_stretched(T2_star: float, p: float, t: float) -> float:
+    """Free-decay coherence exp(-(t/T2_star)^p); 0 where the power overflows."""
+    if not T2_star > 0:
+        raise DomainError("T2_star must be > 0")
+    if not p > 0:
+        raise DomainError("stretch exponent p must be > 0")
+    if t < 0:
         raise DomainError("time must be >= 0")
-    if total_time == 0.0:
+    if t == 0.0:
         return 1.0
-    return math.exp(-((total_time / model.T2_star) ** model.p))
+    try:
+        return math.exp(-((t / T2_star) ** p))
+    except OverflowError:
+        return 0.0
 
 
 def dephasing_integral(rate: float, switching: SwitchingFunction) -> float:
@@ -172,17 +125,23 @@ def dephasing_integral(rate: float, switching: SwitchingFunction) -> float:
     with closed-form exponential moments; a running suffix sum collapses
     the pair sum to one pass over the segments, with every intermediate
     bounded (no large exponentials), so the result is exact to rounding.
+    Where ``rate**2`` overflows, the terms divided by it go to 0 (motional
+    narrowing).
     """
     if rate <= 0:
         raise DomainError("rate must be > 0")
+    try:
+        rate2 = rate**2
+    except OverflowError:
+        rate2 = math.inf
     w = 0.0
     cross = 0.0  # sum over earlier intervals, discounted to the current edge
     for t0, t1, sign in switching.segments():
         d = t1 - t0
         decay = math.exp(-rate * d)
         one_m = -math.expm1(-rate * d)  # 1 - exp(-rate*d), accurate for small d
-        w += d / rate - one_m / rate**2
-        w += sign * cross * one_m / rate**2
+        w += d / rate - one_m / rate2
+        w += sign * cross * one_m / rate2
         cross = cross * decay + sign * one_m
     return w
 
@@ -195,64 +154,82 @@ def nu_ou(kappa: float, tau_c: float, switching: SwitchingFunction) -> float:
         raise DomainError("tau_c must be > 0")
     if kappa == 0.0:
         return 1.0
-    return math.exp(-(kappa**2) * dephasing_integral(1.0 / tau_c, switching))
+    w = dephasing_integral(1.0 / tau_c, switching)
+    try:
+        return math.exp(-(kappa**2) * w)
+    except OverflowError:  # kappa**2 overflows; the product may not
+        return math.exp(-kappa * (kappa * w))
 
 
-def nu_ensemble_cpmg(model: NoiseModel, n_pulses: int, f: float) -> float:
-    """Driven-ensemble coherence exp(-(N^(1-s) / (2*T2*f))^p)."""
-    if model.kind != "ensemble_cpmg":
-        raise DomainError("nu_ensemble_cpmg needs an ensemble_cpmg noise model")
-    if n_pulses < 2 or n_pulses % 2 != 0:
-        raise DomainError("pulse count must be an even integer >= 2")
-    if f <= 0:
+def nu_ensemble_cpmg(T2: float, s: float, p: float, n_pulses: int, f: float) -> float:
+    """Driven-ensemble coherence exp(-(N^(1-s) / (2*T2*f))^p); 0 where that
+    exponent leaves the float range."""
+    if not T2 > 0:
+        raise DomainError("T2 must be > 0")
+    if not 0.0 <= s < 1.0:
+        raise DomainError("s must be in [0, 1)")
+    if not p > 0:
+        raise DomainError("stretch exponent p must be > 0")
+    _check_pulses(n_pulses)
+    if not f > 0:
         raise DomainError("f must be > 0")
-    x = n_pulses ** (1.0 - model.s) / (2.0 * model.T2 * f)
-    return math.exp(-(x**model.p))
+    try:
+        x = n_pulses ** (1.0 - s) / (2.0 * T2 * f)
+        return math.exp(-(x**p))
+    except (OverflowError, ZeroDivisionError):
+        return 0.0
 
 
-def mu_static(fieldm: FieldModel, total_time: float) -> complex:
-    """Phase factor from a constant field over time T.
+def mu_static(b0: float, sigma_b: float, delta_ms: int, t: float) -> complex:
+    """Phase factor from a constant field over time t.
 
-    Known field: unit-modulus exp(-i*2*pi*gamma*b0*T*delta_ms).  Gaussian
-    amplitude of spread sigma_b: the same phase at the mean, damped by
-    exp(-2*pi^2*gamma^2*T^2*sigma_b^2*delta_ms^2); delta_ms multiplies the
-    phase exponent and its square the damping exponent.
+    The unit-modulus phase exp(-i*2*pi*gamma*b0*t*delta_ms) at the mean
+    field ``b0``, damped by exp(-2*pi^2*gamma^2*t^2*sigma_b^2*delta_ms^2)
+    for a Gaussian amplitude of spread ``sigma_b`` (none for a known
+    field, ``sigma_b = 0``); delta_ms multiplies the phase exponent and
+    its square the damping exponent.
     """
-    if fieldm.kind not in ("static_known", "static_gaussian"):
-        raise DomainError("mu_static needs a static field model")
-    if total_time < 0:
+    if not sigma_b >= 0:
+        raise DomainError("sigma_b must be >= 0")
+    if delta_ms not in (1, 2):
+        raise DomainError("delta_ms must be 1 or 2")
+    if t < 0:
         raise DomainError("time must be >= 0")
-    g = fieldm.gamma
-    dm = fieldm.delta_ms
-    phase = -2.0 * math.pi * g * fieldm.b0 * total_time * dm
+    g = GAMMA_E_DEFAULT
+    phase = -2.0 * math.pi * g * b0 * t * delta_ms
     out = complex(math.cos(phase), math.sin(phase))
-    if fieldm.kind == "static_gaussian" and fieldm.sigma_b > 0:
-        damp = math.exp(
-            -2.0 * math.pi**2 * g**2 * total_time**2 * fieldm.sigma_b**2 * dm**2
-        )
+    if sigma_b > 0:
+        try:
+            damp = math.exp(-2.0 * math.pi**2 * g**2 * t**2 * sigma_b**2 * delta_ms**2)
+        except OverflowError:  # a square overflows; their product may not
+            x = g * t * sigma_b * delta_ms
+            damp = math.exp(-2.0 * math.pi**2 * x * x)
         out *= damp
     return out
 
 
-def mu_cpmg(fieldm: FieldModel, n_pulses: int) -> complex:
+def mu_cpmg(b0: float, sigma_b: float, f: float, n_pulses: int) -> complex:
     """Phase factor from an oscillating field sensed with node-aligned pulses.
 
     With pulse spacing tau = 1/(2f) the accumulated factor is
     exp(-i*2*N*gamma*b0/f) * exp(-2*N^2*gamma^2*sigma_b^2/f^2).
     Only the single-quantum transition is supported here.
     """
-    if fieldm.kind != "oscillating_gaussian":
-        raise DomainError("mu_cpmg needs an oscillating field model")
-    if fieldm.delta_ms != 1:
-        raise DomainError("pulsed detection is implemented for delta_ms = 1 only")
-    if n_pulses < 2 or n_pulses % 2 != 0:
-        raise DomainError("pulse count must be an even integer >= 2")
-    g = fieldm.gamma
-    f = fieldm.f
-    phase = -2.0 * n_pulses * g * fieldm.b0 / f
+    if not sigma_b >= 0:
+        raise DomainError("sigma_b must be >= 0")
+    if not f > 0:
+        raise DomainError("f must be > 0")
+    _check_pulses(n_pulses)
+    g = GAMMA_E_DEFAULT
+    phase = -2.0 * n_pulses * g * b0 / f
     out = complex(math.cos(phase), math.sin(phase))
-    if fieldm.sigma_b > 0:
-        out *= math.exp(-2.0 * n_pulses**2 * g**2 * fieldm.sigma_b**2 / f**2)
+    if sigma_b > 0:
+        try:
+            damp = math.exp(-2.0 * n_pulses**2 * g**2 * sigma_b**2 / f**2)
+        except (OverflowError, ZeroDivisionError):  # a square leaves the float range
+            x = n_pulses * g * sigma_b / f
+            damp = math.exp(-2.0 * x * x)
+        out *= damp
     return out
 
 

@@ -7,13 +7,14 @@ through the channel -> discrimination pipeline as one stack and every
 point lands as one CSV row.  Rows are pure functions of the config, so
 output bytes are identical across runs.
 
-Three tables define the format: the fields of :class:`SweepConfig` are
+Four tables define the format: the fields of :class:`SweepConfig` are
 the config keys (a field's annotation is how its value parses, a field
-without a default is a required key), the fields of :class:`SweepRow` are
-the CSV columns, in order, and :data:`SCENARIOS` names the keys each
-scenario reads.  A key that some scenarios read and others do not may be
-set, for a scenario that does not read it, only to the value that
-scenario uses anyway.
+without a default is a required key), :data:`DOMAINS` holds the values
+each key may take, the fields of :class:`SweepRow` are the CSV columns,
+in order, and :data:`SCENARIOS` names the keys each scenario reads.  A
+key that some scenarios read and others do not may be set, for a
+scenario that does not read it, only to the value that scenario uses
+anyway.
 """
 
 from __future__ import annotations
@@ -86,9 +87,6 @@ _DEFAULTS = {field.name: field.default for field in fields(SweepConfig)}
 CSV_HEADER = ",".join(SweepRow._fields)
 
 
-_Models = tuple[channel.NoiseModel, channel.FieldModel]
-
-
 @dataclass(frozen=True)
 class Scenario:
     """What the sweep layer knows about one scenario.
@@ -97,21 +95,21 @@ class Scenario:
     count"`` (even, >= 2).  ``required`` and ``optional`` name the
     scenario-dependent keys it reads that a config must and may set;
     ``defaults`` holds the values it uses for unset keys where these are
-    not the :class:`SweepConfig` defaults.  ``models(cfg)`` builds the noise
-    and field models with ``defaults`` put in; ``factors(noise, field,
-    axis_value)`` is ``(nu, mu)`` at one axis value.  ``dephasing(cfg,
-    field, values)`` lists validate's Monte Carlo checks of the OU bath
-    (``kappa_per_us``, ``tau_c_us``) as (label, imaginary-part label or
-    None, switching, dt); None: the scenario has no bath.
+    not the :class:`SweepConfig` defaults (:func:`parse_config_text` puts
+    them in).  ``factors(cfg, axis_value)`` is ``(nu, mu)`` at one axis
+    value, from the channel factor functions called with the config's
+    keys.  ``dephasing(cfg, values)`` lists validate's Monte Carlo checks
+    of the OU bath (``kappa_per_us``, ``tau_c_us``) as (label,
+    imaginary-part label or None, switching, dt); None: the scenario has
+    no bath.
     """
 
     axis: str
     required: tuple[str, ...]
     optional: tuple[str, ...]
     defaults: dict[str, float]
-    models: Callable[[SweepConfig], _Models]
-    factors: Callable[[channel.NoiseModel, channel.FieldModel, float], tuple[float, complex]]
-    dephasing: Callable[[SweepConfig, channel.FieldModel, list[float]], list[tuple]] | None
+    factors: Callable[[SweepConfig, float], tuple[float, complex]]
+    dephasing: Callable[[SweepConfig, list[float]], list[tuple]] | None
 
     @property
     def lowest(self) -> float:
@@ -125,62 +123,41 @@ class Scenario:
         return float(max(2, int(round(value / 2.0)) * 2))
 
 
-def _oscillating(cfg: SweepConfig) -> channel.FieldModel:
-    return channel.FieldModel(
-        kind="oscillating_gaussian",
-        b0=cfg.b0_uT,
-        sigma_b=cfg.sigma_b_uT,
-        f=cfg.f_MHz,
-        delta_ms=cfg.delta_ms,
-    )
-
-
-def _static_field(cfg: SweepConfig) -> _Models:
+def _free_decay(cfg: SweepConfig, t: float) -> tuple[float, complex]:
     """T2* decay and a constant field; a known field is one with ``sigma_b_uT = 0``."""
-    noise = channel.NoiseModel(kind="stretched_exp", T2_star=cfg.T2_star_us, p=cfg.p)
-    return noise, channel.FieldModel(
-        kind="static_gaussian",
-        b0=cfg.b0_uT,
-        sigma_b=cfg.sigma_b_uT,
-        delta_ms=cfg.delta_ms,
+    t = float(t)
+    return (
+        channel.nu_stretched(cfg.T2_star_us, cfg.p, t),
+        channel.mu_static(cfg.b0_uT, cfg.sigma_b_uT, cfg.delta_ms, t),
     )
 
 
-def _ou_bath(cfg: SweepConfig) -> _Models:
-    noise = channel.NoiseModel(kind="ou_cpmg", kappa=cfg.kappa_per_us, tau_c=cfg.tau_c_us)
-    return noise, _oscillating(cfg)
-
-
-def _driven_ensemble(cfg: SweepConfig) -> _Models:
-    noise = channel.NoiseModel(kind="ensemble_cpmg", T2=cfg.T2_us, s=cfg.s, p=cfg.p)
-    return noise, _oscillating(cfg)
-
-
-def _free_decay(noise, field, t: float) -> tuple[float, complex]:
-    t = float(t)
-    return channel.nu_stretched(noise, t), channel.mu_static(field, t)
-
-
-def _ou_train(noise, field, n: float) -> tuple[float, complex]:
+def _ou_train(cfg: SweepConfig, n: float) -> tuple[float, complex]:
     n_pulses = int(n)
-    switching = channel.cpmg_switching(n_pulses, 1.0 / (2.0 * field.f))
-    return channel.nu_ou(noise.kappa, noise.tau_c, switching), channel.mu_cpmg(field, n_pulses)
+    switching = channel.cpmg_switching(n_pulses, 1.0 / (2.0 * cfg.f_MHz))
+    return (
+        channel.nu_ou(cfg.kappa_per_us, cfg.tau_c_us, switching),
+        channel.mu_cpmg(cfg.b0_uT, cfg.sigma_b_uT, cfg.f_MHz, n_pulses),
+    )
 
 
-def _ensemble_train(noise, field, n: float) -> tuple[float, complex]:
+def _ensemble_train(cfg: SweepConfig, n: float) -> tuple[float, complex]:
     n_pulses = int(n)
-    return channel.nu_ensemble_cpmg(noise, n_pulses, field.f), channel.mu_cpmg(field, n_pulses)
+    return (
+        channel.nu_ensemble_cpmg(cfg.T2_us, cfg.s, cfg.p, n_pulses, cfg.f_MHz),
+        channel.mu_cpmg(cfg.b0_uT, cfg.sigma_b_uT, cfg.f_MHz, n_pulses),
+    )
 
 
-def _mc_train(cfg: SweepConfig, field, values: list[float]) -> list[tuple]:
+def _mc_train(cfg: SweepConfig, values: list[float]) -> list[tuple]:
     """The OU bath under the pulse train at the first, middle and last pulse count."""
-    tau = 1.0 / (2.0 * field.f)
+    tau = 1.0 / (2.0 * cfg.f_MHz)
     dt = min(cfg.tau_c_us / 50.0, tau / 50.0)
     picks = sorted({values[0], values[len(values) // 2], values[-1]})
     return [(f"nu_cpmg[N={int(n)}]", None, channel.cpmg_switching(int(n), tau), dt) for n in picks]
 
 
-def _mc_free(cfg: SweepConfig, field, values: list[float]) -> list[tuple]:
+def _mc_free(cfg: SweepConfig, values: list[float]) -> list[tuple]:
     """The OU bath in free decay at 1/4, 1/2 and all of the last grid time."""
     checks = []
     for t in (0.25 * values[-1], 0.5 * values[-1], values[-1]):
@@ -194,35 +171,35 @@ def _mc_free(cfg: SweepConfig, field, values: list[float]) -> list[tuple]:
 _FREE = ("p", "delta_ms", "kappa_per_us", "tau_c_us")
 
 #: Every scenario by name: axis, required and optional keys it reads, its
-#: defaults, model builder, factor function, OU bath checks.
+#: defaults, factor function, OU bath checks.
 SCENARIOS = {
     "static_single": Scenario(
         "time", ("T2_star_us",), _FREE, {"p": 2.0, "delta_ms": 1},
-        _static_field, _free_decay, _mc_free,
+        _free_decay, _mc_free,
     ),
     "static_gaussian_single": Scenario(
         "time", ("T2_star_us",), (*_FREE, "sigma_b_uT"), {"p": 2.0, "delta_ms": 1},
-        _static_field, _free_decay, _mc_free,
+        _free_decay, _mc_free,
     ),
     "cpmg_single": Scenario(
         "pulse count", ("kappa_per_us", "tau_c_us", "f_MHz"), ("sigma_b_uT",), {"delta_ms": 1},
-        _ou_bath, _ou_train, _mc_train,
+        _ou_train, _mc_train,
     ),
     "static_ensemble": Scenario(
         "time", ("T2_star_us",), _FREE, {"p": 1.0, "delta_ms": 1},
-        _static_field, _free_decay, _mc_free,
+        _free_decay, _mc_free,
     ),
     "static_ensemble_dq": Scenario(
         "time", ("T2_star_us",), _FREE, {"p": 1.0, "delta_ms": 2},
-        _static_field, _free_decay, _mc_free,
+        _free_decay, _mc_free,
     ),
     "gaussian_ensemble": Scenario(
         "time", ("T2_star_us",), (*_FREE, "sigma_b_uT"), {"p": 1.0, "delta_ms": 1},
-        _static_field, _free_decay, _mc_free,
+        _free_decay, _mc_free,
     ),
     "cpmg_ensemble": Scenario(
         "pulse count", ("T2_us", "s", "f_MHz"), ("p", "sigma_b_uT"), {"p": 1.0, "delta_ms": 1},
-        _driven_ensemble, _ensemble_train, None,
+        _ensemble_train, None,
     ),
 }
 
@@ -231,6 +208,28 @@ _SCENARIO_KEYS = [
     key for key in _KEYS
     if 0 < sum(key in s.required + s.optional for s in SCENARIOS.values()) < len(SCENARIOS)
 ]
+
+#: The domain of each key that has one, as (test, rule); a set key outside
+#: it is refused with "key '<key>' must be <rule>".  Float keys must also
+#: be finite.
+DOMAINS: dict[str, tuple[Callable[[object], bool], str]] = {
+    "grid_points": (lambda v: v >= 2, ">= 2"),
+    "grid_scale": (lambda v: v in ("lin", "log"), "'lin' or 'log'"),
+    "sigma_b_uT": (lambda v: v >= 0, ">= 0"),
+    "f_MHz": (lambda v: v > 0, "> 0"),
+    "kappa_per_us": (lambda v: v >= 0, ">= 0"),
+    "tau_c_us": (lambda v: v > 0, "> 0"),
+    "T2_star_us": (lambda v: v > 0, "> 0"),
+    "p": (lambda v: v > 0, "> 0"),
+    "s": (lambda v: 0 <= v < 1, "in [0, 1)"),
+    "T2_us": (lambda v: v > 0, "> 0"),
+    "delta_ms": (lambda v: v in (1, 2), "1 or 2"),
+    "eta0": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "p_inc_threshold": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "seed": (lambda v: v >= 0, ">= 0"),
+    "shots": (lambda v: v >= 1, ">= 1"),
+    "n_traj": (lambda v: v >= 2, ">= 2 (one trajectory has no standard error)"),
+}
 
 
 def parse_config_text(text: str) -> SweepConfig:
@@ -262,7 +261,8 @@ def parse_config_text(text: str) -> SweepConfig:
             raise ConfigError(f"missing required key {key!r}")
     cfg = SweepConfig(**typed)
     validate_config(cfg)
-    return cfg
+    unset = {k: v for k, v in SCENARIOS[cfg.scenario].defaults.items() if k not in typed}
+    return replace(cfg, **unset)
 
 
 def load_config(path: str) -> SweepConfig:
@@ -287,24 +287,14 @@ def validate_config(cfg: SweepConfig) -> None:
         if key not in reads and getattr(cfg, key) not in (None, used):
             rule = "does not read it" if used is None else f"takes only {key} = {used:g}"
             raise ConfigError(f"key {key!r}: scenario {cfg.scenario!r} {rule}")
-    if cfg.grid_scale not in ("lin", "log"):
-        raise ConfigError("grid_scale must be 'lin' or 'log'")
+    for key, (test, rule) in DOMAINS.items():
+        value = getattr(cfg, key)
+        if value is not None and not test(value):
+            raise ConfigError(f"key {key!r} must be {rule}")
     if not cfg.grid_start < cfg.grid_stop:
         raise ConfigError("grid_start must be < grid_stop")
-    if cfg.grid_points < 2:
-        raise ConfigError("grid_points must be >= 2")
     if cfg.grid_scale == "log" and cfg.grid_start <= 0:
         raise ConfigError("log grid requires grid_start > 0")
-    if not 0.0 < cfg.eta0 < 1.0:
-        raise ConfigError("eta0 must be in (0, 1)")
-    if cfg.p_inc_threshold is not None and not 0.0 <= cfg.p_inc_threshold <= 1.0:
-        raise ConfigError("p_inc_threshold must be in [0, 1]")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be >= 0")
-    if cfg.n_traj < 2:
-        raise ConfigError("n_traj must be >= 2 (one trajectory has no standard error)")
-    if cfg.shots < 1:
-        raise ConfigError("shots must be >= 1")
     for key in ("grid_start", "point"):
         value = getattr(cfg, key)
         if value is not None and value < scenario.lowest:
@@ -312,23 +302,6 @@ def validate_config(cfg: SweepConfig) -> None:
     for key, other in (("kappa_per_us", "tau_c_us"), ("tau_c_us", "kappa_per_us")):
         if getattr(cfg, key) is not None and getattr(cfg, other) is None:
             raise ConfigError(f"missing key {other!r}: the OU bath takes it together with {key!r}")
-    if cfg.kappa_per_us is not None and cfg.kappa_per_us < 0:
-        raise ConfigError("key 'kappa_per_us' must be >= 0")
-    if cfg.tau_c_us is not None and cfg.tau_c_us <= 0:
-        raise ConfigError("key 'tau_c_us' must be > 0")
-    # Eagerly build the models so bad physics parameters fail with a
-    # named error before any grid point is evaluated.
-    try:
-        _models_for(cfg)
-    except Exception as exc:  # noqa: BLE001 - rewrap with the scenario name
-        raise ConfigError(f"scenario {cfg.scenario!r}: {exc}") from exc
-
-
-def _models_for(cfg: SweepConfig) -> _Models:
-    """(noise model, field model) pair implied by the config."""
-    scenario = SCENARIOS[cfg.scenario]
-    unset = {key: value for key, value in scenario.defaults.items() if getattr(cfg, key) is None}
-    return scenario.models(replace(cfg, **unset))
 
 
 def grid_values(cfg: SweepConfig) -> list[float]:
@@ -350,14 +323,13 @@ def grid_values(cfg: SweepConfig) -> list[float]:
 
 def factors_at(cfg: SweepConfig, axis_value: float) -> tuple[float, complex]:
     """Coherence and phase factors of one grid point."""
-    return SCENARIOS[cfg.scenario].factors(*_models_for(cfg), axis_value)
+    return SCENARIOS[cfg.scenario].factors(cfg, axis_value)
 
 
 def _evaluate(cfg: SweepConfig, values: list[float]) -> list[SweepRow]:
     """Rows of the given grid points, solved as one stack."""
-    noise, field = _models_for(cfg)
     factors_of = SCENARIOS[cfg.scenario].factors
-    factors = [factors_of(noise, field, v) for v in values]
+    factors = [factors_of(cfg, v) for v in values]
     nus = [nu for nu, _ in factors]
     mus = [mu for _, mu in factors]
     pairs = channel.build_state_stack(np.maximum(nus, NU_FLOOR), mus, cfg.eta0)
@@ -468,7 +440,7 @@ def validate_report(cfg: SweepConfig) -> tuple[str, bool]:
     dephasing = SCENARIOS[cfg.scenario].dephasing
     kappa, tau_c = cfg.kappa_per_us, cfg.tau_c_us
     if kappa is not None:
-        for label, imag_label, switching, dt in dephasing(cfg, _models_for(cfg)[1], values):
+        for label, imag_label, switching, dt in dephasing(cfg, values):
             params = noise_sim.OuParams(
                 kappa, tau_c, dt, switching.total_time, cfg.seed, cfg.n_traj
             )
@@ -565,17 +537,41 @@ _PLOT_COLUMNS = (
 )
 
 
+def _plot_cell(cell: str, lineno: int, column: str) -> float | None:
+    """One plotted CSV cell: None for ``NA`` (not allowed on the axis), else a finite float."""
+    if cell == "NA" and column != "axis":
+        return None
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"line {lineno}, column {column!r}: not a finite number: {cell!r}")
+    return value
+
+
 def plot_csv(csv_text: str, title: str = "") -> str:
-    """Render probability columns of a sweep CSV as a standalone SVG."""
-    lines = [ln for ln in csv_text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("axis,"):
+    """Render probability columns of a sweep CSV as a standalone SVG.
+
+    A row whose length differs from the header's, or a plotted cell that is
+    neither ``NA`` nor a finite number, is a ConfigError naming its line.
+    """
+    lines = [(n, ln) for n, ln in enumerate(csv_text.splitlines(), start=1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("axis,"):
         raise ConfigError("not a sweep CSV (missing header)")
-    header = lines[0].split(",")
-    idx = {name: i for i, name in enumerate(header)}
-    rows = [ln.split(",") for ln in lines[1:]]
-    if not rows:
+    header = lines[0][1].split(",")
+    if len(lines) < 2:
         raise ConfigError("CSV has no data rows")
-    xs = [float(r[idx["axis"]]) for r in rows]
+    plotted = [(column, color) for column, color in _PLOT_COLUMNS if column in header]
+    cols = {column: header.index(column) for column in ["axis"] + [c for c, _ in plotted]}
+    values: dict[str, list[float | None]] = {column: [] for column in cols}
+    for lineno, line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ConfigError(f"line {lineno}: {len(cells)} cells, the header has {len(header)}")
+        for column, i in cols.items():
+            values[column].append(_plot_cell(cells[i], lineno, column))
+    xs = values["axis"]
     x_lo, x_hi = min(xs), max(xs)
     span = (x_hi - x_lo) or 1.0
 
@@ -598,15 +594,12 @@ def plot_csv(csv_text: str, title: str = "") -> str:
         f'<rect x="{ax_x0:.2f}" y="{ax_y1:.2f}" width="{ax_x1 - ax_x0:.2f}" '
         f'height="{ax_y0 - ax_y1:.2f}" fill="none" stroke="#333" stroke-width="1"/>'
     )
-    for column, color in _PLOT_COLUMNS:
-        if column not in idx:
-            continue
+    for column, color in plotted:
         pts = []
-        for r, x in zip(rows, xs):
-            cell = r[idx[column]]
-            if cell == "NA":
+        for x, y in zip(xs, values[column]):
+            if y is None:
                 continue
-            px, py = to_xy(x, float(cell))
+            px, py = to_xy(x, y)
             pts.append(f"{px:.2f},{py:.2f}")
         if len(pts) >= 2:
             parts.append(
@@ -619,9 +612,7 @@ def plot_csv(csv_text: str, title: str = "") -> str:
         f"{label} [{x_lo:g} .. {x_hi:g}]</text>"
     )
     legend_y = 36.0
-    for column, color in _PLOT_COLUMNS:
-        if column not in idx:
-            continue
+    for column, color in plotted:
         parts.append(
             f'<text x="{width - 180:.0f}" y="{legend_y:.0f}" fill="{color}" '
             f'font-family="monospace" font-size="12">{column}</text>'

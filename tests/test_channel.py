@@ -50,11 +50,10 @@ def quadrature_w(switching, rate):
 
 
 def test_nu_stretched_values():
-    model = channel.NoiseModel(kind="stretched_exp", T2_star=0.4, p=2.0)
-    assert channel.nu_stretched(model, 0.0) == 1.0
-    assert channel.nu_stretched(model, 0.4) == pytest.approx(math.exp(-1.0), rel=1e-12)
+    assert channel.nu_stretched(0.4, 2.0, 0.0) == 1.0
+    assert channel.nu_stretched(0.4, 2.0, 0.4) == pytest.approx(math.exp(-1.0), rel=1e-12)
     with pytest.raises(DomainError):
-        channel.nu_stretched(model, -0.1)
+        channel.nu_stretched(0.4, 2.0, -0.1)
 
 
 def test_t2_star_matches_bath_strength():
@@ -128,38 +127,30 @@ def test_nu_ou_trivial():
 
 
 def test_nu_ensemble_cpmg():
-    model = channel.NoiseModel(kind="ensemble_cpmg", T2=53.0, s=2.0 / 3.0, p=1.0)
     # exponent equal to one by construction: N^(1-s) = 2*T2*f
     f = 1.0
     n = 8
     target = (n ** (1.0 / 3.0)) / (2.0 * 53.0 * f)
-    assert channel.nu_ensemble_cpmg(model, n, f) == pytest.approx(
+    assert channel.nu_ensemble_cpmg(53.0, 2.0 / 3.0, 1.0, n, f) == pytest.approx(
         math.exp(-target), rel=1e-12
     )
-    assert channel.nu_ensemble_cpmg(model, 8, 1.0) == pytest.approx(
+    assert channel.nu_ensemble_cpmg(53.0, 2.0 / 3.0, 1.0, 8, 1.0) == pytest.approx(
         math.exp(-2.0 / 106.0), rel=1e-12
     )
     # constructed unit exponent
-    model_s0 = channel.NoiseModel(kind="ensemble_cpmg", T2=2.0, s=0.0, p=1.7)
-    assert channel.nu_ensemble_cpmg(model_s0, 8, 2.0) == pytest.approx(
+    assert channel.nu_ensemble_cpmg(2.0, 0.0, 1.7, 8, 2.0) == pytest.approx(
         math.exp(-1.0), rel=1e-12
     )
     # monotone in T2
-    lo = channel.nu_ensemble_cpmg(
-        channel.NoiseModel(kind="ensemble_cpmg", T2=10.0, s=0.5, p=1.0), 8, 1.0
-    )
-    hi = channel.nu_ensemble_cpmg(
-        channel.NoiseModel(kind="ensemble_cpmg", T2=20.0, s=0.5, p=1.0), 8, 1.0
-    )
+    lo = channel.nu_ensemble_cpmg(10.0, 0.5, 1.0, 8, 1.0)
+    hi = channel.nu_ensemble_cpmg(20.0, 0.5, 1.0, 8, 1.0)
     assert hi > lo
 
 
-def test_mu_static_known_field():
-    fieldm = channel.FieldModel(kind="static_known", b0=0.0)
-    assert channel.mu_static(fieldm, 1.0) == 1.0
+def test_mu_static_without_spread():
+    assert channel.mu_static(0.0, 0.0, 1, 1.0) == 1.0
 
-    fieldm = channel.FieldModel(kind="static_known", b0=50.0)
-    mu = channel.mu_static(fieldm, 0.4)
+    mu = channel.mu_static(50.0, 0.0, 1, 0.4)
     assert abs(mu) == pytest.approx(1.0, abs=1e-15)
     # accumulated angle is -2*pi*0.56
     want = -2.0 * math.pi * 0.028 * 50.0 * 0.4
@@ -167,24 +158,21 @@ def test_mu_static_known_field():
         0.0, abs=1e-12
     )
     with pytest.raises(DomainError):
-        channel.mu_static(fieldm, -1.0)
+        channel.mu_static(50.0, 0.0, 1, -1.0)
 
 
 def test_mu_static_gaussian_damping():
-    fieldm = channel.FieldModel(kind="static_gaussian", b0=50.0, sigma_b=50.0)
     t = 0.3
-    mu = channel.mu_static(fieldm, t)
-    g = fieldm.gamma
+    mu = channel.mu_static(50.0, 50.0, 1, t)
+    g = channel.GAMMA_E_DEFAULT
     want = math.exp(-2.0 * math.pi**2 * g**2 * t**2 * 50.0**2)
     assert abs(mu) == pytest.approx(want, rel=1e-12)
 
 
 def test_mu_static_double_quantum_scaling():
-    sq = channel.FieldModel(kind="static_gaussian", b0=10.0, sigma_b=5.0, delta_ms=1)
-    dq = channel.FieldModel(kind="static_gaussian", b0=10.0, sigma_b=5.0, delta_ms=2)
     t = 0.2
-    mu1 = channel.mu_static(sq, t)
-    mu2 = channel.mu_static(dq, t)
+    mu1 = channel.mu_static(10.0, 5.0, 1, t)
+    mu2 = channel.mu_static(10.0, 5.0, 2, t)
     # phase doubles, damping exponent quadruples
     a1 = math.atan2(mu1.imag, mu1.real)
     a2 = math.atan2(mu2.imag, mu2.real)
@@ -193,18 +181,16 @@ def test_mu_static_double_quantum_scaling():
 
 
 def test_mu_cpmg_values():
-    quiet = channel.FieldModel(kind="oscillating_gaussian", b0=0.0, sigma_b=0.0, f=1.0)
-    assert channel.mu_cpmg(quiet, 4) == 1.0
+    assert channel.mu_cpmg(0.0, 0.0, 1.0, 4) == 1.0
 
-    fieldm = channel.FieldModel(kind="oscillating_gaussian", b0=1.0, sigma_b=0.2, f=1.0)
-    mu = channel.mu_cpmg(fieldm, 10)
-    g = fieldm.gamma
+    mu = channel.mu_cpmg(1.0, 0.2, 1.0, 10)
+    g = channel.GAMMA_E_DEFAULT
     want_phase = -2.0 * 10 * g * 1.0 / 1.0
     want_damp = math.exp(-2.0 * 100 * g**2 * 0.04 / 1.0)
     assert abs(mu) == pytest.approx(want_damp, rel=1e-12)
     assert math.atan2(mu.imag, mu.real) == pytest.approx(want_phase, abs=1e-12)
     # damping strictly decreases with the pulse count
-    damps = [abs(channel.mu_cpmg(fieldm, n)) for n in (2, 4, 8, 16)]
+    damps = [abs(channel.mu_cpmg(1.0, 0.2, 1.0, n)) for n in (2, 4, 8, 16)]
     assert all(b < a for a, b in zip(damps[:-1], damps[1:]))
 
 
@@ -232,17 +218,34 @@ def test_build_state_pair_entries():
 
 def test_factors_bounded_and_unit_at_zero():
     rng = np.random.default_rng(31)
-    noise = channel.NoiseModel(kind="stretched_exp", T2_star=0.4, p=2.0)
-    fieldm = channel.FieldModel(kind="static_gaussian", b0=20.0, sigma_b=10.0)
-    assert channel.nu_stretched(noise, 0.0) == 1.0
-    assert channel.mu_static(fieldm, 0.0) == 1.0
+    assert channel.nu_stretched(0.4, 2.0, 0.0) == 1.0
+    assert channel.mu_static(20.0, 10.0, 1, 0.0) == 1.0
     for _ in range(200):
         t = rng.uniform(0.0, 3.0)
-        nu = channel.nu_stretched(noise, t)
-        mu = channel.mu_static(fieldm, t)
+        nu = channel.nu_stretched(0.4, 2.0, t)
+        mu = channel.mu_static(20.0, 10.0, 1, t)
         assert 0.0 < nu <= 1.0
         assert abs(mu) <= 1.0 + 1e-12
-    osc = channel.FieldModel(kind="oscillating_gaussian", b0=1.0, sigma_b=0.4, f=1.0)
     for n in range(2, 60, 2):
-        assert abs(channel.mu_cpmg(osc, n)) <= 1.0 + 1e-12
+        assert abs(channel.mu_cpmg(1.0, 0.4, 1.0, n)) <= 1.0 + 1e-12
         assert 0.0 < channel.nu_ou(KAPPA, TAU_C, channel.cpmg_switching(n, 0.5)) <= 1.0
+
+
+def test_factor_limits_where_a_power_overflows():
+    # Each of these used to raise OverflowError or ZeroDivisionError.
+    assert channel.nu_stretched(1e-300, 2.0, 40.0) == 0.0
+    assert channel.nu_stretched(0.4, 1000.0, 40.0) == 0.0
+    assert channel.nu_ensemble_cpmg(1e-200, 0.5, 1.0, 8, 1e-200) == 0.0
+    assert channel.nu_ou(1e200, TAU_C, channel.free_decay(1.0)) == 0.0
+    # motional narrowing: the 1/rate**2 terms vanish, W -> T/rate
+    assert channel.dephasing_integral(1e300, channel.free_decay(1.0)) == pytest.approx(1e-300)
+    assert channel.nu_ou(KAPPA, 1e-300, channel.cpmg_switching(4, 0.5)) == 1.0
+    assert channel.mu_static(1.0, 1e200, 1, 0.5) == 0.0
+    assert channel.mu_cpmg(1.0, 0.2, 1e-200, 4) == 0.0
+    # one square overflows or underflows, the product of the terms does not
+    assert channel.mu_static(0.0, 1e200, 1, 1e-200) == pytest.approx(
+        channel.mu_static(0.0, 1.0, 1, 1.0), rel=1e-12
+    )
+    assert channel.mu_cpmg(0.0, 1e-200, 1e-200, 2) == pytest.approx(
+        channel.mu_cpmg(0.0, 1.0, 1.0, 2), rel=1e-12
+    )

@@ -12,14 +12,19 @@ _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def definitions(tree):
-    """Top-level functions and classes, and the non-dunder methods of those classes."""
+    """(name, first line, last line) of the top-level functions, classes and
+    non-dunder constants, and of the non-dunder methods of those classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node.name, node.lineno, node.end_lineno
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
-                    yield item
+                    yield item.name, item.lineno, item.end_lineno
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                yield target.id, node.lineno, node.end_lineno
 
 
 def uses(tree):
@@ -42,13 +47,13 @@ def test_every_package_name_is_used_outside_the_tests():
     build_words = set(_WORD.findall((ROOT / "pyproject.toml").read_text(encoding="utf-8")))
     unused = []
     for path in SOURCES:
-        for node in definitions(trees[path]):
-            inside = range(node.lineno, node.end_lineno + 1)
-            found = node.name in build_words or any(
-                name == node.name and not (user == path and line in inside)
+        for defined, first, last in definitions(trees[path]):
+            inside = range(first, last + 1)
+            found = defined in build_words or any(
+                name == defined and not (user == path and line in inside)
                 for user, names in used.items()
                 for name, line in names
             )
             if not found:
-                unused.append(f"{path.name}:{node.lineno} {node.name}")
+                unused.append(f"{path.name}:{first} {defined}")
     assert not unused, "used only by the tests (or by nobody): " + ", ".join(unused)

@@ -158,6 +158,16 @@ def test_readme_key_and_column_lists_match_the_code():
     assert [c.strip() for c in columns.split(",")] == list(sweep.SweepRow._fields)
 
 
+def test_readme_key_domains_match_the_code():
+    readme = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Config keys", 1)[1].split("| key | domain |", 1)[1]
+    documented = {}
+    for row in table.split("\n\n", 1)[0].splitlines()[2:]:
+        key, rule = (cell.strip() for cell in row.strip("|").split("|"))
+        documented[key.strip("`")] = rule
+    assert documented == {key: rule for key, (_, rule) in sweep.DOMAINS.items()}
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError):
         sweep.parse_config_text(BASE + "b0_uT = 20\n")
@@ -549,6 +559,103 @@ def test_restating_the_value_a_scenario_uses_changes_nothing(name, key):
     assert outputs(restated) == outputs(scenario_text(name))
 
 
+def replaced(text, values):
+    """``text`` with ``key = value`` for each item of ``values`` in place of
+    any line that sets the key."""
+    lines = [line for line in text.splitlines() if line.split("=")[0].strip() not in values]
+    return "\n".join(lines + [f"{key} = {value}" for key, value in values.items()]) + "\n"
+
+
+#: Values outside the domain of each key of sweep.DOMAINS.
+OUT_OF_DOMAIN = {
+    "grid_points": ("1",),
+    "grid_scale": ("cubic",),
+    "sigma_b_uT": ("-1",),
+    "f_MHz": ("0", "-1"),
+    "kappa_per_us": ("-1",),
+    "tau_c_us": ("0",),
+    "T2_star_us": ("0", "-1"),
+    "p": ("0", "-1"),
+    "s": ("-0.5", "1", "1.5"),
+    "T2_us": ("0",),
+    "delta_ms": ("0", "3"),
+    "eta0": ("0", "1"),
+    "p_inc_threshold": ("-0.1", "1.5"),
+    "seed": ("-1",),
+    "shots": ("0",),
+    "n_traj": ("1",),
+}
+
+
+def test_out_of_domain_values_cover_the_domain_table():
+    assert OUT_OF_DOMAIN.keys() == sweep.DOMAINS.keys()
+    for key, values in OUT_OF_DOMAIN.items():
+        test, _ = sweep.DOMAINS[key]
+        assert not any(test(sweep._KEYS[key](v)) for v in values)
+
+
+@pytest.mark.parametrize(
+    "name, key, value",
+    [
+        (n, k, v)
+        for n in sweep.SCENARIOS
+        for k, values in OUT_OF_DOMAIN.items()
+        if k in READS[n] or k not in DEPENDENT
+        for v in values
+    ],
+)
+def test_out_of_domain_key_named_at_parse(tmp_path, capsys, name, key, value):
+    # The physics keys used to fail through the model checks, naming the
+    # model parameter and the scenario but not the key ("scenario
+    # 'cpmg_ensemble': ensemble_cpmg requires 0 <= s < 1").
+    values = {key: value}
+    if BATH.get(key) in READS[name]:
+        values[BATH[key]] = REQUIRED_VALUES[BATH[key]]
+    text = replaced(scenario_text(name), values)
+    with pytest.raises(ConfigError) as err:
+        sweep.parse_config_text(text)
+    assert str(err.value).startswith(f"key {key!r} must be ")
+    assert cli.main(["sweep", make_cfg(tmp_path, text + f"out = {tmp_path}/o.csv\n")]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+#: The CSV columns whose cells are NA or in [0, 1].
+PROBABILITIES = [
+    c for c in sweep.SweepRow._fields if c not in ("axis", "mu_arg", "rel_err", "branch")
+]
+
+#: In-domain values for which a power in a factor formula leaves the float range.
+EXTREME = [
+    ("static_single", {"T2_star_us": "1e-300"}),
+    ("static_single", {"T2_star_us": "0.4", "p": "1000"}),
+    ("static_gaussian_single", {"sigma_b_uT": "1e200"}),
+    ("cpmg_single", {"kappa_per_us": "1e200"}),
+    ("cpmg_single", {"tau_c_us": "1e-300"}),
+    ("cpmg_ensemble", {"sigma_b_uT": "0.2", "f_MHz": "1e-200"}),
+]
+
+
+@pytest.mark.parametrize(
+    "name, values",
+    EXTREME,
+    ids=[f"{n}-" + ",".join(f"{k}={v}" for k, v in values.items()) for n, values in EXTREME],
+)
+def test_cli_sweep_extreme_in_domain_values_exit_0(tmp_path, name, values):
+    # A power in the factor formula overflowed (OverflowError), or f**2
+    # underflowed to 0 (ZeroDivisionError): exit 1 with a traceback.  The
+    # factor functions now return the formula's limit.
+    out = tmp_path / "o.csv"
+    cfg = make_cfg(tmp_path, replaced(scenario_text(name), values))
+    assert cli.main(["sweep", cfg, "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert len(rows) == 5
+    for row in rows:
+        cells = {k: float(v) for k, v in row.items() if k != "branch" and v != "NA"}
+        assert all(math.isfinite(v) for v in cells.values())
+        assert all(0.0 <= cells[k] <= 1.0 for k in PROBABILITIES if k in cells)
+
+
 def test_zline_infinite_std_err_fails():
     # With std_err = inf, z reads 0 whatever was observed; such a check
     # tests nothing and must not pass.
@@ -591,6 +698,28 @@ def test_cli_plot_svg(tmp_path, capsys):
     assert cli.main(["plot", str(csv_path)]) == 0
     assert (tmp_path / "p.svg").read_bytes() == svg
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "csv_text, fragment",
+    [
+        ("axis,c0_max\nabc,0.5\n", "line 2, column 'axis'"),
+        ("axis,c0_max,c1_max\n0,0.5,0.5\n1,0.5\n", "line 3: 2 cells, the header has 3"),
+        ("axis,c0_max\n0,0.5\n1,nan\n", "line 3, column 'c0_max'"),
+    ],
+    ids=["unparsable", "short_row", "nan"],
+)
+def test_cli_plot_malformed_csv_named(tmp_path, capsys, csv_text, fragment):
+    # These used to exit 1 with a ValueError or IndexError traceback, or,
+    # for the nan cell, write points="60.00,nan ..." into the SVG.
+    path = tmp_path / "bad.csv"
+    path.write_text(csv_text, encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        sweep.plot_csv(csv_text)
+    assert fragment in str(err.value)
+    assert cli.main(["plot", str(path)]) == 2
+    assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "bad.svg").exists()
 
 
 def test_validate_deterministic_bytes(tmp_path, monkeypatch, capsys):
