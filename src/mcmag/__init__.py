@@ -1,76 +1,67 @@
-"""Maximum-confidence detection of weak magnetic fields with NV-center sensors."""
+"""Maximum-confidence detection of weak magnetic fields with NV-center sensors.
 
-from .channel import (
-    StatePair,
-    SwitchingFunction,
-    build_state_pair,
-    cpmg_switching,
-    dephasing_integral,
-    free_decay,
-    mu_cpmg,
-    mu_static,
-    nu_ensemble_cpmg,
-    nu_ou,
-    nu_stretched,
-)
-from .dilation import Dilation, decompose_two_level, dilate_povm
-from .discrim import (
-    McSolution,
-    Povm,
-    ThresholdResult,
-    achieved_confidences,
-    conditional_error,
-    grid_search_povm,
-    min_error_probability,
-    min_error_projectors,
-    solve_max_confidence,
-    threshold_inconclusive,
-)
-from .noise_sim import (
-    ClickTally,
-    OuParams,
-    empirical_confidence,
-    empirical_dephasing,
-    ou_trajectory,
-    simulate_clicks,
-)
-from .sweep import SweepConfig, SweepRow, load_config, run_sweep
+Names load on first use (PEP 562): ``import mcmag`` imports no submodule
+and no numpy, ``mcmag.run_sweep`` or ``mcmag.sweep`` the module it names.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClickTally",
-    "Dilation",
-    "McSolution",
-    "OuParams",
-    "Povm",
-    "StatePair",
-    "SweepConfig",
-    "SweepRow",
-    "SwitchingFunction",
-    "ThresholdResult",
-    "achieved_confidences",
-    "build_state_pair",
-    "conditional_error",
-    "cpmg_switching",
-    "decompose_two_level",
-    "dephasing_integral",
-    "dilate_povm",
-    "empirical_confidence",
-    "empirical_dephasing",
-    "free_decay",
-    "grid_search_povm",
-    "load_config",
-    "min_error_probability",
-    "min_error_projectors",
-    "mu_cpmg",
-    "mu_static",
-    "nu_ensemble_cpmg",
-    "nu_ou",
-    "nu_stretched",
-    "ou_trajectory",
-    "run_sweep",
-    "simulate_clicks",
-    "solve_max_confidence",
-    "threshold_inconclusive",
-]
+#: Every public name and the submodule that defines it.
+_MODULES = {
+    "StatePair": "channel",
+    "SwitchingFunction": "channel",
+    "build_state_pair": "channel",
+    "cpmg_switching": "channel",
+    "dephasing_integral": "channel",
+    "free_decay": "channel",
+    "mu_cpmg": "channel",
+    "mu_static": "channel",
+    "nu_ensemble_cpmg": "channel",
+    "nu_ou": "channel",
+    "nu_stretched": "channel",
+    "Dilation": "dilation",
+    "decompose_two_level": "dilation",
+    "dilate_povm": "dilation",
+    "McSolution": "discrim",
+    "Povm": "discrim",
+    "ThresholdResult": "discrim",
+    "achieved_confidences": "discrim",
+    "conditional_error": "discrim",
+    "grid_search_povm": "discrim",
+    "min_error_probability": "discrim",
+    "min_error_projectors": "discrim",
+    "solve_max_confidence": "discrim",
+    "threshold_inconclusive": "discrim",
+    "ClickTally": "noise_sim",
+    "OuParams": "noise_sim",
+    "empirical_confidence": "noise_sim",
+    "empirical_dephasing": "noise_sim",
+    "ou_trajectory": "noise_sim",
+    "simulate_clicks": "noise_sim",
+    "SweepConfig": "sweep",
+    "SweepRow": "sweep",
+    "load_config": "sweep",
+    "run_sweep": "sweep",
+}
+
+__all__ = sorted(_MODULES)
+
+
+def __getattr__(name: str):
+    """A public name from its submodule, or a submodule (``mcmag.sweep``)."""
+    if name in _MODULES:
+        value = getattr(importlib.import_module(f".{_MODULES[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    try:
+        return importlib.import_module(f".{name}", __name__)
+    except ModuleNotFoundError as exc:
+        if exc.name != f"{__name__}.{name}":
+            raise  # a dependency of the submodule is missing
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULES})

@@ -19,7 +19,8 @@ numbers and raises DomainError outside their domain:
     mu_cpmg(b0, sigma_b, f, n_pulses)        oscillating field, pulse train
 
 Where a power in a formula overflows, the function returns the formula's
-limit: a coherence or damping of 0 (or a vanishing 1/rate**2 term).
+limit: a coherence or damping of 0 (or a vanishing 1/rate**2 term).  A
+field phase past the float range has no limit and is a DomainError.
 :func:`build_state_pair` assembles the pair.  Units throughout: time in
 microseconds, frequency in MHz, field in microtesla (gyromagnetic ratio
 :data:`GAMMA_E_DEFAULT`), so every exponent is dimensionless and the
@@ -197,6 +198,8 @@ def mu_static(b0: float, sigma_b: float, delta_ms: int, t: float) -> complex:
         raise DomainError("time must be >= 0")
     g = GAMMA_E_DEFAULT
     phase = -2.0 * math.pi * g * b0 * t * delta_ms
+    if not math.isfinite(phase):
+        raise DomainError(f"b0 = {b0:g} takes the phase past the float range at t = {t:g}")
     out = complex(math.cos(phase), math.sin(phase))
     if sigma_b > 0:
         try:
@@ -222,6 +225,8 @@ def mu_cpmg(b0: float, sigma_b: float, f: float, n_pulses: int) -> complex:
     _check_pulses(n_pulses)
     g = GAMMA_E_DEFAULT
     phase = -2.0 * n_pulses * g * b0 / f
+    if not math.isfinite(phase):
+        raise DomainError(f"b0 = {b0:g} takes the phase past the float range at N = {n_pulses}")
     out = complex(math.cos(phase), math.sin(phase))
     if sigma_b > 0:
         try:

@@ -10,6 +10,9 @@ Exit codes: 0 success, 2 configuration/validation error, 3 numerical
 contract violation (including failed Monte Carlo consistency), 1 I/O or
 unexpected failure.  MCMAG_THREADS is accepted and has no effect: a sweep
 is solved as one stacked array pass.
+
+Each subcommand imports only what it runs: ``plot`` needs the standard
+library alone (no numpy), the others load the sweep layer.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import sweep
 from .errors import ConfigError, DomainError, NumericalContractError
 
 
@@ -54,12 +56,23 @@ def _write_text(path: str, text: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.command == "plot":
+            from .plot import plot_csv
+
+            with open(args.csv, "r", encoding="utf-8") as fh:
+                csv_text = fh.read()
+            svg = plot_csv(csv_text, title=args.csv)
+            out = args.out or (args.csv.rsplit(".", 1)[0] + ".svg")
+            _write_text(out, svg)
+            print(f"wrote {out}")
+            return 0
+        from . import sweep
+
+        cfg = sweep.load_config(args.config)
         if args.command == "sweep":
-            cfg = sweep.load_config(args.config)
             path = sweep.write_sweep(cfg, out_path=args.out)
             print(f"wrote {path}")
         elif args.command == "neumark":
-            cfg = sweep.load_config(args.config)
             report = sweep.neumark_report(cfg)
             out = args.out or cfg.out
             if out:
@@ -68,7 +81,6 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 sys.stdout.write(report)
         elif args.command == "validate":
-            cfg = sweep.load_config(args.config)
             report, ok = sweep.validate_report(cfg)
             out = args.out or cfg.out
             if out:
@@ -76,13 +88,6 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(report)
             if not ok:
                 return 3
-        elif args.command == "plot":
-            with open(args.csv, "r", encoding="utf-8") as fh:
-                csv_text = fh.read()
-            svg = sweep.plot_csv(csv_text, title=args.csv)
-            out = args.out or (args.csv.rsplit(".", 1)[0] + ".svg")
-            _write_text(out, svg)
-            print(f"wrote {out}")
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,0 +1,104 @@
+"""CSV -> SVG rendering of a sweep's probability columns.
+
+Pure Python: ``mcmag plot`` loads this module, ``math`` and the error
+types, and not numpy.
+"""
+
+from __future__ import annotations
+
+import math
+
+from .errors import ConfigError
+
+_PLOT_COLUMNS = (
+    ("c0_max", "#c0392b"),
+    ("c1_max", "#2980b9"),
+    ("p_inc_opt", "#7f8c8d"),
+    ("c0_thresh", "#e67e22"),
+    ("c1_thresh", "#16a085"),
+)
+
+
+def _plot_cell(cell: str, lineno: int, column: str) -> float | None:
+    """One plotted CSV cell: None for ``NA`` (not allowed on the axis), else a finite float."""
+    if cell == "NA" and column != "axis":
+        return None
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"line {lineno}, column {column!r}: not a finite number: {cell!r}")
+    return value
+
+
+def plot_csv(csv_text: str, title: str = "") -> str:
+    """Render probability columns of a sweep CSV as a standalone SVG.
+
+    A row whose length differs from the header's, or a plotted cell that is
+    neither ``NA`` nor a finite number, is a ConfigError naming its line.
+    """
+    lines = [(n, ln) for n, ln in enumerate(csv_text.splitlines(), start=1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("axis,"):
+        raise ConfigError("not a sweep CSV (missing header)")
+    header = lines[0][1].split(",")
+    if len(lines) < 2:
+        raise ConfigError("CSV has no data rows")
+    plotted = [(column, color) for column, color in _PLOT_COLUMNS if column in header]
+    cols = {column: header.index(column) for column in ["axis"] + [c for c, _ in plotted]}
+    values: dict[str, list[float | None]] = {column: [] for column in cols}
+    for lineno, line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ConfigError(f"line {lineno}: {len(cells)} cells, the header has {len(header)}")
+        for column, i in cols.items():
+            values[column].append(_plot_cell(cells[i], lineno, column))
+    xs = values["axis"]
+    x_lo, x_hi = min(xs), max(xs)
+    span = (x_hi - x_lo) or 1.0
+
+    width, height = 800.0, 520.0
+    ml, mr, mt, mb = 60.0, 20.0, 30.0, 40.0
+
+    def to_xy(x: float, y: float) -> tuple[float, float]:
+        px = ml + (x - x_lo) / span * (width - ml - mr)
+        py = mt + (1.0 - y) * (height - mt - mb)
+        return px, py
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" '
+        f'height="{height:g}" viewBox="0 0 {width:g} {height:g}">',
+        f'<rect width="{width:g}" height="{height:g}" fill="white"/>',
+    ]
+    ax_x0, ax_y0 = to_xy(x_lo, 0.0)
+    ax_x1, ax_y1 = to_xy(x_hi, 1.0)
+    parts.append(
+        f'<rect x="{ax_x0:.2f}" y="{ax_y1:.2f}" width="{ax_x1 - ax_x0:.2f}" '
+        f'height="{ax_y0 - ax_y1:.2f}" fill="none" stroke="#333" stroke-width="1"/>'
+    )
+    for column, color in plotted:
+        pts = []
+        for x, y in zip(xs, values[column]):
+            if y is None:
+                continue
+            px, py = to_xy(x, y)
+            pts.append(f"{px:.2f},{py:.2f}")
+        if len(pts) >= 2:
+            parts.append(
+                f'<polyline points="{" ".join(pts)}" fill="none" '
+                f'stroke="{color}" stroke-width="1.5"/>'
+            )
+    label = title or "probability vs axis"
+    parts.append(
+        f'<text x="{ml:.0f}" y="20" font-family="monospace" font-size="13">'
+        f"{label} [{x_lo:g} .. {x_hi:g}]</text>"
+    )
+    legend_y = 36.0
+    for column, color in plotted:
+        parts.append(
+            f'<text x="{width - 180:.0f}" y="{legend_y:.0f}" fill="{color}" '
+            f'font-family="monospace" font-size="12">{column}</text>'
+        )
+        legend_y += 14.0
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

@@ -26,7 +26,8 @@ from typing import Callable, NamedTuple, get_args, get_type_hints
 import numpy as np
 
 from . import channel, dilation, discrim, noise_sim
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
+from .plot import plot_csv  # noqa: F401  (also reachable as mcmag.sweep.plot_csv)
 
 #: Coherence floor substituted for an underflowed dephasing factor so the
 #: far tail of a sweep stays well-defined (the solver then reports the
@@ -95,20 +96,21 @@ class Scenario:
     count"`` (even, >= 2).  ``required`` and ``optional`` name the
     scenario-dependent keys it reads that a config must and may set;
     ``defaults`` holds the values it uses for unset keys where these are
-    not the :class:`SweepConfig` defaults (:func:`parse_config_text` puts
-    them in).  ``factors(cfg, axis_value)`` is ``(nu, mu)`` at one axis
-    value, from the channel factor functions called with the config's
-    keys.  ``dephasing(cfg, values)`` lists validate's Monte Carlo checks
-    of the OU bath (``kappa_per_us``, ``tau_c_us``) as (label,
-    imaginary-part label or None, switching, dt); None: the scenario has
-    no bath.
+    not the :class:`SweepConfig` defaults (:func:`validate_config` puts
+    them in).  ``nu(cfg, axis_value)`` and ``mu(cfg, axis_value)`` are the
+    coherence and phase factors at one axis value, from the channel factor
+    functions called with the config's keys.  ``dephasing(cfg, values)``
+    lists validate's Monte Carlo checks of the OU bath (``kappa_per_us``,
+    ``tau_c_us``) as (label, imaginary-part label or None, switching, dt);
+    None: the scenario has no bath.
     """
 
     axis: str
     required: tuple[str, ...]
     optional: tuple[str, ...]
     defaults: dict[str, float]
-    factors: Callable[[SweepConfig, float], tuple[float, complex]]
+    nu: Callable[[SweepConfig, float], float]
+    mu: Callable[[SweepConfig, float], complex]
     dephasing: Callable[[SweepConfig, list[float]], list[tuple]] | None
 
     @property
@@ -123,30 +125,26 @@ class Scenario:
         return float(max(2, int(round(value / 2.0)) * 2))
 
 
-def _free_decay(cfg: SweepConfig, t: float) -> tuple[float, complex]:
-    """T2* decay and a constant field; a known field is one with ``sigma_b_uT = 0``."""
-    t = float(t)
-    return (
-        channel.nu_stretched(cfg.T2_star_us, cfg.p, t),
-        channel.mu_static(cfg.b0_uT, cfg.sigma_b_uT, cfg.delta_ms, t),
-    )
+def _nu_free(cfg: SweepConfig, t: float) -> float:
+    return channel.nu_stretched(cfg.T2_star_us, cfg.p, float(t))
 
 
-def _ou_train(cfg: SweepConfig, n: float) -> tuple[float, complex]:
-    n_pulses = int(n)
-    switching = channel.cpmg_switching(n_pulses, 1.0 / (2.0 * cfg.f_MHz))
-    return (
-        channel.nu_ou(cfg.kappa_per_us, cfg.tau_c_us, switching),
-        channel.mu_cpmg(cfg.b0_uT, cfg.sigma_b_uT, cfg.f_MHz, n_pulses),
-    )
+def _mu_free(cfg: SweepConfig, t: float) -> complex:
+    """A constant field; a known field is one with ``sigma_b_uT = 0``."""
+    return channel.mu_static(cfg.b0_uT, cfg.sigma_b_uT, cfg.delta_ms, float(t))
 
 
-def _ensemble_train(cfg: SweepConfig, n: float) -> tuple[float, complex]:
-    n_pulses = int(n)
-    return (
-        channel.nu_ensemble_cpmg(cfg.T2_us, cfg.s, cfg.p, n_pulses, cfg.f_MHz),
-        channel.mu_cpmg(cfg.b0_uT, cfg.sigma_b_uT, cfg.f_MHz, n_pulses),
-    )
+def _nu_train(cfg: SweepConfig, n: float) -> float:
+    switching = channel.cpmg_switching(int(n), 1.0 / (2.0 * cfg.f_MHz))
+    return channel.nu_ou(cfg.kappa_per_us, cfg.tau_c_us, switching)
+
+
+def _nu_ensemble(cfg: SweepConfig, n: float) -> float:
+    return channel.nu_ensemble_cpmg(cfg.T2_us, cfg.s, cfg.p, int(n), cfg.f_MHz)
+
+
+def _mu_train(cfg: SweepConfig, n: float) -> complex:
+    return channel.mu_cpmg(cfg.b0_uT, cfg.sigma_b_uT, cfg.f_MHz, int(n))
 
 
 def _mc_train(cfg: SweepConfig, values: list[float]) -> list[tuple]:
@@ -171,35 +169,35 @@ def _mc_free(cfg: SweepConfig, values: list[float]) -> list[tuple]:
 _FREE = ("p", "delta_ms", "kappa_per_us", "tau_c_us")
 
 #: Every scenario by name: axis, required and optional keys it reads, its
-#: defaults, factor function, OU bath checks.
+#: defaults, factor functions, OU bath checks.
 SCENARIOS = {
     "static_single": Scenario(
         "time", ("T2_star_us",), _FREE, {"p": 2.0, "delta_ms": 1},
-        _free_decay, _mc_free,
+        _nu_free, _mu_free, _mc_free,
     ),
     "static_gaussian_single": Scenario(
         "time", ("T2_star_us",), (*_FREE, "sigma_b_uT"), {"p": 2.0, "delta_ms": 1},
-        _free_decay, _mc_free,
+        _nu_free, _mu_free, _mc_free,
     ),
     "cpmg_single": Scenario(
         "pulse count", ("kappa_per_us", "tau_c_us", "f_MHz"), ("sigma_b_uT",), {"delta_ms": 1},
-        _ou_train, _mc_train,
+        _nu_train, _mu_train, _mc_train,
     ),
     "static_ensemble": Scenario(
         "time", ("T2_star_us",), _FREE, {"p": 1.0, "delta_ms": 1},
-        _free_decay, _mc_free,
+        _nu_free, _mu_free, _mc_free,
     ),
     "static_ensemble_dq": Scenario(
         "time", ("T2_star_us",), _FREE, {"p": 1.0, "delta_ms": 2},
-        _free_decay, _mc_free,
+        _nu_free, _mu_free, _mc_free,
     ),
     "gaussian_ensemble": Scenario(
         "time", ("T2_star_us",), (*_FREE, "sigma_b_uT"), {"p": 1.0, "delta_ms": 1},
-        _free_decay, _mc_free,
+        _nu_free, _mu_free, _mc_free,
     ),
     "cpmg_ensemble": Scenario(
         "pulse count", ("T2_us", "s", "f_MHz"), ("p", "sigma_b_uT"), {"p": 1.0, "delta_ms": 1},
-        _ensemble_train, None,
+        _nu_ensemble, _mu_train, None,
     ),
 }
 
@@ -216,7 +214,7 @@ DOMAINS: dict[str, tuple[Callable[[object], bool], str]] = {
     "grid_points": (lambda v: v >= 2, ">= 2"),
     "grid_scale": (lambda v: v in ("lin", "log"), "'lin' or 'log'"),
     "sigma_b_uT": (lambda v: v >= 0, ">= 0"),
-    "f_MHz": (lambda v: v > 0, "> 0"),
+    "f_MHz": (lambda v: v > 0 and 1.0 / (2.0 * v) < math.inf, "> 0 with 1/(2*f_MHz) finite"),
     "kappa_per_us": (lambda v: v >= 0, ">= 0"),
     "tau_c_us": (lambda v: v > 0, "> 0"),
     "T2_star_us": (lambda v: v > 0, "> 0"),
@@ -259,10 +257,7 @@ def parse_config_text(text: str) -> SweepConfig:
     for key, default in _DEFAULTS.items():
         if default is MISSING and key not in typed:
             raise ConfigError(f"missing required key {key!r}")
-    cfg = SweepConfig(**typed)
-    validate_config(cfg)
-    unset = {k: v for k, v in SCENARIOS[cfg.scenario].defaults.items() if k not in typed}
-    return replace(cfg, **unset)
+    return validate_config(SweepConfig(**typed))
 
 
 def load_config(path: str) -> SweepConfig:
@@ -270,7 +265,9 @@ def load_config(path: str) -> SweepConfig:
         return parse_config_text(fh.read())
 
 
-def validate_config(cfg: SweepConfig) -> None:
+def validate_config(cfg: SweepConfig) -> SweepConfig:
+    """``cfg`` with the scenario's defaults in its unset keys, once every key
+    is in its domain and the scenario reads it."""
     scenario = SCENARIOS.get(cfg.scenario)
     if scenario is None:
         raise ConfigError(f"unknown scenario {cfg.scenario!r}")
@@ -302,6 +299,14 @@ def validate_config(cfg: SweepConfig) -> None:
     for key, other in (("kappa_per_us", "tau_c_us"), ("tau_c_us", "kappa_per_us")):
         if getattr(cfg, key) is not None and getattr(cfg, other) is None:
             raise ConfigError(f"missing key {other!r}: the OU bath takes it together with {key!r}")
+    cfg = replace(cfg, **{k: v for k, v in scenario.defaults.items() if getattr(cfg, k) is None})
+    # The phase grows with the axis, so the axis end bounds it; every other
+    # argument of the phase factor is in its domain by now.
+    try:
+        scenario.mu(cfg, scenario.snap(max(cfg.grid_stop, cfg.point or 0.0)))
+    except DomainError as exc:
+        raise ConfigError(f"key 'b0_uT': {exc}") from exc
+    return cfg
 
 
 def grid_values(cfg: SweepConfig) -> list[float]:
@@ -323,15 +328,15 @@ def grid_values(cfg: SweepConfig) -> list[float]:
 
 def factors_at(cfg: SweepConfig, axis_value: float) -> tuple[float, complex]:
     """Coherence and phase factors of one grid point."""
-    return SCENARIOS[cfg.scenario].factors(cfg, axis_value)
+    scenario = SCENARIOS[cfg.scenario]
+    return scenario.nu(cfg, axis_value), scenario.mu(cfg, axis_value)
 
 
 def _evaluate(cfg: SweepConfig, values: list[float]) -> list[SweepRow]:
     """Rows of the given grid points, solved as one stack."""
-    factors_of = SCENARIOS[cfg.scenario].factors
-    factors = [factors_of(cfg, v) for v in values]
-    nus = [nu for nu, _ in factors]
-    mus = [mu for _, mu in factors]
+    scenario = SCENARIOS[cfg.scenario]
+    nus = [scenario.nu(cfg, v) for v in values]
+    mus = [scenario.mu(cfg, v) for v in values]
     pairs = channel.build_state_stack(np.maximum(nus, NU_FLOOR), mus, cfg.eta0)
     sols = discrim.solve_stack(pairs)
     helstrom = discrim.min_error_stack(pairs)
@@ -523,100 +528,3 @@ def neumark_report(cfg: SweepConfig) -> str:
     lines.append(f"unitarity_residual={unit_dev:.3e}")
     return "\n".join(lines) + "\n"
 
-
-# ---------------------------------------------------------------------------
-# CSV -> SVG rendering
-# ---------------------------------------------------------------------------
-
-_PLOT_COLUMNS = (
-    ("c0_max", "#c0392b"),
-    ("c1_max", "#2980b9"),
-    ("p_inc_opt", "#7f8c8d"),
-    ("c0_thresh", "#e67e22"),
-    ("c1_thresh", "#16a085"),
-)
-
-
-def _plot_cell(cell: str, lineno: int, column: str) -> float | None:
-    """One plotted CSV cell: None for ``NA`` (not allowed on the axis), else a finite float."""
-    if cell == "NA" and column != "axis":
-        return None
-    try:
-        value = float(cell)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ConfigError(f"line {lineno}, column {column!r}: not a finite number: {cell!r}")
-    return value
-
-
-def plot_csv(csv_text: str, title: str = "") -> str:
-    """Render probability columns of a sweep CSV as a standalone SVG.
-
-    A row whose length differs from the header's, or a plotted cell that is
-    neither ``NA`` nor a finite number, is a ConfigError naming its line.
-    """
-    lines = [(n, ln) for n, ln in enumerate(csv_text.splitlines(), start=1) if ln.strip()]
-    if not lines or not lines[0][1].startswith("axis,"):
-        raise ConfigError("not a sweep CSV (missing header)")
-    header = lines[0][1].split(",")
-    if len(lines) < 2:
-        raise ConfigError("CSV has no data rows")
-    plotted = [(column, color) for column, color in _PLOT_COLUMNS if column in header]
-    cols = {column: header.index(column) for column in ["axis"] + [c for c, _ in plotted]}
-    values: dict[str, list[float | None]] = {column: [] for column in cols}
-    for lineno, line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ConfigError(f"line {lineno}: {len(cells)} cells, the header has {len(header)}")
-        for column, i in cols.items():
-            values[column].append(_plot_cell(cells[i], lineno, column))
-    xs = values["axis"]
-    x_lo, x_hi = min(xs), max(xs)
-    span = (x_hi - x_lo) or 1.0
-
-    width, height = 800.0, 520.0
-    ml, mr, mt, mb = 60.0, 20.0, 30.0, 40.0
-
-    def to_xy(x: float, y: float) -> tuple[float, float]:
-        px = ml + (x - x_lo) / span * (width - ml - mr)
-        py = mt + (1.0 - y) * (height - mt - mb)
-        return px, py
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" '
-        f'height="{height:g}" viewBox="0 0 {width:g} {height:g}">',
-        f'<rect width="{width:g}" height="{height:g}" fill="white"/>',
-    ]
-    ax_x0, ax_y0 = to_xy(x_lo, 0.0)
-    ax_x1, ax_y1 = to_xy(x_hi, 1.0)
-    parts.append(
-        f'<rect x="{ax_x0:.2f}" y="{ax_y1:.2f}" width="{ax_x1 - ax_x0:.2f}" '
-        f'height="{ax_y0 - ax_y1:.2f}" fill="none" stroke="#333" stroke-width="1"/>'
-    )
-    for column, color in plotted:
-        pts = []
-        for x, y in zip(xs, values[column]):
-            if y is None:
-                continue
-            px, py = to_xy(x, y)
-            pts.append(f"{px:.2f},{py:.2f}")
-        if len(pts) >= 2:
-            parts.append(
-                f'<polyline points="{" ".join(pts)}" fill="none" '
-                f'stroke="{color}" stroke-width="1.5"/>'
-            )
-    label = title or "probability vs axis"
-    parts.append(
-        f'<text x="{ml:.0f}" y="20" font-family="monospace" font-size="13">'
-        f"{label} [{x_lo:g} .. {x_hi:g}]</text>"
-    )
-    legend_y = 36.0
-    for column, color in plotted:
-        parts.append(
-            f'<text x="{width - 180:.0f}" y="{legend_y:.0f}" fill="{color}" '
-            f'font-family="monospace" font-size="12">{column}</text>'
-        )
-        legend_y += 14.0
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"

@@ -194,6 +194,19 @@ def test_mu_cpmg_values():
     assert all(b < a for a, b in zip(damps[:-1], damps[1:]))
 
 
+def test_phase_past_the_float_range_is_a_domain_error():
+    # math.cos(-inf) raised a bare "ValueError: math domain error"; the
+    # phase of an unbounded field has no limit to return.
+    with pytest.raises(DomainError, match="phase"):
+        channel.mu_static(1e308, 0.0, 1, 40.0)
+    with pytest.raises(DomainError, match="phase"):
+        channel.mu_cpmg(1e308, 0.0, 1.0, 40)
+    with pytest.raises(DomainError, match="phase"):
+        channel.mu_cpmg(1e10, 0.0, 1e-300, 40)
+    # A huge but finite phase is still a phase.
+    assert abs(channel.mu_static(1e300, 0.0, 1, 40.0)) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_build_state_pair_entries():
     pair = channel.build_state_pair(0.8, np.exp(-1j * np.pi / 4), 0.5)
     assert pair.rho0[0, 1] == 0.4

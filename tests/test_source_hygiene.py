@@ -12,10 +12,14 @@ _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def definitions(tree):
-    """(name, first line, last line) of the top-level functions, classes and
-    non-dunder constants, and of the non-dunder methods of those classes."""
+    """(name, first line, last line) of the top-level classes and non-dunder
+    functions and constants, and of the non-dunder methods of those classes.
+    The interpreter calls dunder functions (a module's ``__getattr__``), which
+    no scan of the source sees."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        if isinstance(node, ast.ClassDef) or (
+            isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+        ):
             yield node.name, node.lineno, node.end_lineno
         if isinstance(node, ast.ClassDef):
             for item in node.body:

@@ -571,7 +571,9 @@ OUT_OF_DOMAIN = {
     "grid_points": ("1",),
     "grid_scale": ("cubic",),
     "sigma_b_uT": ("-1",),
-    "f_MHz": ("0", "-1"),
+    # 1e-310: 1/(2*f_MHz) overflowed and cpmg_switching failed with "flip
+    # times must be increasing inside (0, T)", which names no key.
+    "f_MHz": ("0", "-1", "1e-310"),
     "kappa_per_us": ("-1",),
     "tau_c_us": ("0",),
     "T2_star_us": ("0", "-1"),
@@ -625,7 +627,8 @@ PROBABILITIES = [
     c for c in sweep.SweepRow._fields if c not in ("axis", "mu_arg", "rel_err", "branch")
 ]
 
-#: In-domain values for which a power in a factor formula leaves the float range.
+#: In-domain values for which a power in a factor formula leaves the float
+#: range, or the field phase comes close to its end.
 EXTREME = [
     ("static_single", {"T2_star_us": "1e-300"}),
     ("static_single", {"T2_star_us": "0.4", "p": "1000"}),
@@ -633,6 +636,8 @@ EXTREME = [
     ("cpmg_single", {"kappa_per_us": "1e200"}),
     ("cpmg_single", {"tau_c_us": "1e-300"}),
     ("cpmg_ensemble", {"sigma_b_uT": "0.2", "f_MHz": "1e-200"}),
+    ("static_single", {"b0_uT": "1e307"}),
+    ("static_ensemble_dq", {"b0_uT": "1e307"}),
 ]
 
 
@@ -654,6 +659,39 @@ def test_cli_sweep_extreme_in_domain_values_exit_0(tmp_path, name, values):
         cells = {k: float(v) for k, v in row.items() if k != "branch" and v != "NA"}
         assert all(math.isfinite(v) for v in cells.values())
         assert all(0.0 <= cells[k] <= 1.0 for k in PROBABILITIES if k in cells)
+
+
+#: In-domain keys whose field phase leaves the float range on the axis
+#: (the grid ends at 40, one case at its neumark point).  The
+#: double-quantum field is finite at the default delta_ms = 1 and overflows
+#: only at the scenario's delta_ms = 2.
+PHASE_OVERFLOW = [
+    ("static_single", {"b0_uT": "1e308"}),
+    ("static_ensemble_dq", {"b0_uT": "2e307"}),
+    ("static_single", {"b0_uT": "1e306", "point": "1e4"}),
+    ("cpmg_single", {"b0_uT": "1e308"}),
+    ("cpmg_single", {"b0_uT": "1e10", "f_MHz": "1e-300"}),
+    ("cpmg_ensemble", {"b0_uT": "-1e308"}),
+]
+
+
+@pytest.mark.parametrize(
+    "name, values",
+    PHASE_OVERFLOW,
+    ids=[f"{n}-" + ",".join(f"{k}={v}" for k, v in values.items()) for n, values in PHASE_OVERFLOW],
+)
+def test_phase_overflow_names_b0_at_parse(tmp_path, capsys, name, values):
+    # The phase -2*pi*gamma*b0*t*delta_ms (or -2*N*gamma*b0/f) overflowed
+    # to inf and math.cos raised "ValueError: math domain error": exit 1
+    # with a traceback.
+    text = replaced(scenario_text(name), values)
+    with pytest.raises(ConfigError) as err:
+        sweep.parse_config_text(text)
+    assert str(err.value).startswith("key 'b0_uT': ")
+    out = tmp_path / "o.csv"
+    assert cli.main(["sweep", make_cfg(tmp_path, text), "--out", str(out)]) == 2
+    assert "'b0_uT'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_zline_infinite_std_err_fails():
