@@ -69,12 +69,14 @@ def main(argv: list[str] | None = None) -> int:
         from . import sweep
 
         cfg = sweep.load_config(args.config)
+        out = args.out or cfg.out
         if args.command == "sweep":
-            path = sweep.write_sweep(cfg, out_path=args.out)
-            print(f"wrote {path}")
+            if out is None:
+                raise ConfigError("no output path: set 'out' in the config")
+            _write_text(out, sweep.rows_to_csv(sweep.run_sweep(cfg)))
+            print(f"wrote {out}")
         elif args.command == "neumark":
             report = sweep.neumark_report(cfg)
-            out = args.out or cfg.out
             if out:
                 _write_text(out, report)
                 print(f"wrote {out}")
@@ -82,7 +84,6 @@ def main(argv: list[str] | None = None) -> int:
                 sys.stdout.write(report)
         elif args.command == "validate":
             report, ok = sweep.validate_report(cfg)
-            out = args.out or cfg.out
             if out:
                 _write_text(out, report)
             sys.stdout.write(report)

@@ -5,7 +5,10 @@ Two independent estimators live here:
 * bath trajectories -- the dephasing field is an exponentially
   correlated Gaussian process (stationary variance kappa^2, correlation
   time tau_c) advanced with its exact one-step update, so the only
-  discretization left is the quadrature of the accumulated phase;
+  discretization left is the quadrature of the accumulated phase.  One
+  kernel advances a chunk of paths at once; ``ou_trajectory`` is a chunk
+  of one and costs about 0.8 ms per 100-step path, so take many paths
+  from the kernel;
 * measurement clicks -- categorical sampling of (true state, outcome)
   from the Born probabilities, giving empirical confidences and
   inconclusive rates with binomial error bars.
@@ -147,6 +150,22 @@ def _grid_and_weights(
     return np.asarray(times), np.asarray(weights)
 
 
+def _ou_paths(
+    params: OuParams, first: int, count: int, decay: np.ndarray, sig: np.ndarray
+) -> np.ndarray:
+    """Bath paths of trajectories first, ..., first+count-1 as columns: B(0) ~ N(0, kappa^2),
+    then B(k+1) = B(k)*decay[k] + sig[k]*N(0,1) in place (IEEE + and * commute)."""
+    stream = _streams(params.seed)
+    path = np.empty((count, decay.size + 1)).T  # each column is contiguous
+    for i in range(count):
+        stream(first + i).standard_normal(out=path[:, i])
+    path[0] *= params.kappa
+    for k in range(decay.size):
+        path[k + 1] *= sig[k]
+        path[k + 1] += path[k] * decay[k]
+    return path
+
+
 def ou_trajectory(params: OuParams, index: int = 0) -> np.ndarray:
     """One bath path on the uniform grid 0, dt, 2dt, ..., >= T.
 
@@ -155,14 +174,9 @@ def ou_trajectory(params: OuParams, index: int = 0) -> np.ndarray:
     B(0) ~ N(0, kappa^2).  Deterministic for a given (seed, index).
     """
     n_steps = math.ceil(params.T / params.dt - 1e-9)
-    rng = substream(params.seed, index)
-    eps = rng.standard_normal(n_steps + 1).tolist()
     decay = math.exp(-params.dt / params.tau_c)
     sig = params.kappa * math.sqrt(max(0.0, 1.0 - decay * decay))
-    path = [params.kappa * eps[0]]
-    for e in eps[1:]:
-        path.append(path[-1] * decay + sig * e)
-    return np.array(path)
+    return _ou_paths(params, index, 1, np.full(n_steps, decay), np.full(n_steps, sig))[:, 0]
 
 
 def empirical_dephasing(
@@ -190,20 +204,11 @@ def empirical_dephasing(
     n = params.n_traj
     sum_cos = sum_cos2 = 0.0
     sum_sin = sum_sin2 = 0.0
-    n_pts = times.size
-    stream = _streams(params.seed)
     for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        c = stop - start
-        # one column per trajectory, so the recursion reads contiguous rows
-        eps = np.empty((n_pts, c))
-        for i in range(c):
-            eps[:, i] = stream(start + i).standard_normal(n_pts)
-        b = params.kappa * eps[0]
-        phase = weights[0] * b
-        for k in range(n_pts - 1):
-            b = b * decay[k] + sig[k] * eps[k + 1]
-            phase += weights[k + 1] * b
+        path = _ou_paths(params, start, min(_CHUNK, n - start), decay, sig)
+        phase = weights[0] * path[0]
+        for k in range(1, times.size):
+            phase += weights[k] * path[k]
         cos_p = np.cos(phase)
         sin_p = np.sin(phase)
         sum_cos += float(np.sum(cos_p))

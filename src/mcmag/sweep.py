@@ -300,10 +300,13 @@ def validate_config(cfg: SweepConfig) -> SweepConfig:
         if getattr(cfg, key) is not None and getattr(cfg, other) is None:
             raise ConfigError(f"missing key {other!r}: the OU bath takes it together with {key!r}")
     cfg = replace(cfg, **{k: v for k, v in scenario.defaults.items() if getattr(cfg, k) is None})
-    # The phase grows with the axis, so the axis end bounds it; every other
-    # argument of the phase factor is in its domain by now.
+    # The train length and the phase grow with the axis, so the axis end
+    # bounds them; every other argument of the phase factor is in its domain.
+    end = scenario.snap(max(cfg.grid_stop, cfg.point or 0.0))
+    if cfg.f_MHz is not None and not end * (1.0 / (2.0 * cfg.f_MHz)) < math.inf:
+        raise ConfigError(f"key 'f_MHz': the train N/(2*f_MHz) overflows at N = {end:g}")
     try:
-        scenario.mu(cfg, scenario.snap(max(cfg.grid_stop, cfg.point or 0.0)))
+        scenario.mu(cfg, end)
     except DomainError as exc:
         raise ConfigError(f"key 'b0_uT': {exc}") from exc
     return cfg
@@ -393,16 +396,6 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
     for *cells, branch in rows:
         lines.append(",".join([*map(_fmt, cells), branch]))
     return "\n".join(lines) + "\n"
-
-
-def write_sweep(cfg: SweepConfig, out_path: str | None = None) -> str:
-    path = out_path or cfg.out
-    if path is None:
-        raise ConfigError("no output path: set 'out' in the config")
-    csv_text = rows_to_csv(run_sweep(cfg))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(csv_text)
-    return path
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from mcmag import (
 )
 from mcmag.discrim import Povm
 from mcmag.errors import DomainError
-from mcmag.noise_sim import ClickTally, _streams, substream
+from mcmag.noise_sim import _CHUNK, ClickTally, _ou_paths, _streams, substream
 
 KAPPA = 3.6
 TAU_C = 25.0
@@ -118,6 +118,24 @@ def test_trajectory_equals_numpy_scalar_recursion(seed):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def uniform_paths(params, first, count):
+    """Trajectories first, ..., first+count-1 on ou_trajectory's uniform grid, as columns."""
+    n_steps = math.ceil(params.T / params.dt - 1e-9)
+    decay = math.exp(-params.dt / params.tau_c)
+    sig = params.kappa * math.sqrt(max(0.0, 1.0 - decay * decay))
+    return _ou_paths(params, first, count, np.full(n_steps, decay), np.full(n_steps, sig))
+
+
+def test_chunk_columns_equal_trajectories():
+    # One chunk that spans a _CHUNK boundary: columns 0, 2047 | 2048, last.
+    params = OuParams(kappa=KAPPA, tau_c=TAU_C, dt=0.05, T=1.0, seed=11, n_traj=_CHUNK + 3)
+    paths = uniform_paths(params, 0, _CHUNK + 3)
+    for index in (0, _CHUNK - 1, _CHUNK, _CHUNK + 2):
+        want = ou_trajectory(params, index)
+        assert paths[:, index].dtype == want.dtype
+        assert paths[:, index].tobytes() == want.tobytes()
+
+
 def test_stationary_variance():
     params = OuParams(kappa=KAPPA, tau_c=TAU_C, dt=0.1, T=1.0, seed=7, n_traj=100_000)
     samples = stationary_samples(params)
@@ -133,9 +151,9 @@ def test_lag_tau_c_autocorrelation():
     dt = TAU_C / 100.0
     params = OuParams(kappa=KAPPA, tau_c=TAU_C, dt=dt, T=TAU_C, seed=8, n_traj=n)
     prods = np.empty(n)
-    for i in range(n):
-        path = ou_trajectory(params, i)
-        prods[i] = path[0] * path[100]
+    for start in range(0, n, _CHUNK):  # columns equal ou_trajectory(params, i)
+        path = uniform_paths(params, start, min(_CHUNK, n - start))
+        prods[start:start + path.shape[1]] = path[0] * path[100]
     want = KAPPA**2 * math.exp(-1.0)
     se = prods.std(ddof=1) / math.sqrt(n)
     assert abs(prods.mean() - want) <= 3.0 * se

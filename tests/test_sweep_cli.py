@@ -302,6 +302,8 @@ def test_csv_golden_determinism_and_threads(tmp_path, monkeypatch):
 def test_cli_exit_codes(tmp_path, capsys):
     bad_cfg = make_cfg(tmp_path, BASE + "bogus = 1\n", name="bad.cfg")
     assert cli.main(["sweep", bad_cfg]) == 2
+    assert cli.main(["sweep", make_cfg(tmp_path, BASE, name="no_out.cfg")]) == 2
+    assert "error: no output path: set 'out' in the config" in capsys.readouterr().err
     missing = str(tmp_path / "absent.cfg")
     assert cli.main(["sweep", missing]) == 1
     ok_cfg = make_cfg(tmp_path, BASE + f"out = {tmp_path}/o.csv\n", name="ok.cfg")
@@ -692,6 +694,26 @@ def test_phase_overflow_names_b0_at_parse(tmp_path, capsys, name, values):
     assert cli.main(["sweep", make_cfg(tmp_path, text), "--out", str(out)]) == 2
     assert "'b0_uT'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", PULSED)
+def test_train_length_overflow_names_f_at_parse(tmp_path, capsys, name):
+    # cpmg_single with f_MHz = 3e-309 has a finite 1/(2*f_MHz), but the train
+    # N/(2*f_MHz) overflowed at N = 8: cpmg_switching put the second flip at
+    # inf and run_sweep failed with "flip times must be increasing inside
+    # (0, T)", which names no key.
+    grid = {"grid_stop": "8", "b0_uT": "0"}
+    text = replaced(scenario_text(name), {**grid, "f_MHz": "3e-309"})
+    with pytest.raises(ConfigError) as err:
+        sweep.parse_config_text(text)
+    assert str(err.value).startswith("key 'f_MHz': ")
+    out = tmp_path / "o.csv"
+    assert cli.main(["sweep", make_cfg(tmp_path, text), "--out", str(out)]) == 2
+    assert "'f_MHz'" in capsys.readouterr().err
+    assert not out.exists()
+    near = replaced(scenario_text(name), {**grid, "f_MHz": "1e-300"})
+    assert cli.main(["sweep", make_cfg(tmp_path, near), "--out", str(out)]) == 0
+    assert len(read_rows(out)) == 4
 
 
 def test_zline_infinite_std_err_fails():
