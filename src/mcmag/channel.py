@@ -249,9 +249,9 @@ class StatePair:
     nu: float
     mu: complex
     eta0: float
-    rho0: np.ndarray = field(repr=False, compare=False, default=None)
-    rho1: np.ndarray = field(repr=False, compare=False, default=None)
-    rho: np.ndarray = field(repr=False, compare=False, default=None)
+    rho0: np.ndarray = field(repr=False, compare=False)
+    rho1: np.ndarray = field(repr=False, compare=False)
+    rho: np.ndarray = field(repr=False, compare=False)
 
     @property
     def eta1(self) -> float:

@@ -75,7 +75,7 @@ class McSolution:
     """Closed-form solver output.
 
     Unless the pair is degenerate (confidences at the priors), ``c0_max``
-    is the top eigenvalue of :func:`transformed_detector_state` and
+    is the top eigenvalue of ``eta0 * rho^(-1/2) rho0 rho^(-1/2)`` and
     ``c1_max`` one minus its bottom one, both clipped to [0, 1].
     """
 
@@ -186,11 +186,6 @@ def _check_pair(pair: StatePair) -> None:
 
 def _detector_state(s_inv: np.ndarray, rho0: np.ndarray, eta0: float) -> np.ndarray:
     return _hermitize(eta0 * (s_inv @ rho0 @ s_inv))
-
-
-def transformed_detector_state(pair: StatePair) -> np.ndarray:
-    """eta0 * rho^(-1/2) rho0 rho^(-1/2), the operator whose spectrum caps C0."""
-    return _detector_state(qmat.psd_pow(pair.rho, -0.5), pair.rho0, pair.eta0)
 
 
 def solve_stack(pairs: StatePair) -> SolutionStack:

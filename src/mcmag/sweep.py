@@ -20,7 +20,7 @@ anyway.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable, NamedTuple, get_args, get_type_hints
 
 import numpy as np
@@ -37,6 +37,10 @@ NU_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """One sweep.  Made from a file, in Python or by ``dataclasses.replace``,
+    it passes the same checks, which raise :class:`~mcmag.errors.ConfigError`
+    naming the key, and takes the scenario's defaults in its unset keys."""
+
     scenario: str
     grid_start: float
     grid_stop: float
@@ -59,6 +63,52 @@ class SweepConfig:
     n_traj: int = 20_000
     point: float | None = None
     out: str | None = None
+
+    def __post_init__(self) -> None:
+        scenario = SCENARIOS.get(self.scenario)
+        if scenario is None:
+            raise ConfigError(f"unknown scenario {self.scenario!r}")
+        for key, caster in _KEYS.items():
+            value = getattr(self, key)
+            if caster is float and value is not None and not math.isfinite(value):
+                raise ConfigError(f"key {key!r} must be finite, got {value!r}")
+        for key in scenario.required:
+            if getattr(self, key) is None:
+                raise ConfigError(f"scenario {self.scenario!r} requires key {key!r}")
+        reads = scenario.required + scenario.optional
+        for key in _SCENARIO_KEYS:
+            used = scenario.defaults.get(key, _DEFAULTS[key])
+            if key not in reads and getattr(self, key) not in (None, used):
+                rule = "does not read it" if used is None else f"takes only {key} = {used:g}"
+                raise ConfigError(f"key {key!r}: scenario {self.scenario!r} {rule}")
+        for key, (test, rule) in DOMAINS.items():
+            value = getattr(self, key)
+            if value is not None and not test(value):
+                raise ConfigError(f"key {key!r} must be {rule}")
+        if not self.grid_start < self.grid_stop:
+            raise ConfigError("grid_start must be < grid_stop")
+        if self.grid_scale == "log" and self.grid_start <= 0:
+            raise ConfigError("log grid requires grid_start > 0")
+        for key in ("grid_start", "point"):
+            value = getattr(self, key)
+            if value is not None and value < scenario.lowest:
+                raise ConfigError(f"key {key!r}: {scenario.axis} must be >= {scenario.lowest:g}")
+        for key, other in (("kappa_per_us", "tau_c_us"), ("tau_c_us", "kappa_per_us")):
+            if getattr(self, key) is not None and getattr(self, other) is None:
+                bath = f"the OU bath takes it together with {key!r}"
+                raise ConfigError(f"missing key {other!r}: {bath}")
+        for key, value in scenario.defaults.items():
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, value)
+        # The train length and the phase grow with the axis, so the axis end
+        # bounds them; every other argument of the phase factor is in its domain.
+        end = scenario.snap(max(self.grid_stop, self.point or 0.0))
+        if self.f_MHz is not None and not end * (1.0 / (2.0 * self.f_MHz)) < math.inf:
+            raise ConfigError(f"key 'f_MHz': the train N/(2*f_MHz) overflows at N = {end:g}")
+        try:
+            scenario.mu(self, end)
+        except DomainError as exc:
+            raise ConfigError(f"key 'b0_uT': {exc}") from exc
 
 
 class SweepRow(NamedTuple):
@@ -96,8 +146,8 @@ class Scenario:
     count"`` (even, >= 2).  ``required`` and ``optional`` name the
     scenario-dependent keys it reads that a config must and may set;
     ``defaults`` holds the values it uses for unset keys where these are
-    not the :class:`SweepConfig` defaults (:func:`validate_config` puts
-    them in).  ``nu(cfg, axis_value)`` and ``mu(cfg, axis_value)`` are the
+    not the :class:`SweepConfig` defaults (a config puts them in when it
+    is made).  ``nu(cfg, axis_value)`` and ``mu(cfg, axis_value)`` are the
     coherence and phase factors at one axis value, from the channel factor
     functions called with the config's keys.  ``dephasing(cfg, values)``
     lists validate's Monte Carlo checks of the OU bath (``kappa_per_us``,
@@ -257,59 +307,12 @@ def parse_config_text(text: str) -> SweepConfig:
     for key, default in _DEFAULTS.items():
         if default is MISSING and key not in typed:
             raise ConfigError(f"missing required key {key!r}")
-    return validate_config(SweepConfig(**typed))
+    return SweepConfig(**typed)
 
 
 def load_config(path: str) -> SweepConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read())
-
-
-def validate_config(cfg: SweepConfig) -> SweepConfig:
-    """``cfg`` with the scenario's defaults in its unset keys, once every key
-    is in its domain and the scenario reads it."""
-    scenario = SCENARIOS.get(cfg.scenario)
-    if scenario is None:
-        raise ConfigError(f"unknown scenario {cfg.scenario!r}")
-    for key, caster in _KEYS.items():
-        value = getattr(cfg, key)
-        if caster is float and value is not None and not math.isfinite(value):
-            raise ConfigError(f"key {key!r} must be finite, got {value!r}")
-    for key in scenario.required:
-        if getattr(cfg, key) is None:
-            raise ConfigError(f"scenario {cfg.scenario!r} requires key {key!r}")
-    reads = scenario.required + scenario.optional
-    for key in _SCENARIO_KEYS:
-        used = scenario.defaults.get(key, _DEFAULTS[key])
-        if key not in reads and getattr(cfg, key) not in (None, used):
-            rule = "does not read it" if used is None else f"takes only {key} = {used:g}"
-            raise ConfigError(f"key {key!r}: scenario {cfg.scenario!r} {rule}")
-    for key, (test, rule) in DOMAINS.items():
-        value = getattr(cfg, key)
-        if value is not None and not test(value):
-            raise ConfigError(f"key {key!r} must be {rule}")
-    if not cfg.grid_start < cfg.grid_stop:
-        raise ConfigError("grid_start must be < grid_stop")
-    if cfg.grid_scale == "log" and cfg.grid_start <= 0:
-        raise ConfigError("log grid requires grid_start > 0")
-    for key in ("grid_start", "point"):
-        value = getattr(cfg, key)
-        if value is not None and value < scenario.lowest:
-            raise ConfigError(f"key {key!r}: {scenario.axis} must be >= {scenario.lowest:g}")
-    for key, other in (("kappa_per_us", "tau_c_us"), ("tau_c_us", "kappa_per_us")):
-        if getattr(cfg, key) is not None and getattr(cfg, other) is None:
-            raise ConfigError(f"missing key {other!r}: the OU bath takes it together with {key!r}")
-    cfg = replace(cfg, **{k: v for k, v in scenario.defaults.items() if getattr(cfg, k) is None})
-    # The train length and the phase grow with the axis, so the axis end
-    # bounds them; every other argument of the phase factor is in its domain.
-    end = scenario.snap(max(cfg.grid_stop, cfg.point or 0.0))
-    if cfg.f_MHz is not None and not end * (1.0 / (2.0 * cfg.f_MHz)) < math.inf:
-        raise ConfigError(f"key 'f_MHz': the train N/(2*f_MHz) overflows at N = {end:g}")
-    try:
-        scenario.mu(cfg, end)
-    except DomainError as exc:
-        raise ConfigError(f"key 'b0_uT': {exc}") from exc
-    return cfg
 
 
 def grid_values(cfg: SweepConfig) -> list[float]:
@@ -421,7 +424,7 @@ def validate_report(cfg: SweepConfig) -> tuple[str, bool]:
     """Cross-check analytics against the stochastic estimators.
 
     The scenario's OU bath check (:attr:`Scenario.dephasing`) runs when the
-    config sets the bath (:func:`validate_config` takes ``kappa_per_us`` and
+    config sets the bath (a :class:`SweepConfig` takes ``kappa_per_us`` and
     ``tau_c_us`` only together, and only for a scenario that reads them); click
     checks run for every scenario at the middle grid point.  A check passes
     when |z| <= 3.

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from mcmag import discrim, qmat
 from mcmag.channel import StatePair, SwitchingFunction, build_state_pair
 from mcmag.errors import DomainError
 
@@ -18,6 +19,11 @@ def random_pair(
     mu = r * np.exp(1j * ang)
     eta0 = rng.uniform(*eta_range)
     return build_state_pair(nu, mu, eta0)
+
+
+def transformed_detector_state(pair: StatePair) -> np.ndarray:
+    """eta0 * rho^(-1/2) rho0 rho^(-1/2), the operator whose spectrum caps C0."""
+    return discrim._detector_state(qmat.psd_pow(pair.rho, -0.5), pair.rho0, pair.eta0)
 
 
 def sign_at(switching: SwitchingFunction, t: float) -> int:

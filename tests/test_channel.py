@@ -229,6 +229,13 @@ def test_build_state_pair_entries():
             channel.build_state_pair(*bad)
 
 
+def test_state_pair_needs_its_matrices():
+    # A pair without its density matrices used to construct, and the solver
+    # then failed deep inside with "'NoneType' object has no attribute 'reshape'".
+    with pytest.raises(TypeError, match="'rho0', 'rho1', and 'rho'"):
+        channel.StatePair(0.5, 0.3, 0.5)
+
+
 def test_factors_bounded_and_unit_at_zero():
     rng = np.random.default_rng(31)
     assert channel.nu_stretched(0.4, 2.0, 0.0) == 1.0

@@ -13,11 +13,10 @@ from mcmag.discrim import (
     min_error_projectors,
     solve_max_confidence,
     threshold_inconclusive,
-    transformed_detector_state,
 )
 from mcmag.errors import DomainError, UndefinedConditionalError
 
-from helpers import random_pair
+from helpers import random_pair, transformed_detector_state
 
 I2 = np.eye(2, dtype=complex)
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)

@@ -180,6 +180,23 @@ def test_empirical_dephasing_pulsed():
     assert abs(est.nu_hat - analytic) <= 3.0 * est.std_err
 
 
+def test_empirical_dephasing_bits():
+    # The validate reports print 9 digits; this pins the estimate to the
+    # last bit, over a chunk boundary, so a reordered phase sum shows.
+    sw = cpmg_switching(4, 0.5)
+    params = OuParams(
+        kappa=KAPPA, tau_c=TAU_C, dt=0.5 / 50, T=sw.total_time, seed=7, n_traj=_CHUNK + 2
+    )
+    est = empirical_dephasing(params, sw)
+    assert [x.hex() for x in (est.nu_hat, est.std_err, est.imag_hat, est.imag_std_err)] == [
+        "0x1.f4e5493a3a951p-1",
+        "0x1.5e42a18e23aa6p-11",
+        "0x1.42e821bae20f5p-14",
+        "0x1.28ae4f79c2c17p-8",
+    ]
+    assert est.n_traj == _CHUNK + 2
+
+
 def test_empirical_dephasing_dt_guard():
     sw = cpmg_switching(2, 0.5)
     params = OuParams(

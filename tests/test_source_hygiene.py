@@ -31,11 +31,24 @@ def definitions(tree):
                 yield target.id, node.lineno, node.end_lineno
 
 
+def docstrings(tree):
+    """The docstring constants of the module and of each class and function."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                yield first.value
+
+
 def uses(tree):
     """(name, line) of every name, attribute and identifier-shaped word in a
-    string constant; strings carry ``__all__``, the names the benchmark
-    tracer wraps and the cross-references of docstrings."""
+    string constant other than a docstring; strings carry ``__all__`` and the
+    names the benchmark tracer wraps, while a docstring that names a function
+    keeps nothing alive."""
+    skipped = set(map(id, docstrings(tree)))
     for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):

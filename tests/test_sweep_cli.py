@@ -528,9 +528,8 @@ def test_key_the_scenario_does_not_read_is_refused(tmp_path, capsys, name, key):
     # These used to parse and change no output byte (cpmg_single with p,
     # T2_star_us, s or T2_us; a time-axis scenario with f_MHz, s or T2_us).
     text = scenario_text(name) + f"{key} = {other_value(name, key)}\n"
-    with pytest.raises(ConfigError) as err:
-        sweep.parse_config_text(text)
-    assert repr(key) in str(err.value) and repr(name) in str(err.value)
+    message = refusal(scenario_text(name), {key: other_value(name, key)})
+    assert repr(key) in message and repr(name) in message
     assert cli.main(["sweep", make_cfg(tmp_path, text + f"out = {tmp_path}/o.csv\n")]) == 2
     assert repr(key) in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()
@@ -566,6 +565,31 @@ def replaced(text, values):
     any line that sets the key."""
     lines = [line for line in text.splitlines() if line.split("=")[0].strip() not in values]
     return "\n".join(lines + [f"{key} = {value}" for key, value in values.items()]) + "\n"
+
+
+def typed(values):
+    """``key = value`` text items, each value cast as its SweepConfig field parses."""
+    return {key: sweep._KEYS[key](value) for key, value in values.items()}
+
+
+def refusal(base, values):
+    """The ConfigError message of valid config text ``base`` changed by
+    ``values``, the same whether the config comes from a file, from
+    ``SweepConfig`` directly or from ``dataclasses.replace`` of ``base``."""
+    text = replaced(base, values)
+    fields = typed(dict(map(str.strip, line.split("=", 1)) for line in text.splitlines()))
+    builds = (
+        lambda: sweep.parse_config_text(text),
+        lambda: sweep.SweepConfig(**fields),
+        lambda: dataclasses.replace(sweep.parse_config_text(base), **typed(values)),
+    )
+    messages = set()
+    for build in builds:
+        with pytest.raises(ConfigError) as err:
+            build()
+        messages.add(str(err.value))
+    assert len(messages) == 1, messages
+    return messages.pop()
 
 
 #: Values outside the domain of each key of sweep.DOMAINS.
@@ -616,9 +640,7 @@ def test_out_of_domain_key_named_at_parse(tmp_path, capsys, name, key, value):
     if BATH.get(key) in READS[name]:
         values[BATH[key]] = REQUIRED_VALUES[BATH[key]]
     text = replaced(scenario_text(name), values)
-    with pytest.raises(ConfigError) as err:
-        sweep.parse_config_text(text)
-    assert str(err.value).startswith(f"key {key!r} must be ")
+    assert refusal(scenario_text(name), values).startswith(f"key {key!r} must be ")
     assert cli.main(["sweep", make_cfg(tmp_path, text + f"out = {tmp_path}/o.csv\n")]) == 2
     assert repr(key) in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()
@@ -817,6 +839,26 @@ def test_every_shipped_config_parses():
     for name in names:
         cfg = sweep.load_config(str(CONFIG_DIR / name))
         assert cfg.scenario in sweep.SCENARIOS
+
+
+def test_a_config_built_in_python_is_checked_like_a_file():
+    # Checking again changes nothing.
+    for path in sorted(CONFIG_DIR.glob("*.cfg")):
+        cfg = sweep.load_config(str(path))
+        assert sweep.SweepConfig(**dataclasses.asdict(cfg)) == cfg
+    # A config built in Python used to skip every check: without the
+    # scenario defaults it failed with "'>' not supported between instances
+    # of 'NoneType' and 'int'", and these ran or failed without the key.
+    values = dict(scenario="static_single", T2_star_us="1", grid_start="0", grid_stop="2")
+    text = replaced("grid_points = 5", values)
+    built = sweep.SweepConfig(**typed({**values, "grid_points": "5"}))
+    assert built == sweep.parse_config_text(text) and (built.p, built.delta_ms) == (2.0, 1)
+    assert sweep.run_sweep(built) == sweep.run_sweep(sweep.parse_config_text(text))
+    only_zero = "key 'sigma_b_uT': scenario 'static_single' takes only sigma_b_uT = 0"
+    assert refusal(text, {"p": "2", "delta_ms": "1", "sigma_b_uT": "3"}) == only_zero
+    assert refusal(text, {"sigma_b_uT": "7"}) == only_zero
+    assert refusal(text, {"T2_star_us": "-1"}) == "key 'T2_star_us' must be > 0"
+    assert refusal(text, {"scenario": "nope"}) == "unknown scenario 'nope'"
 
 
 def test_all_shipped_configs_run_within_budget(tmp_path):
