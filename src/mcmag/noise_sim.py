@@ -6,9 +6,15 @@ Two independent estimators live here:
   correlated Gaussian process (stationary variance kappa^2, correlation
   time tau_c) advanced with its exact one-step update, so the only
   discretization left is the quadrature of the accumulated phase.  One
-  kernel advances a chunk of paths at once; ``ou_trajectory`` is a chunk
-  of one and costs about 0.8 ms per 100-step path, so take many paths
-  from the kernel;
+  kernel advances a chunk of paths at once: each trajectory draws into a
+  contiguous row, blocks of rows are copied transposed into a time-major
+  path, and the recursion and the phase sum run over contiguous rows.
+  Reseating the generator and calling the sampler cost about 2.5 us per
+  trajectory, about what drawing 100 normals costs, so a 100-step chunk
+  takes more than twice as long as one bulk draw of its normals and a
+  400-step chunk about 1.6 times as long.  ``ou_trajectory`` is a chunk
+  of one and costs about 0.4 ms per 100-step path (numpy calls per time
+  step), so take many paths from the kernel;
 * measurement clicks -- categorical sampling of (true state, outcome)
   from the Born probabilities, giving empirical confidences and
   inconclusive rates with binomial error bars.
@@ -16,8 +22,12 @@ Two independent estimators live here:
 Randomness contract: the counter-based Philox generator keyed by
 SeedSequence(seed); trajectory i draws from the base stream with counter
 word 2 set to i (counter [0, 0, i, 0], empty buffer), which is exactly
-Philox.jumped(i), for 0 <= i < 2**64.  Statistics are accumulated in
-fixed chunk order.  Results for a given seed are therefore reproducible
+Philox.jumped(i), for 0 <= i < 2**64.  The counter is set through the
+generator's state dict, held as plain Python ints, and not through the
+``Philox(counter=...)`` constructor, which reads indices >= 2**63
+differently.  Statistics are accumulated in fixed chunk order; a chunk
+holds at most 2048 trajectories, fewer on a grid so long that their paths
+would pass 16 MiB.  Results for a given seed are therefore reproducible
 bit for bit and independent of any thread-count setting.
 """
 
@@ -33,7 +43,9 @@ from .channel import StatePair, SwitchingFunction, free_decay
 from .discrim import Povm
 from .errors import DomainError
 
-_CHUNK = 2048
+_CHUNK = 2048  # trajectories per chunk, while a chunk's path fits _CHUNK_BYTES
+_CHUNK_BYTES = 16 * 2**20  # a chunk on a longer grid takes fewer trajectories
+_BLOCK = 64  # trajectories drawn row-wise before one transposed copy
 _MAX_STREAMS = 2**64  # trajectory indices fit counter word 2
 
 
@@ -105,13 +117,20 @@ def _streams(seed: int) -> Callable[[int], np.random.Generator]:
     ``at(i)`` sets the Philox state in place to that of
     ``Philox(SeedSequence(seed)).jumped(i)`` -- same key, counter
     [0, 0, i, 0], empty buffer -- and returns the one shared Generator,
-    so each call restarts the stream of the previous one.  The counter
-    goes in through the state dict's uint64 array: the
-    ``Philox(counter=...)`` constructor reads indices >= 2**63 differently.
+    so each call restarts the stream of the previous one.  The state dict
+    holds ``counter``, ``key`` and ``buffer`` as lists of Python ints:
+    numpy's state setter converts them word by word, and it boxes each
+    element of a ``uint64`` array as a numpy scalar first, which makes a
+    reseat take more than twice as long.  The counter goes in through the
+    state dict: the ``Philox(counter=...)`` constructor reads indices
+    >= 2**63 differently.
     """
     bitgen = np.random.Philox(np.random.SeedSequence(seed))
     state = bitgen.state  # counter [0, 0, 0, 0], empty buffer: jumped(0)
-    counter = state["state"]["counter"]
+    words = state["state"]
+    words["counter"], words["key"] = words["counter"].tolist(), words["key"].tolist()
+    state["buffer"] = state["buffer"].tolist()
+    counter = words["counter"]
     rng = np.random.Generator(bitgen)
 
     def at(index: int) -> np.random.Generator:
@@ -154,15 +173,24 @@ def _ou_paths(
     params: OuParams, first: int, count: int, decay: np.ndarray, sig: np.ndarray
 ) -> np.ndarray:
     """Bath paths of trajectories first, ..., first+count-1 as columns: B(0) ~ N(0, kappa^2),
-    then B(k+1) = B(k)*decay[k] + sig[k]*N(0,1) in place (IEEE + and * commute)."""
-    stream = _streams(params.seed)
-    path = np.empty((count, decay.size + 1)).T  # each column is contiguous
-    for i in range(count):
-        stream(first + i).standard_normal(out=path[:, i])
+    then B(k+1) = B(k)*decay[k] + sig[k]*N(0,1) in place (IEEE + and * commute).
+
+    Each trajectory draws into a contiguous row of a ``_BLOCK``-row buffer,
+    which is copied transposed into the C-contiguous path, so the recursion
+    runs over contiguous rows and the path takes no second full-size copy."""
+    at = _streams(params.seed)
+    path = np.empty((decay.size + 1, count))
+    block = np.empty((min(_BLOCK, count), decay.size + 1))
+    for lo in range(0, count, _BLOCK):
+        rows = block[: min(_BLOCK, count - lo)]
+        for i, row in enumerate(rows, start=first + lo):
+            at(i).standard_normal(out=row)
+        path[:, lo : lo + len(rows)] = rows.T
     path[0] *= params.kappa
+    tmp = np.empty(count)
     for k in range(decay.size):
         path[k + 1] *= sig[k]
-        path[k + 1] += path[k] * decay[k]
+        path[k + 1] += np.multiply(path[k], decay[k], out=tmp)
     return path
 
 
@@ -202,13 +230,16 @@ def empirical_dephasing(
     sig = params.kappa * np.sqrt(np.maximum(0.0, 1.0 - decay * decay))
 
     n = params.n_traj
+    chunk = max(1, min(_CHUNK, _CHUNK_BYTES // (8 * times.size)))
     sum_cos = sum_cos2 = 0.0
     sum_sin = sum_sin2 = 0.0
-    for start in range(0, n, _CHUNK):
-        path = _ou_paths(params, start, min(_CHUNK, n - start), decay, sig)
+    for start in range(0, n, chunk):
+        path = _ou_paths(params, start, min(chunk, n - start), decay, sig)
         phase = weights[0] * path[0]
+        tmp = np.empty_like(phase)
         for k in range(1, times.size):
-            phase += weights[k] * path[k]
+            phase += np.multiply(path[k], weights[k], out=tmp)
+        del path  # so that the next chunk's path does not coexist with this one
         cos_p = np.cos(phase)
         sin_p = np.sin(phase)
         sum_cos += float(np.sum(cos_p))
@@ -252,8 +283,8 @@ def simulate_clicks(povm: Povm, pair: StatePair, shots: int, seed: int) -> Click
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     states = (rng.random(shots) < pair.eta1).astype(np.int64)
     u = rng.random(shots)
-    t1 = np.where(states == 0, probs[0, 0], probs[1, 0])
-    t2 = t1 + np.where(states == 0, probs[0, 1], probs[1, 1])
+    t1 = probs[:, 0][states]  # per shot: P(outcome 0 | state)
+    t2 = (probs[:, 0] + probs[:, 1])[states]  # the same one IEEE add as t1 + P(1 | state)
     outcomes = (u >= t1).astype(np.int64) + (u >= t2).astype(np.int64)
 
     counts = np.bincount(3 * states + outcomes, minlength=6).reshape(2, 3)

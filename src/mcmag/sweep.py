@@ -65,6 +65,11 @@ class SweepConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
+        for key, kind in _KEYS.items():  # None only where the key may be unset
+            value = getattr(self, key)
+            if not (isinstance(value, kind) or kind is float and isinstance(value, int)
+                    or value is None and _DEFAULTS[key] is None):
+                raise ConfigError(f"key {key!r} must be {kind.__name__}, got {value!r}")
         scenario = SCENARIOS.get(self.scenario)
         if scenario is None:
             raise ConfigError(f"unknown scenario {self.scenario!r}")

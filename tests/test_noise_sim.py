@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,15 @@ from mcmag import (
 )
 from mcmag.discrim import Povm
 from mcmag.errors import DomainError
-from mcmag.noise_sim import _CHUNK, ClickTally, _ou_paths, _streams, substream
+from mcmag.noise_sim import (
+    _BLOCK,
+    _CHUNK,
+    _CHUNK_BYTES,
+    ClickTally,
+    _ou_paths,
+    _streams,
+    substream,
+)
 
 KAPPA = 3.6
 TAU_C = 25.0
@@ -127,13 +136,42 @@ def uniform_paths(params, first, count):
 
 
 def test_chunk_columns_equal_trajectories():
-    # One chunk that spans a _CHUNK boundary: columns 0, 2047 | 2048, last.
+    # One chunk that spans a _CHUNK boundary and ends in a short _BLOCK:
+    # both sides of the first block copy, 2047 | 2048, and the last column.
     params = OuParams(kappa=KAPPA, tau_c=TAU_C, dt=0.05, T=1.0, seed=11, n_traj=_CHUNK + 3)
     paths = uniform_paths(params, 0, _CHUNK + 3)
-    for index in (0, _CHUNK - 1, _CHUNK, _CHUNK + 2):
+    assert paths.flags.c_contiguous
+    for index in (0, _BLOCK - 1, _BLOCK, _BLOCK + 1, _CHUNK - 1, _CHUNK, _CHUNK + 2):
         want = ou_trajectory(params, index)
         assert paths[:, index].dtype == want.dtype
         assert paths[:, index].tobytes() == want.tobytes()
+
+
+def test_chunk_at_the_top_of_the_stream_range():
+    count = _BLOCK + 3
+    first = 2**64 - count
+    params = OuParams(kappa=KAPPA, tau_c=TAU_C, dt=0.05, T=1.0, seed=13, n_traj=2**64)
+    paths = uniform_paths(params, first, count)
+    for offset in (0, _BLOCK - 1, _BLOCK, count - 1):
+        want = ou_trajectory(params, first + offset)
+        assert paths[:, offset].tobytes() == want.tobytes()
+    with pytest.raises(DomainError):  # one trajectory past the last stream
+        uniform_paths(params, first + 1, count)
+    with pytest.raises(DomainError):
+        _streams(params.seed)(2**64)
+
+
+def test_chunk_memory_is_capped():
+    # 20,000 steps: one chunk of all 200 trajectories would hold 32 MB of path.
+    params = OuParams(kappa=0.05, tau_c=1.0, dt=0.02, T=400.0, seed=14, n_traj=200)
+    tracemalloc.start()
+    try:
+        est = empirical_dephasing(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * _CHUNK_BYTES
+    assert abs(est.nu_hat - nu_ou(0.05, 1.0, free_decay(400.0))) <= 3.0 * est.std_err
 
 
 def test_stationary_variance():

@@ -861,6 +861,31 @@ def test_a_config_built_in_python_is_checked_like_a_file():
     assert refusal(text, {"scenario": "nope"}) == "unknown scenario 'nope'"
 
 
+PYTHON_BUILT = dict(scenario="static_single", T2_star_us=1.0, grid_start=0.0, grid_stop=2.0,
+                    grid_points=5)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("grid_points", 2.5), ("grid_points", "5"), ("T2_star_us", "1"), ("grid_start", None),
+     ("scenario", ["static_single"]), ("grid_scale", 1), ("seed", 0.0), ("out", 3)],
+)
+def test_a_wrongly_typed_value_from_python_names_the_key(key, value):
+    # These used to pass every check and fail in run_sweep with a bare
+    # TypeError ("'float' object cannot be interpreted as an integer",
+    # "'>=' not supported between instances of 'str' and 'int'", ...).
+    want = f"key {key!r} must be "
+    with pytest.raises(ConfigError, match=re.escape(want)):
+        sweep.SweepConfig(**{**PYTHON_BUILT, key: value})
+    with pytest.raises(ConfigError, match=re.escape(want)):
+        dataclasses.replace(sweep.SweepConfig(**PYTHON_BUILT), **{key: value})
+
+
+def test_an_int_is_accepted_for_a_float_key():
+    ints = {**PYTHON_BUILT, "T2_star_us": 1, "grid_start": 0, "grid_stop": 2, "b0_uT": 50}
+    assert sweep.SweepConfig(**ints) == sweep.SweepConfig(**{**PYTHON_BUILT, "b0_uT": 50.0})
+
+
 def test_all_shipped_configs_run_within_budget(tmp_path):
     # every figure family ships a config; the whole batch must complete
     # comfortably inside ten minutes
