@@ -14,6 +14,7 @@ numbers and raises DomainError outside their domain:
 
     nu_stretched(T2_star, p, t)              free decay, exp(-(t/T2*)^p)
     nu_ou(kappa, tau_c, switching)           correlated bath, any switching
+    nu_ou_cpmg(kappa, tau_c, n_pulses, tau)  the same under a grid of echo trains
     nu_ensemble_cpmg(T2, s, p, n_pulses, f)  driven ensemble under a pulse train
     mu_static(b0, sigma_b, delta_ms, t)      constant field, Gaussian spread
     mu_cpmg(b0, sigma_b, f, n_pulses)        oscillating field, pulse train
@@ -29,6 +30,7 @@ interesting parameter values are order one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -87,6 +89,12 @@ def _check_pulses(n_pulses: int) -> None:
         raise DomainError("pulse count must be an even integer >= 2")
 
 
+def _cpmg_flips(n_pulses: int, tau: float):
+    """Flip k of an equally spaced train, (2k - 1)*tau/2, for k = 1..N: the
+    same floats whatever train they start."""
+    return ((2 * k - 1) * (tau / 2.0) for k in range(1, n_pulses + 1))
+
+
 def cpmg_switching(n_pulses: int, tau: float) -> SwitchingFunction:
     """Sign profile of an N-pulse equally spaced echo train.
 
@@ -96,8 +104,7 @@ def cpmg_switching(n_pulses: int, tau: float) -> SwitchingFunction:
     _check_pulses(n_pulses)
     if tau <= 0:
         raise DomainError("tau must be > 0")
-    flips = tuple((2 * k - 1) * (tau / 2.0) for k in range(1, n_pulses + 1))
-    return SwitchingFunction(flips, n_pulses * tau)
+    return SwitchingFunction(tuple(_cpmg_flips(n_pulses, tau)), n_pulses * tau)
 
 
 def nu_stretched(T2_star: float, p: float, t: float) -> float:
@@ -116,6 +123,54 @@ def nu_stretched(T2_star: float, p: float, t: float) -> float:
         return 0.0
 
 
+def _walk_order(flips, trains):
+    """Edges of the walk: ``(t, False)`` at each flip, ``(T, True)`` where a train ends."""
+    flips = iter(flips)
+    done = 0
+    for n, end in trains:
+        if n < done:
+            raise DomainError("trains must come in order of flip count")
+        for t in itertools.islice(flips, n - done):
+            yield t, False
+        done = n
+        yield end, True
+
+
+def dephasing_integrals(rate: float, flips, trains) -> list[float]:
+    """W of every train in a set that shares its first flips, from one walk.
+
+    Train ``(n, T)`` flips at the first ``n`` entries of ``flips`` (strictly
+    increasing, > 0) and ends at ``T``; ``trains`` come in order of ``n``.
+    The recursion state after a segment depends only on the segments before
+    it, so the walk runs once over the flips of the longest train and ends
+    each train with its own last segment, ``[flip_n, T]``: each ``W`` has the
+    bits of a walk over that train alone, and a set of G trains up to n_max
+    flips costs n_max + G segment steps.
+    """
+    if rate <= 0:
+        raise DomainError("rate must be > 0")
+    try:
+        rate2 = rate**2
+    except OverflowError:
+        rate2 = math.inf
+    out = []
+    w = 0.0
+    cross = 0.0  # sum over earlier intervals, discounted to the current edge
+    t0, sign = 0.0, 1
+    for t1, ends in _walk_order(flips, trains):
+        if not t1 > t0:
+            raise DomainError("flip times must be increasing inside (0, T)")
+        d = t1 - t0
+        one_m = -math.expm1(-rate * d)  # 1 - exp(-rate*d), accurate for small d
+        w_t1 = w + (d / rate - one_m / rate2) + sign * cross * one_m / rate2
+        if ends:
+            out.append(w_t1)
+        else:
+            w, cross = w_t1, cross * math.exp(-rate * d) + sign * one_m
+            t0, sign = t1, -sign
+    return out
+
+
 def dephasing_integral(rate: float, switching: SwitchingFunction) -> float:
     """Exact overlap integral of the switched noise filter.
 
@@ -127,39 +182,56 @@ def dephasing_integral(rate: float, switching: SwitchingFunction) -> float:
     the pair sum to one pass over the segments, with every intermediate
     bounded (no large exponentials), so the result is exact to rounding.
     Where ``rate**2`` overflows, the terms divided by it go to 0 (motional
-    narrowing).
+    narrowing).  This is :func:`dephasing_integrals` on one train.
     """
-    if rate <= 0:
-        raise DomainError("rate must be > 0")
-    try:
-        rate2 = rate**2
-    except OverflowError:
-        rate2 = math.inf
-    w = 0.0
-    cross = 0.0  # sum over earlier intervals, discounted to the current edge
-    for t0, t1, sign in switching.segments():
-        d = t1 - t0
-        decay = math.exp(-rate * d)
-        one_m = -math.expm1(-rate * d)  # 1 - exp(-rate*d), accurate for small d
-        w += d / rate - one_m / rate2
-        w += sign * cross * one_m / rate2
-        cross = cross * decay + sign * one_m
-    return w
+    flips = switching.flip_times
+    return dephasing_integrals(rate, flips, [(len(flips), switching.total_time)])[0]
 
 
-def nu_ou(kappa: float, tau_c: float, switching: SwitchingFunction) -> float:
-    """Coherence left by an exponentially correlated bath under switching."""
+def _check_bath(kappa: float, tau_c: float) -> None:
     if kappa < 0:
         raise DomainError("kappa must be >= 0")
     if tau_c <= 0:
         raise DomainError("tau_c must be > 0")
-    if kappa == 0.0:
-        return 1.0
-    w = dephasing_integral(1.0 / tau_c, switching)
+
+
+def _coherence(kappa: float, w: float) -> float:
+    """exp(-kappa**2 * W)."""
     try:
         return math.exp(-(kappa**2) * w)
     except OverflowError:  # kappa**2 overflows; the product may not
         return math.exp(-kappa * (kappa * w))
+
+
+def nu_ou(kappa: float, tau_c: float, switching: SwitchingFunction) -> float:
+    """Coherence exp(-kappa**2 * W) left by an exponentially correlated bath
+    under switching, W the :func:`dephasing_integral` at rate 1/tau_c; 1
+    without a walk when kappa = 0.  :func:`nu_ou_cpmg` gives the same bits
+    for a whole grid of echo trains."""
+    _check_bath(kappa, tau_c)
+    if kappa == 0.0:
+        return 1.0
+    return _coherence(kappa, dephasing_integral(1.0 / tau_c, switching))
+
+
+def nu_ou_cpmg(kappa: float, tau_c: float, n_pulses: list[int], tau: float) -> list[float]:
+    """``nu_ou(kappa, tau_c, cpmg_switching(n, tau))`` for each of the
+    increasing pulse counts ``n_pulses``, bit for bit, from one walk.
+
+    Flip k sits at (2k - 1)*tau/2 in every train, so the trains share their
+    flips and :func:`dephasing_integrals` walks only the longest one.  The
+    flips are made as the walk goes: memory does not grow with the train.
+    """
+    for n in n_pulses:
+        _check_pulses(n)
+    if tau <= 0:
+        raise DomainError("tau must be > 0")
+    _check_bath(kappa, tau_c)
+    if kappa == 0.0:
+        return [1.0] * len(n_pulses)
+    flips = _cpmg_flips(max(n_pulses, default=0), tau)
+    ws = dephasing_integrals(1.0 / tau_c, flips, [(n, n * tau) for n in n_pulses])
+    return [_coherence(kappa, w) for w in ws]
 
 
 def nu_ensemble_cpmg(T2: float, s: float, p: float, n_pulses: int, f: float) -> float:

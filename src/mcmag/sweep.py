@@ -67,8 +67,10 @@ class SweepConfig:
     def __post_init__(self) -> None:
         for key, kind in _KEYS.items():  # None only where the key may be unset
             value = getattr(self, key)
-            if not (isinstance(value, kind) or kind is float and isinstance(value, int)
-                    or value is None and _DEFAULTS[key] is None):
+            if isinstance(value, bool) or not (
+                isinstance(value, kind) or kind is float and isinstance(value, int)
+                or value is None and _DEFAULTS[key] is None
+            ):
                 raise ConfigError(f"key {key!r} must be {kind.__name__}, got {value!r}")
         scenario = SCENARIOS.get(self.scenario)
         if scenario is None:
@@ -152,19 +154,19 @@ class Scenario:
     scenario-dependent keys it reads that a config must and may set;
     ``defaults`` holds the values it uses for unset keys where these are
     not the :class:`SweepConfig` defaults (a config puts them in when it
-    is made).  ``nu(cfg, axis_value)`` and ``mu(cfg, axis_value)`` are the
-    coherence and phase factors at one axis value, from the channel factor
-    functions called with the config's keys.  ``dephasing(cfg, values)``
-    lists validate's Monte Carlo checks of the OU bath (``kappa_per_us``,
-    ``tau_c_us``) as (label, imaginary-part label or None, switching, dt);
-    None: the scenario has no bath.
+    is made).  ``nu(cfg, values)`` lists the coherence factors of a grid of
+    axis values and ``mu(cfg, axis_value)`` is the phase factor at one, from
+    the channel factor functions called with the config's keys.
+    ``dephasing(cfg, values)`` lists validate's Monte Carlo checks of the
+    OU bath (``kappa_per_us``, ``tau_c_us``) as (label, imaginary-part
+    label or None, switching, dt); None: the scenario has no bath.
     """
 
     axis: str
     required: tuple[str, ...]
     optional: tuple[str, ...]
     defaults: dict[str, float]
-    nu: Callable[[SweepConfig, float], float]
+    nu: Callable[[SweepConfig, list[float]], list[float]]
     mu: Callable[[SweepConfig, float], complex]
     dephasing: Callable[[SweepConfig, list[float]], list[tuple]] | None
 
@@ -180,8 +182,8 @@ class Scenario:
         return float(max(2, int(round(value / 2.0)) * 2))
 
 
-def _nu_free(cfg: SweepConfig, t: float) -> float:
-    return channel.nu_stretched(cfg.T2_star_us, cfg.p, float(t))
+def _nu_free(cfg: SweepConfig, times: list[float]) -> list[float]:
+    return [channel.nu_stretched(cfg.T2_star_us, cfg.p, float(t)) for t in times]
 
 
 def _mu_free(cfg: SweepConfig, t: float) -> complex:
@@ -189,13 +191,14 @@ def _mu_free(cfg: SweepConfig, t: float) -> complex:
     return channel.mu_static(cfg.b0_uT, cfg.sigma_b_uT, cfg.delta_ms, float(t))
 
 
-def _nu_train(cfg: SweepConfig, n: float) -> float:
-    switching = channel.cpmg_switching(int(n), 1.0 / (2.0 * cfg.f_MHz))
-    return channel.nu_ou(cfg.kappa_per_us, cfg.tau_c_us, switching)
+def _nu_bath_train(cfg: SweepConfig, counts: list[float]) -> list[float]:
+    """The OU bath under every train of the grid, from one walk to the longest."""
+    tau = 1.0 / (2.0 * cfg.f_MHz)
+    return channel.nu_ou_cpmg(cfg.kappa_per_us, cfg.tau_c_us, [int(n) for n in counts], tau)
 
 
-def _nu_ensemble(cfg: SweepConfig, n: float) -> float:
-    return channel.nu_ensemble_cpmg(cfg.T2_us, cfg.s, cfg.p, int(n), cfg.f_MHz)
+def _nu_ensemble(cfg: SweepConfig, counts: list[float]) -> list[float]:
+    return [channel.nu_ensemble_cpmg(cfg.T2_us, cfg.s, cfg.p, int(n), cfg.f_MHz) for n in counts]
 
 
 def _mu_train(cfg: SweepConfig, n: float) -> complex:
@@ -236,7 +239,7 @@ SCENARIOS = {
     ),
     "cpmg_single": Scenario(
         "pulse count", ("kappa_per_us", "tau_c_us", "f_MHz"), ("sigma_b_uT",), {"delta_ms": 1},
-        _nu_train, _mu_train, _mc_train,
+        _nu_bath_train, _mu_train, _mc_train,
     ),
     "static_ensemble": Scenario(
         "time", ("T2_star_us",), _FREE, {"p": 1.0, "delta_ms": 1},
@@ -340,13 +343,13 @@ def grid_values(cfg: SweepConfig) -> list[float]:
 def factors_at(cfg: SweepConfig, axis_value: float) -> tuple[float, complex]:
     """Coherence and phase factors of one grid point."""
     scenario = SCENARIOS[cfg.scenario]
-    return scenario.nu(cfg, axis_value), scenario.mu(cfg, axis_value)
+    return scenario.nu(cfg, [axis_value])[0], scenario.mu(cfg, axis_value)
 
 
 def _evaluate(cfg: SweepConfig, values: list[float]) -> list[SweepRow]:
     """Rows of the given grid points, solved as one stack."""
     scenario = SCENARIOS[cfg.scenario]
-    nus = [scenario.nu(cfg, v) for v in values]
+    nus = scenario.nu(cfg, values)
     mus = [scenario.mu(cfg, v) for v in values]
     pairs = channel.build_state_stack(np.maximum(nus, NU_FLOOR), mus, cfg.eta0)
     sols = discrim.solve_stack(pairs)

@@ -881,6 +881,19 @@ def test_a_wrongly_typed_value_from_python_names_the_key(key, value):
         dataclasses.replace(sweep.SweepConfig(**PYTHON_BUILT), **{key: value})
 
 
+@pytest.mark.parametrize(
+    "key, kind", [("seed", "int"), ("delta_ms", "int"), ("grid_points", "int"),
+                  ("T2_star_us", "float"), ("b0_uT", "float")],
+)
+def test_a_bool_is_refused_for_a_numeric_key(key, kind):
+    # bool is an int: SweepConfig(..., seed=True, delta_ms=True) used to run.
+    want = f"key {key!r} must be {kind}, got True"
+    with pytest.raises(ConfigError, match=re.escape(want)):
+        sweep.SweepConfig(**{**PYTHON_BUILT, key: True})
+    with pytest.raises(ConfigError, match=re.escape(want)):
+        dataclasses.replace(sweep.SweepConfig(**PYTHON_BUILT), **{key: True})
+
+
 def test_an_int_is_accepted_for_a_float_key():
     ints = {**PYTHON_BUILT, "T2_star_us": 1, "grid_start": 0, "grid_stop": 2, "b0_uT": 50}
     assert sweep.SweepConfig(**ints) == sweep.SweepConfig(**{**PYTHON_BUILT, "b0_uT": 50.0})
