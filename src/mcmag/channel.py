@@ -22,7 +22,7 @@ numbers and raises DomainError outside their domain:
 Where a power in a formula overflows, the function returns the formula's
 limit: a coherence or damping of 0 (or a vanishing 1/rate**2 term).  A
 field phase past the float range has no limit and is a DomainError.
-:func:`build_state_pair` assembles the pair.  Units throughout: time in
+:class:`StatePair` assembles the pair.  Units throughout: time in
 microseconds, frequency in MHz, field in microtesla (gyromagnetic ratio
 :data:`GAMMA_E_DEFAULT`), so every exponent is dimensionless and the
 interesting parameter values are order one.
@@ -312,34 +312,57 @@ def mu_cpmg(b0: float, sigma_b: float, f: float, n_pulses: int) -> complex:
 
 @dataclass(frozen=True)
 class StatePair:
-    """The two hypothesis states, their mixture, and the prior.
+    """The two hypothesis states and their prior mixture, made from ``(nu, mu, eta0)``.
 
-    One pair, or a stack of ``n`` pairs sharing the prior: then ``nu``
-    and ``mu`` have shape ``(n,)`` and the density matrices ``(n, 2, 2)``.
+    ``rho0``, ``rho1`` and ``rho = eta0*rho0 + eta1*rho1`` are derived when the
+    pair is made (by ``dataclasses.replace`` too), after the pair rule: ``nu``
+    in (0, 1] and ``|mu| <= 1`` with 1e-12 of slack clamped away, ``eta0`` in
+    (0, 1), else DomainError.  A scalar ``nu`` makes one pair; an array makes a
+    stack under one prior (matrices ``(n, 2, 2)``), each row bitwise its own pair.
     """
 
     nu: float
     mu: complex
     eta0: float
-    rho0: np.ndarray = field(repr=False, compare=False)
-    rho1: np.ndarray = field(repr=False, compare=False)
-    rho: np.ndarray = field(repr=False, compare=False)
+    rho0: np.ndarray = field(init=False, repr=False, compare=False)
+    rho1: np.ndarray = field(init=False, repr=False, compare=False)
+    rho: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        nu, mu, rho0, rho1 = (_stack_states if np.ndim(self.nu) else _states)(self.nu, self.mu)
+        eta0 = float(self.eta0)
+        if not 0.0 < eta0 < 1.0:
+            raise DomainError(f"eta0 must be in (0, 1), got {eta0}")
+        rho = eta0 * rho0 + (1.0 - eta0) * rho1
+        self.__dict__.update(nu=nu, mu=mu, eta0=eta0, rho0=rho0, rho1=rho1, rho=rho)  # frozen
 
     @property
     def eta1(self) -> float:
         return 1.0 - self.eta0
 
 
-def build_state_stack(nu, mu, eta0: float = 0.5) -> StatePair:
-    """Stack of state pairs for arrays of ``nu`` and ``mu`` under one prior.
+def _states(nu, mu):
+    """The pair rule and ``(nu, mu, rho0, rho1)`` of one pair, in scalar arithmetic."""
+    nu, mu = float(nu), complex(mu)
+    if not 0.0 < nu <= 1.0 + 1e-12:
+        raise DomainError(f"nu must be in (0, 1], got {nu}")
+    if not abs(mu) <= 1.0 + 1e-12:
+        raise DomainError(f"|mu| must be <= 1, got {abs(mu)}")
+    nu = min(nu, 1.0)
+    if abs(mu) > 1.0:
+        mu = mu / abs(mu)
+    off0 = 0.5 * nu
+    off1 = 0.5 * nu * mu
+    rho0 = np.array([[0.5, off0], [off0, 0.5]], dtype=complex)
+    rho1 = np.array([[0.5, off1], [off1.conjugate(), 0.5]], dtype=complex)
+    return nu, mu, rho0, rho1
 
-    Row ``k`` is bitwise ``build_state_pair(nu[k], mu[k], eta0)``: the
-    off-diagonal ``nu*mu/2`` and the rescaling of ``|mu|`` slightly above
-    one repeat Python's complex arithmetic part by part.
-    """
-    nu = np.array(nu, dtype=float).reshape(-1)
+
+def _stack_states(nu, mu):
+    """:func:`_states` of a stack, row ``k`` bitwise ``_states(nu[k], mu[k])``:
+    ``nu*mu/2`` and the rescaling of ``mu`` repeat Python's complex arithmetic."""
+    nu = np.asarray(nu, dtype=float).reshape(-1)
     mu = np.array(mu, dtype=complex).reshape(-1)
-    eta0 = float(eta0)
     size = np.hypot(mu.real, mu.imag)
     bad_nu = ~((0.0 < nu) & (nu <= 1.0 + 1e-12))
     if np.count_nonzero(bad_nu):
@@ -347,8 +370,6 @@ def build_state_stack(nu, mu, eta0: float = 0.5) -> StatePair:
     bad_mu = ~(size <= 1.0 + 1e-12)
     if np.count_nonzero(bad_mu):
         raise DomainError(f"|mu| must be <= 1, got {float(size[bad_mu][0])}")
-    if not 0.0 < eta0 < 1.0:
-        raise DomainError(f"eta0 must be in (0, 1), got {eta0}")
     nu = np.minimum(nu, 1.0)
     over = size > 1.0
     if np.count_nonzero(over):
@@ -362,10 +383,7 @@ def build_state_stack(nu, mu, eta0: float = 0.5) -> StatePair:
     pairs[:, 5] = _parts(off0 * mu.real - 0.0 * mu.imag, off0 * mu.imag + 0.0 * mu.real)
     pairs[:, 6] = np.conj(pairs[:, 5])
     pairs = pairs.reshape(-1, 2, 2, 2)
-    rho0 = pairs[:, 0]
-    rho1 = pairs[:, 1]
-    rho = eta0 * rho0 + (1.0 - eta0) * rho1
-    return StatePair(nu=nu, mu=mu, eta0=eta0, rho0=rho0, rho1=rho1, rho=rho)
+    return nu, mu, pairs[:, 0], pairs[:, 1]
 
 
 def _parts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -375,27 +393,11 @@ def _parts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_state_pair(nu: float, mu: complex, eta0: float = 0.5) -> StatePair:
-    """Assemble rho0, rho1, and the prior mixture rho = eta0*rho0 + eta1*rho1.
+def build_state_stack(nu, mu, eta0: float = 0.5) -> StatePair:
+    """State pairs for arrays of ``nu`` and ``mu`` under one prior (a scalar: a stack of one)."""
+    return StatePair(np.reshape(nu, -1), mu, eta0)
 
-    One pair in scalar arithmetic; :func:`build_state_stack` builds the
-    same matrices for a whole grid at once.
-    """
-    nu = float(nu)
-    mu = complex(mu)
-    eta0 = float(eta0)
-    if not 0.0 < nu <= 1.0 + 1e-12:
-        raise DomainError(f"nu must be in (0, 1], got {nu}")
-    if not abs(mu) <= 1.0 + 1e-12:
-        raise DomainError(f"|mu| must be <= 1, got {abs(mu)}")
-    if not 0.0 < eta0 < 1.0:
-        raise DomainError(f"eta0 must be in (0, 1), got {eta0}")
-    nu = min(nu, 1.0)
-    if abs(mu) > 1.0:
-        mu = mu / abs(mu)
-    off0 = 0.5 * nu
-    off1 = 0.5 * nu * mu
-    rho0 = np.array([[0.5, off0], [off0, 0.5]], dtype=complex)
-    rho1 = np.array([[0.5, off1], [np.conj(off1), 0.5]], dtype=complex)
-    rho = eta0 * rho0 + (1.0 - eta0) * rho1
-    return StatePair(nu=nu, mu=mu, eta0=eta0, rho0=rho0, rho1=rho1, rho=rho)
+
+def build_state_pair(nu: float, mu: complex, eta0: float = 0.5) -> StatePair:
+    """One state pair in scalar arithmetic; :func:`build_state_stack` makes a grid of them."""
+    return StatePair(float(nu), mu, eta0)

@@ -64,8 +64,9 @@ def measurement_vector(op: np.ndarray) -> np.ndarray:
     """Weighted vector |p> with op = |p><p|; zero vector for a zero operator.
 
     ``op`` is one operator or a stack of them; each gets its own vector.
+    A non-Hermitian operator raises :class:`~mcmag.errors.HermiticityError`.
     """
-    eigvals, eigvecs = qmat.herm_eig2(op)
+    eigvals, eigvecs = qmat.herm_eig2(qmat.require_hermitian(op))
     top = np.maximum(eigvals[..., 1], 0.0)
     bad = eigvals[..., 0] > _RANK_TOL * np.maximum(1.0, top)
     if np.count_nonzero(bad):

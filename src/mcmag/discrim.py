@@ -178,10 +178,6 @@ _MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
 def _check_pair(pair: StatePair) -> None:
     if not isinstance(pair, StatePair):
         raise DomainError("expected a StatePair")
-    if not (0.0 < pair.nu <= 1.0) or abs(pair.mu) > 1.0 + 1e-12:
-        raise DomainError("state pair outside its domain")
-    if not (0.0 < pair.eta0 < 1.0):
-        raise DomainError("eta0 must be in (0, 1)")
 
 
 def _detector_state(s_inv: np.ndarray, rho0: np.ndarray, eta0: float) -> np.ndarray:
@@ -192,7 +188,7 @@ def solve_stack(pairs: StatePair) -> SolutionStack:
     """Closed-form maximum-confidence measurement of every pair in a stack.
 
     ``pairs`` comes from :func:`~mcmag.channel.build_state_stack`, or is
-    one checked pair (a stack of one).  Every row runs the same array
+    one pair (a stack of one).  Every row runs the same array
     operations, so row k is bitwise the solution of pair k on its own.
     Pairs whose mixture is rank-deficient or whose transformed detector
     state is scalar take the ``degenerate`` branch: the hypotheses are

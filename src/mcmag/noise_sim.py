@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import StatePair, SwitchingFunction, free_decay
+from .channel import StatePair, SwitchingFunction, _check_bath, free_decay
 from .discrim import Povm
 from .errors import DomainError
 
@@ -61,10 +61,7 @@ class OuParams:
     n_traj: int
 
     def __post_init__(self) -> None:
-        if self.kappa < 0:
-            raise DomainError("kappa must be >= 0")
-        if self.tau_c <= 0:
-            raise DomainError("tau_c must be > 0")
+        _check_bath(self.kappa, self.tau_c)
         if not 0 < self.dt <= self.tau_c / 50.0:
             raise DomainError("dt must satisfy 0 < dt <= tau_c/50")
         if self.T <= 0:

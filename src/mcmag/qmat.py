@@ -10,6 +10,8 @@ deterministic -- repeated calls on identical input return
 bitwise-identical output, which the sweep tooling relies on.
 
 Matrices are plain ``numpy`` arrays of ``complex128``; no wrapper types.
+Input is Hermitian by contract and is not checked here; the dilation
+checks a user's operators with :func:`require_hermitian`.
 Bitwise stability rests on a few rules: magnitudes of complex numbers
 are ``np.hypot`` of the parts, inner products and norms go through
 ``np.vecdot`` and ``@`` (the BLAS dot and gemv kernels, as ``np.vdot``
@@ -69,6 +71,7 @@ def require_hermitian(m: np.ndarray) -> np.ndarray:
     """Return ``m`` as a complex array, raising if any matrix is not Hermitian.
 
     Matrix k fails when ``max|m_k - m_k^H| > HERM_TOL * max(1, max|m_k|)``.
+    The kernels here trust their input; the dilation calls this on its operators.
     """
     m = np.asarray(m, dtype=complex)
     dev = np.abs(m - _dagger(m))
@@ -102,9 +105,9 @@ def pin_phase(vec: np.ndarray) -> np.ndarray:
 
 
 def _mean_radius(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hermitian-checked ``m`` as an ``(n, 4)`` stack of flattened matrices,
-    with the mean and half-gap of each spectrum."""
-    flat = require_hermitian(m).reshape(-1, 4)
+    """``m`` as an ``(n, 4)`` stack of flattened matrices, with the mean and
+    half-gap of each spectrum (read from the diagonal and the upper corner)."""
+    flat = np.asarray(m, dtype=complex).reshape(-1, 4)
     a = flat[:, 0].real
     c = flat[:, 3].real
     b = flat[:, 1]

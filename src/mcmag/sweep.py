@@ -272,7 +272,7 @@ DOMAINS: dict[str, tuple[Callable[[object], bool], str]] = {
     "grid_points": (lambda v: v >= 2, ">= 2"),
     "grid_scale": (lambda v: v in ("lin", "log"), "'lin' or 'log'"),
     "sigma_b_uT": (lambda v: v >= 0, ">= 0"),
-    "f_MHz": (lambda v: v > 0 and 1.0 / (2.0 * v) < math.inf, "> 0 with 1/(2*f_MHz) finite"),
+    "f_MHz": (lambda v: v > 0 and 0 < 1 / (2 * v) < math.inf, "> 0 with 1/(2*f_MHz) in (0, inf)"),
     "kappa_per_us": (lambda v: v >= 0, ">= 0"),
     "tau_c_us": (lambda v: v > 0, "> 0"),
     "T2_star_us": (lambda v: v > 0, "> 0"),

@@ -229,11 +229,13 @@ def test_build_state_pair_entries():
             channel.build_state_pair(*bad)
 
 
-def test_state_pair_needs_its_matrices():
-    # A pair without its density matrices used to construct, and the solver
-    # then failed deep inside with "'NoneType' object has no attribute 'reshape'".
-    with pytest.raises(TypeError, match="'rho0', 'rho1', and 'rho'"):
-        channel.StatePair(0.5, 0.3, 0.5)
+def test_state_pair_is_made_from_its_factors():
+    # A pair took its three density matrices as arguments and raised
+    # TypeError without them; it now derives them from (nu, mu, eta0).
+    pair = channel.StatePair(0.5, 0.3, 0.5)
+    built = channel.build_state_pair(0.5, 0.3, 0.5)
+    for name in ("rho0", "rho1", "rho"):
+        assert getattr(pair, name).tobytes() == getattr(built, name).tobytes()
 
 
 def test_factors_bounded_and_unit_at_zero():

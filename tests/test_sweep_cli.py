@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import io
@@ -166,6 +167,29 @@ def test_readme_key_domains_match_the_code():
         key, rule = (cell.strip() for cell in row.strip("|").split("|"))
         documented[key.strip("`")] = rule
     assert documented == {key: rule for key, (_, rule) in sweep.DOMAINS.items()}
+
+
+def test_readme_python_examples_run():
+    # Each statement of the README's python blocks runs in order; one whose
+    # comment says "ConfigError: <message>..." must raise it.
+    readme = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 2
+    raised = []
+    for block in blocks:
+        scope = {}
+        lines = block.splitlines()
+        for node in ast.parse(block).body:
+            code = compile(ast.Module([node], []), "README.md", "exec")
+            comment = lines[node.end_lineno - 1].partition("#")[2].strip()
+            if not comment.startswith("ConfigError: "):
+                exec(code, scope)
+                continue
+            with pytest.raises(ConfigError) as err:
+                exec(code, scope)
+            raised.append(str(err.value))
+            assert str(err.value).startswith(comment.removeprefix("ConfigError: ").rstrip(". "))
+    assert raised == ["key 'sigma_b_uT': scenario 'static_single' takes only sigma_b_uT = 0"]
 
 
 def test_duplicate_key_rejected():
@@ -598,8 +622,10 @@ OUT_OF_DOMAIN = {
     "grid_scale": ("cubic",),
     "sigma_b_uT": ("-1",),
     # 1e-310: 1/(2*f_MHz) overflowed and cpmg_switching failed with "flip
-    # times must be increasing inside (0, T)", which names no key.
-    "f_MHz": ("0", "-1", "1e-310"),
+    # times must be increasing inside (0, T)", which names no key.  1.7e308:
+    # 1/(2*f_MHz) underflowed to 0 and cpmg_single failed with "tau must be
+    # > 0", which names no key.
+    "f_MHz": ("0", "-1", "1e-310", "1.7e308"),
     "kappa_per_us": ("-1",),
     "tau_c_us": ("0",),
     "T2_star_us": ("0", "-1"),
@@ -660,6 +686,7 @@ EXTREME = [
     ("cpmg_single", {"kappa_per_us": "1e200"}),
     ("cpmg_single", {"tau_c_us": "1e-300"}),
     ("cpmg_ensemble", {"sigma_b_uT": "0.2", "f_MHz": "1e-200"}),
+    ("cpmg_single", {"f_MHz": "8e307"}),  # the pulse spacing is subnormal
     ("static_single", {"b0_uT": "1e307"}),
     ("static_ensemble_dq", {"b0_uT": "1e307"}),
 ]
