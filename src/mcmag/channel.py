@@ -54,7 +54,7 @@ class SwitchingFunction:
     total_time: float
 
     def __post_init__(self) -> None:
-        if self.total_time <= 0:
+        if not self.total_time > 0:
             raise DomainError("total_time must be > 0")
         prev = 0.0
         for t in self.flip_times:
@@ -102,7 +102,7 @@ def cpmg_switching(n_pulses: int, tau: float) -> SwitchingFunction:
     N flips on [0, N*tau] and a time-average of exactly zero.
     """
     _check_pulses(n_pulses)
-    if tau <= 0:
+    if not tau > 0:
         raise DomainError("tau must be > 0")
     return SwitchingFunction(tuple(_cpmg_flips(n_pulses, tau)), n_pulses * tau)
 
@@ -113,7 +113,7 @@ def nu_stretched(T2_star: float, p: float, t: float) -> float:
         raise DomainError("T2_star must be > 0")
     if not p > 0:
         raise DomainError("stretch exponent p must be > 0")
-    if t < 0:
+    if not t >= 0:
         raise DomainError("time must be >= 0")
     if t == 0.0:
         return 1.0
@@ -147,7 +147,7 @@ def dephasing_integrals(rate: float, flips, trains) -> list[float]:
     bits of a walk over that train alone, and a set of G trains up to n_max
     flips costs n_max + G segment steps.
     """
-    if rate <= 0:
+    if not rate > 0:
         raise DomainError("rate must be > 0")
     try:
         rate2 = rate**2
@@ -180,18 +180,27 @@ def dephasing_integral(rate: float, switching: SwitchingFunction) -> float:
     piecewise constant, the double integral splits into interval pairs
     with closed-form exponential moments; a running suffix sum collapses
     the pair sum to one pass over the segments, with every intermediate
-    bounded (no large exponentials), so the result is exact to rounding.
-    Where ``rate**2`` overflows, the terms divided by it go to 0 (motional
-    narrowing).  This is :func:`dephasing_integrals` on one train.
+    bounded (no large exponentials).  Where ``rate**2`` overflows, the
+    terms divided by it go to 0 (motional narrowing).
+
+    The result is not exact to rounding for a slow bath, because two
+    cancellations lose digits.  Within one segment of length d, ``d/rate``
+    and ``(1 - exp(-rate*d))/rate**2`` nearly cancel when ``rate*d`` is
+    small; across an echo train the segments' contributions cancel each
+    other as the static part of the bath is refocused.  Against the same
+    recursion in decimal arithmetic at 120 to 600 digits, W of free decay
+    over T = 1 has a relative error of 2.7e-15 at tau_c = 25 and 3.9e-9
+    at tau_c = 1e7, and W of 100 echoes (tau = 0.5) at tau_c = 1e7 is 68%
+    off (ROADMAP item 1).  This is :func:`dephasing_integrals` on one train.
     """
     flips = switching.flip_times
     return dephasing_integrals(rate, flips, [(len(flips), switching.total_time)])[0]
 
 
 def _check_bath(kappa: float, tau_c: float) -> None:
-    if kappa < 0:
+    if not kappa >= 0:
         raise DomainError("kappa must be >= 0")
-    if tau_c <= 0:
+    if not tau_c > 0:
         raise DomainError("tau_c must be > 0")
 
 
@@ -224,7 +233,7 @@ def nu_ou_cpmg(kappa: float, tau_c: float, n_pulses: list[int], tau: float) -> l
     """
     for n in n_pulses:
         _check_pulses(n)
-    if tau <= 0:
+    if not tau > 0:
         raise DomainError("tau must be > 0")
     _check_bath(kappa, tau_c)
     if kappa == 0.0:
@@ -266,7 +275,7 @@ def mu_static(b0: float, sigma_b: float, delta_ms: int, t: float) -> complex:
         raise DomainError("sigma_b must be >= 0")
     if delta_ms not in (1, 2):
         raise DomainError("delta_ms must be 1 or 2")
-    if t < 0:
+    if not t >= 0:
         raise DomainError("time must be >= 0")
     g = GAMMA_E_DEFAULT
     phase = -2.0 * math.pi * g * b0 * t * delta_ms
@@ -370,6 +379,8 @@ def _stack_states(nu, mu):
     bad_mu = ~(size <= 1.0 + 1e-12)
     if np.count_nonzero(bad_mu):
         raise DomainError(f"|mu| must be <= 1, got {float(size[bad_mu][0])}")
+    if nu.size != mu.size:
+        raise DomainError(f"nu and mu must have one length, got {nu.size} and {mu.size}")
     nu = np.minimum(nu, 1.0)
     over = size > 1.0
     if np.count_nonzero(over):

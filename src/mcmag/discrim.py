@@ -52,14 +52,15 @@ _I2 = np.eye(2, dtype=complex)
 DEGENERACY_TOL = 1e-12
 
 BRANCHES = ("interior", "boundary_a", "boundary_b", "degenerate")
+_BRANCH_NAMES = np.array(BRANCHES)  # a stack's branch index -> its name
 
 
 @dataclass(frozen=True)
 class Povm:
     """Three-outcome measurement (detector 0, detector 1, inconclusive).
 
-    Each field is a 2x2 operator; in a :class:`SolutionStack` each carries
-    a leading axis of length n.
+    Each field is a 2x2 operator; in a stacked :class:`McSolution` or
+    :class:`ThresholdResult` each carries a leading axis of length n.
     """
 
     pi0: np.ndarray
@@ -72,43 +73,33 @@ class Povm:
 
 @dataclass(frozen=True)
 class McSolution:
-    """Closed-form solver output.
+    """Closed-form solver output: numbers for one pair, or one array per
+    field for a stack of n pairs (:func:`solve_stack`), row k the solution
+    of pair k.
 
     Unless the pair is degenerate (confidences at the priors), ``c0_max``
     is the top eigenvalue of ``eta0 * rho^(-1/2) rho0 rho^(-1/2)`` and
     ``c1_max`` one minus its bottom one, both clipped to [0, 1].
+    ``branch`` names the solution family, one of :data:`BRANCHES`.  In a
+    stack ``c0_max``, ``c1_max``, ``p_inc_opt`` and ``branch`` (the names)
+    have shape ``(n,)`` and the operators of ``povm`` the same leading axis.
     """
 
-    c0_max: float
-    c1_max: float
-    p_inc_opt: float
+    c0_max: float | np.ndarray
+    c1_max: float | np.ndarray
+    p_inc_opt: float | np.ndarray
     povm: Povm
-    branch: str
-
-
-@dataclass(frozen=True)
-class SolutionStack:
-    """Closed-form solutions of a stack of n pairs, one array per field.
-
-    Row k is the solution of pair k: ``c0_max``, ``c1_max``, ``p_inc_opt``
-    and ``branch`` (an index into :data:`BRANCHES`) have shape ``(n,)``;
-    the operators of ``povm`` carry the same leading axis.
-    """
-
-    c0_max: np.ndarray
-    c1_max: np.ndarray
-    p_inc_opt: np.ndarray
-    branch: np.ndarray
-    povm: Povm
+    branch: str | np.ndarray
 
     def row(self, k: int) -> McSolution:
+        """The solution of pair k of a stack."""
         p = self.povm
         return McSolution(
             c0_max=float(self.c0_max[k]),
             c1_max=float(self.c1_max[k]),
             p_inc_opt=float(self.p_inc_opt[k]),
             povm=Povm(pi0=p.pi0[k], pi1=p.pi1[k], pi_inc=p.pi_inc[k]),
-            branch=BRANCHES[self.branch[k]],
+            branch=str(self.branch[k]),
         )
 
 
@@ -184,7 +175,7 @@ def _detector_state(s_inv: np.ndarray, rho0: np.ndarray, eta0: float) -> np.ndar
     return _hermitize(eta0 * (s_inv @ rho0 @ s_inv))
 
 
-def solve_stack(pairs: StatePair) -> SolutionStack:
+def solve_stack(pairs: StatePair) -> McSolution:
     """Closed-form maximum-confidence measurement of every pair in a stack.
 
     ``pairs`` comes from :func:`~mcmag.channel.build_state_stack`, or is
@@ -227,7 +218,7 @@ def solve_stack(pairs: StatePair) -> SolutionStack:
 
     p_inc, c0_max, c1_max = values.T
     povm = Povm(pi0=ops[:, 0], pi1=ops[:, 1], pi_inc=ops[:, 2])
-    return SolutionStack(c0_max=c0_max, c1_max=c1_max, p_inc_opt=p_inc, branch=branch, povm=povm)
+    return McSolution(c0_max, c1_max, p_inc, povm, _BRANCH_NAMES[branch])
 
 
 def _measure(rho: np.ndarray, s_inv: np.ndarray, gamma: qmat.EigPair2):
@@ -291,6 +282,7 @@ def achieved_confidences(povm: Povm, pair: StatePair) -> tuple[float | None, flo
     Returns ``None`` for a detector that never fires (firing probability
     at most ``_ZERO_FIRE``), where the conditional probability is undefined.
     """
+    _check_pair(pair)
     c0, c1 = _confidence_stack(np.stack((povm.pi0, povm.pi1)), pair).tolist()
     return (None if math.isnan(c0) else c0), (None if math.isnan(c1) else c1)
 
@@ -340,7 +332,7 @@ def min_error_projectors(pair: StatePair) -> Povm:
     return Povm(*_min_error_ops(pair)[0])
 
 
-def threshold_stack(sols: SolutionStack, pairs: StatePair, p_thresh: float) -> ThresholdResult:
+def threshold_stack(sols: McSolution, pairs: StatePair, p_thresh: float) -> ThresholdResult:
     """Cap the inconclusive rate of every row of a stack at ``p_thresh``.
 
     Rows whose optimum already satisfies the cap pass through untouched.
@@ -352,36 +344,35 @@ def threshold_stack(sols: SolutionStack, pairs: StatePair, p_thresh: float) -> T
     shrinks, so Tr(rho Pi_?) = p_thresh holds exactly, positivity is
     automatic, and mix = 1 reproduces the minimum-error measurement.
     Confidences are re-evaluated on the mixed measurement.  ``sols`` is
-    :func:`solve_stack` of ``pairs``; row k of the result is bitwise
+    :func:`solve_stack` of ``pairs``, or the one-pair solution of one pair
+    (a stack of one); row k of the result is bitwise
     :func:`threshold_inconclusive` of pair k.
     """
     if not 0.0 <= p_thresh <= 1.0:
         raise DomainError("p_thresh must be in [0, 1]")
-    over = ~(sols.p_inc_opt <= p_thresh)
+    c0_max, c1_max, p_inc_opt = np.array((sols.c0_max, sols.c1_max, sols.p_inc_opt)).reshape(3, -1)
+    optimum = [op.reshape(-1, 2, 2) for op in sols.povm.operators()]
+    over = ~(p_inc_opt <= p_thresh)
     n_over = np.count_nonzero(over)
     if not n_over:
         return ThresholdResult(
-            povm=sols.povm,
-            c0=sols.c0_max,
-            c1=sols.c1_max,
-            p_inc=sols.p_inc_opt,
-            mix=np.zeros(len(over)),
+            povm=Povm(*optimum), c0=c0_max, c1=c1_max, p_inc=p_inc_opt, mix=np.zeros(len(over))
         )
     # Rows under the cap get mix = 1 here and keep their optimum below.
-    mix = 1.0 - p_thresh / np.where(over, sols.p_inc_opt, np.inf)
+    mix = 1.0 - p_thresh / np.where(over, p_inc_opt, np.inf)
     ops = _min_error_ops(pairs)
     if p_thresh > 0.0:  # else mix = 1: the minimum-error measurement itself
         weight = mix[:, None, None, None]
-        optimum = np.stack((sols.povm.pi0, sols.povm.pi1), axis=1)
-        ops[:, :2] = _hermitize((1.0 - weight) * optimum + weight * ops[:, :2])
+        detectors = np.stack(optimum[:2], axis=1)
+        ops[:, :2] = _hermitize((1.0 - weight) * detectors + weight * ops[:, :2])
         ops[:, 2] = _hermitize(_I2 - ops[:, 0] - ops[:, 1])
     c0, c1 = _confidence_stack(ops[:, :2], pairs).T
     p_inc = _trace(pairs.rho @ ops[:, 2])
     if n_over < len(over):  # rows under the cap keep their optimum
-        ops = np.where(over[:, None, None, None], ops, np.stack(sols.povm.operators(), axis=1))
-        c0 = np.where(over, c0, sols.c0_max)
-        c1 = np.where(over, c1, sols.c1_max)
-        p_inc = np.where(over, p_inc, sols.p_inc_opt)
+        ops = np.where(over[:, None, None, None], ops, np.stack(optimum, axis=1))
+        c0 = np.where(over, c0, c0_max)
+        c1 = np.where(over, c1, c1_max)
+        p_inc = np.where(over, p_inc, p_inc_opt)
         mix = np.where(over, mix, 0.0)
     return ThresholdResult(povm=Povm(*ops.swapaxes(0, 1)), c0=c0, c1=c1, p_inc=p_inc, mix=mix)
 
@@ -391,10 +382,9 @@ def threshold_inconclusive(
 ) -> ThresholdResult:
     """Cap the inconclusive rate at ``p_thresh``: :func:`threshold_stack` on one pair."""
     _check_pair(pair)
-    c0, c1, p_inc = np.array([[sol.c0_max], [sol.c1_max], [sol.p_inc_opt]])
-    branch = np.array([BRANCHES.index(sol.branch)])
-    povm = Povm(sol.povm.pi0[None], sol.povm.pi1[None], sol.povm.pi_inc[None])
-    return threshold_stack(SolutionStack(c0, c1, p_inc, branch, povm), pair, p_thresh).row(0)
+    if not isinstance(sol.branch, str):
+        raise DomainError("expected the solution of one pair")
+    return threshold_stack(sol, pair, p_thresh).row(0)
 
 
 def conditional_error_stack(povm: Povm, pairs: StatePair) -> tuple[np.ndarray, np.ndarray]:

@@ -34,13 +34,14 @@ bit for bit and independent of any thread-count setting.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import StatePair, SwitchingFunction, _check_bath, free_decay
-from .discrim import Povm
+from .discrim import Povm, _check_pair
 from .errors import DomainError
 
 _CHUNK = 2048  # trajectories per chunk, while a chunk's path fits _CHUNK_BYTES
@@ -64,8 +65,10 @@ class OuParams:
         _check_bath(self.kappa, self.tau_c)
         if not 0 < self.dt <= self.tau_c / 50.0:
             raise DomainError("dt must satisfy 0 < dt <= tau_c/50")
-        if self.T <= 0:
+        if not self.T > 0:
             raise DomainError("T must be > 0")
+        if isinstance(self.n_traj, bool) or not isinstance(self.n_traj, numbers.Integral):
+            raise DomainError(f"n_traj must be an int, got {self.n_traj!r}")
         if not 1 <= self.n_traj <= _MAX_STREAMS:
             raise DomainError("n_traj must be in [1, 2**64]")
         if self.seed < 0:
@@ -87,11 +90,19 @@ class DephasingEstimate:
 class ClickTally:
     """Counts of (true state j, outcome k) with k in (0, 1, inconclusive)."""
 
-    counts: np.ndarray  # shape (2, 3), integer
+    counts: np.ndarray  # shape (2, 3), non-negative integers
     shots: int
 
     def __post_init__(self) -> None:
-        if int(np.sum(self.counts)) != self.shots:
+        counts = self.counts
+        if not (
+            isinstance(counts, np.ndarray)
+            and counts.shape == (2, 3)
+            and np.issubdtype(counts.dtype, np.integer)
+            and not np.count_nonzero(counts < 0)
+        ):
+            raise DomainError("counts must be a (2, 3) array of non-negative integers")
+        if int(np.sum(counts)) != self.shots:
             raise DomainError("tally does not add up to the shot count")
 
 
@@ -264,6 +275,7 @@ def empirical_dephasing(
 
 def simulate_clicks(povm: Povm, pair: StatePair, shots: int, seed: int) -> ClickTally:
     """Sample (true state, outcome) pairs from the Born probabilities."""
+    _check_pair(pair)
     if shots < 1:
         raise DomainError("shots must be >= 1")
     if seed < 0:

@@ -383,7 +383,7 @@ def _evaluate(cfg: SweepConfig, values: list[float]) -> list[SweepRow]:
         helstrom.tolist(),
         [e if ok else None for e, ok in zip(cond.tolist(), defined.tolist())],
         [r if ok else None for r, ok in zip(rel.tolist(), rel_defined.tolist())],
-        [discrim.BRANCHES[code] for code in sols.branch.tolist()],
+        sols.branch.tolist(),
     )
     return [SweepRow(*cells) for cells in zip(*columns)]
 

@@ -1,0 +1,149 @@
+"""Every public entry point refuses an input outside its domain when called,
+NaN included, and names what is wrong: README's "fails early" rule."""
+
+import inspect
+import math
+
+import numpy as np
+import pytest
+
+from mcmag import channel, discrim, noise_sim
+from mcmag.channel import build_state_pair, build_state_stack, free_decay
+from mcmag.errors import DomainError
+from mcmag.noise_sim import ClickTally, OuParams
+
+NAN = math.nan
+OU = {"kappa": 1.0, "tau_c": 25.0, "dt": 0.1, "T": 1.0, "seed": 0, "n_traj": 10}
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: channel.nu_ou(NAN, 25.0, free_decay(1.0)), "kappa must be >= 0"),
+        (lambda: channel.nu_ou(1.0, NAN, free_decay(1.0)), "tau_c must be > 0"),
+        (lambda: channel.nu_ou_cpmg(NAN, 25.0, [2], 0.5), "kappa must be >= 0"),
+        (lambda: channel.nu_ou_cpmg(1.0, NAN, [2], 0.5), "tau_c must be > 0"),
+        (lambda: channel.nu_ou_cpmg(1.0, 25.0, [2], NAN), "tau must be > 0"),
+        (lambda: channel.cpmg_switching(2, NAN), "tau must be > 0"),
+        (lambda: channel.dephasing_integral(NAN, free_decay(1.0)), "rate must be > 0"),
+        (lambda: channel.dephasing_integrals(NAN, [], [(0, 1.0)]), "rate must be > 0"),
+        (lambda: channel.nu_stretched(1.0, 2.0, NAN), "time must be >= 0"),
+        (lambda: channel.mu_static(1.0, 0.0, 1, NAN), "time must be >= 0"),
+        (lambda: free_decay(NAN), "total_time must be > 0"),
+        (lambda: OuParams(**{**OU, "kappa": NAN}), "kappa must be >= 0"),
+        (lambda: OuParams(**{**OU, "tau_c": NAN}), "tau_c must be > 0"),
+        (lambda: OuParams(**{**OU, "T": NAN}), "T must be > 0"),
+    ],
+    ids=[
+        "nu_ou-kappa", "nu_ou-tau_c", "nu_ou_cpmg-kappa", "nu_ou_cpmg-tau_c", "nu_ou_cpmg-tau",
+        "cpmg_switching-tau", "dephasing_integral-rate", "dephasing_integrals-rate",
+        "nu_stretched-t", "mu_static-t", "free_decay-T", "OuParams-kappa", "OuParams-tau_c",
+        "OuParams-T",
+    ],
+)
+def test_nan_is_refused_with_the_domain_message(call, message):
+    # Each comparison was written so that NaN passed it (``t < 0``): the
+    # call returned nan, blamed another argument (mu_static named b0), or
+    # failed later with a message that names no argument.
+    with pytest.raises(DomainError, match=f"^{message}"):
+        call()
+
+
+@pytest.mark.parametrize("n_traj", [2.5, 10.0, "10", True])
+def test_a_trajectory_count_must_be_an_int(n_traj):
+    # 2.5 was accepted and failed with a TypeError in the Monte Carlo.
+    with pytest.raises(DomainError, match="n_traj"):
+        OuParams(**{**OU, "n_traj": n_traj})
+
+
+def test_a_numpy_int_is_a_trajectory_count():
+    assert OuParams(**{**OU, "n_traj": np.int64(10)}).n_traj == 10
+
+
+def one_pair_calls():
+    """Every public function of ``discrim`` and ``noise_sim`` that takes one
+    ``pair``, with its required arguments: ``(function, names)``."""
+    calls = {}
+    for module in (discrim, noise_sim):
+        for name, fn in vars(module).items():
+            public = not name.startswith("_") and inspect.isfunction(fn)
+            if not public or fn.__module__ != module.__name__:
+                continue
+            params = inspect.signature(fn).parameters
+            if "pair" in params:
+                required = [p for p, spec in params.items() if spec.default is spec.empty]
+                calls[f"{module.__name__}.{name}"] = (fn, required)
+    return calls
+
+
+CALLS = one_pair_calls()
+NOT_PAIRS = [
+    (build_state_pair(0.8, 0.5j, 0.5).rho0, build_state_pair(0.8, 0.5j, 0.5).rho1),
+    (1, 2),
+    None,
+]
+
+
+def test_the_one_pair_calls_are_found():
+    assert {
+        "mcmag.discrim.solve_max_confidence", "mcmag.discrim.threshold_inconclusive",
+        "mcmag.discrim.achieved_confidences", "mcmag.noise_sim.simulate_clicks",
+    } <= set(CALLS)
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+@pytest.mark.parametrize("bad", NOT_PAIRS, ids=["matrices", "tuple", "None"])
+def test_every_one_pair_call_checks_the_pair(name, bad):
+    # achieved_confidences and simulate_clicks raised AttributeError.
+    pair = build_state_pair(0.8, np.exp(-0.3j), 0.5)
+    sol = discrim.solve_max_confidence(pair)
+    others = {"pair": bad, "sol": sol, "povm": sol.povm, "p_thresh": 0.5, "shots": 10, "seed": 0}
+    fn, required = CALLS[name]
+    args = [others[p] for p in required]
+    with pytest.raises(DomainError, match="expected a StatePair"):
+        fn(*args)
+
+
+def test_the_one_pair_cap_refuses_a_stacked_solution():
+    # A stack's solution used to fail in the conversion to a stack of one
+    # with numpy's "truth value of an array is ambiguous".
+    pair = build_state_pair(0.8, 0.9j, 0.5)
+    sols = discrim.solve_stack(build_state_stack([0.3, 0.8], [0.1, 0.9j], 0.5))
+    for cap in (0.1, 1.0):
+        with pytest.raises(DomainError, match="expected the solution of one pair"):
+            discrim.threshold_inconclusive(sols, pair, cap)
+
+
+@pytest.mark.parametrize(
+    "nu, mu, lengths",
+    [([0.5, 0.6], [0.3j], (2, 1)), ([0.5, 0.6], [0.3j, 0.1, 0.2], (2, 3)),
+     ([0.5], [0.3j, 0.1], (1, 2)), ([0.5, 0.6], 0.3j, (2, 1))],
+)
+def test_a_stack_has_one_length(nu, mu, lengths):
+    # [0.5, 0.6] with [0.3j] made a record whose mu had one entry and its
+    # matrices two rows; with three mu values numpy's broadcast failed.
+    with pytest.raises(DomainError, match=f"one length, got {lengths[0]} and {lengths[1]}$"):
+        build_state_stack(nu, mu, 0.5)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        np.array([[1, 2], [3, 4]]),
+        np.array([[-1, 2, 0], [3, 4, 2]]),
+        np.array([[0.5, 1.5, 0], [3, 4, 1]]),
+        np.array([1, 2, 0, 3, 4, 0]),
+        [[1, 2, 0], [3, 4, 0]],
+    ],
+    ids=["2x2", "negative", "fractional", "flat", "list"],
+)
+def test_a_tally_is_two_rows_of_three_counts(counts):
+    # The 2x2 tally was accepted, and a negative count made
+    # empirical_confidence fail with "ValueError: math domain error".
+    with pytest.raises(DomainError, match="counts"):
+        ClickTally(counts, int(np.sum(counts)))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+def test_a_tally_takes_any_integer_dtype(dtype):
+    assert ClickTally(np.array([[1, 2, 0], [3, 4, 0]], dtype=dtype), 10).shots == 10
