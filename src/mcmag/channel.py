@@ -326,8 +326,9 @@ class StatePair:
     ``rho0``, ``rho1`` and ``rho = eta0*rho0 + eta1*rho1`` are derived when the
     pair is made (by ``dataclasses.replace`` too), after the pair rule: ``nu``
     in (0, 1] and ``|mu| <= 1`` with 1e-12 of slack clamped away, ``eta0`` in
-    (0, 1), else DomainError.  A scalar ``nu`` makes one pair; an array makes a
-    stack under one prior (matrices ``(n, 2, 2)``), each row bitwise its own pair.
+    (0, 1), else DomainError.  Scalars ``nu`` and ``mu`` make one pair; an array in
+    either makes a stack under one prior (matrices ``(n, 2, 2)``), each row bitwise
+    its own pair.
     """
 
     nu: float
@@ -338,7 +339,8 @@ class StatePair:
     rho: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        nu, mu, rho0, rho1 = (_stack_states if np.ndim(self.nu) else _states)(self.nu, self.mu)
+        stack = np.ndim(self.nu) or np.ndim(self.mu)
+        nu, mu, rho0, rho1 = (_stack_states if stack else _states)(self.nu, self.mu)
         eta0 = float(self.eta0)
         if not 0.0 < eta0 < 1.0:
             raise DomainError(f"eta0 must be in (0, 1), got {eta0}")

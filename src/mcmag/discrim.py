@@ -169,6 +169,8 @@ _MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
 def _check_pair(pair: StatePair) -> None:
     if not isinstance(pair, StatePair):
         raise DomainError("expected a StatePair")
+    if isinstance(pair.nu, np.ndarray):
+        raise DomainError(f"expected one pair, got a stack of {pair.nu.size}")
 
 
 def _detector_state(s_inv: np.ndarray, rho0: np.ndarray, eta0: float) -> np.ndarray:
@@ -298,9 +300,10 @@ def _confidence_stack(detectors: np.ndarray, pairs: StatePair):
 
 
 def min_error_stack(pairs: StatePair) -> np.ndarray:
-    """Helstrom bound of every pair in a stack (row k = pair k)."""
-    diff = _hermitize(pairs.eta1 * pairs.rho1 - pairs.eta0 * pairs.rho0)
-    return 0.5 * (1.0 - qmat.trace_norm_herm2(diff))
+    """Helstrom bound of every pair in a stack (row k = pair k): ``1/2 - max(|d|, |z|)``
+    for ``eta1*rho1 - eta0*rho0 = [[d, z], [z*, d]]`` (both states have diagonal 1/2)."""
+    z = pairs.eta1 * pairs.rho1[..., 0, 1] - pairs.eta0 * pairs.rho0[..., 0, 1]
+    return 0.5 - np.maximum(abs(0.5 * (pairs.eta1 - pairs.eta0)), np.hypot(z.real, z.imag))
 
 
 def min_error_probability(pair: StatePair) -> float:
@@ -351,6 +354,9 @@ def threshold_stack(sols: McSolution, pairs: StatePair, p_thresh: float) -> Thre
     if not 0.0 <= p_thresh <= 1.0:
         raise DomainError("p_thresh must be in [0, 1]")
     c0_max, c1_max, p_inc_opt = np.array((sols.c0_max, sols.c1_max, sols.p_inc_opt)).reshape(3, -1)
+    n_sols, n_pairs = len(p_inc_opt), np.size(pairs.nu)
+    if n_sols != n_pairs:
+        raise DomainError(f"sols and pairs must have one length, got {n_sols} and {n_pairs}")
     optimum = [op.reshape(-1, 2, 2) for op in sols.povm.operators()]
     over = ~(p_inc_opt <= p_thresh)
     n_over = np.count_nonzero(over)
@@ -387,28 +393,27 @@ def threshold_inconclusive(
     return threshold_stack(sol, pair, p_thresh).row(0)
 
 
-def conditional_error_stack(povm: Povm, pairs: StatePair) -> tuple[np.ndarray, np.ndarray]:
+def conditional_error_stack(povm: Povm, pairs: StatePair) -> np.ndarray:
     """Conditional error of each row's measurement on its pair.
 
-    Returns ``(error, defined)``; ``defined`` is False (and the error NaN)
-    where the measurement is (almost) never conclusive; defined errors are
+    NaN where the measurement is (almost) never conclusive (a conclusive
+    probability ``1 - Tr(rho Pi_?)`` at most 1e-12); the other errors are
     clipped to [0, 1] (one that is never wrong can round below 0).
     """
     wrong = pairs.eta0 * _trace(pairs.rho0 @ povm.pi1) + pairs.eta1 * _trace(
         pairs.rho1 @ povm.pi0
     )
     conclusive = 1.0 - _trace(pairs.rho @ povm.pi_inc)
-    defined = ~(conclusive <= 1e-12)
-    return _clip01(wrong / np.where(defined, conclusive, np.nan)), defined
+    return _clip01(wrong / np.where(conclusive <= 1e-12, np.nan, conclusive))
 
 
 def conditional_error(povm: Povm, pair: StatePair) -> float:
     """Probability a conclusive call is wrong, given that it was conclusive."""
     _check_pair(pair)
-    error, defined = conditional_error_stack(povm, pair)
-    if not defined:
+    error = float(conditional_error_stack(povm, pair))
+    if math.isnan(error):
         raise UndefinedConditionalError("measurement is (almost) never conclusive")
-    return float(error)
+    return error
 
 
 # ---------------------------------------------------------------------------

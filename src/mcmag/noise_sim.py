@@ -41,13 +41,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import StatePair, SwitchingFunction, _check_bath, free_decay
-from .discrim import Povm, _check_pair
+from .discrim import Povm, _check_pair, _trace
 from .errors import DomainError
 
 _CHUNK = 2048  # trajectories per chunk, while a chunk's path fits _CHUNK_BYTES
 _CHUNK_BYTES = 16 * 2**20  # a chunk on a longer grid takes fewer trajectories
 _BLOCK = 64  # trajectories drawn row-wise before one transposed copy
 _MAX_STREAMS = 2**64  # trajectory indices fit counter word 2
+
+
+def _check_int(name: str, value, low: int) -> None:
+    """An integer argument is an int or a numpy int (not a bool) and at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an int, got {value!r}")
+    if value < low:
+        raise DomainError(f"{name} must be >= {low}")
 
 
 @dataclass(frozen=True)
@@ -67,12 +75,10 @@ class OuParams:
             raise DomainError("dt must satisfy 0 < dt <= tau_c/50")
         if not self.T > 0:
             raise DomainError("T must be > 0")
-        if isinstance(self.n_traj, bool) or not isinstance(self.n_traj, numbers.Integral):
-            raise DomainError(f"n_traj must be an int, got {self.n_traj!r}")
-        if not 1 <= self.n_traj <= _MAX_STREAMS:
-            raise DomainError("n_traj must be in [1, 2**64]")
-        if self.seed < 0:
-            raise DomainError("seed must be >= 0")
+        _check_int("n_traj", self.n_traj, 1)
+        if self.n_traj > _MAX_STREAMS:
+            raise DomainError("n_traj must be <= 2**64")
+        _check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -239,8 +245,7 @@ def empirical_dephasing(
 
     n = params.n_traj
     chunk = max(1, min(_CHUNK, _CHUNK_BYTES // (8 * times.size)))
-    sum_cos = sum_cos2 = 0.0
-    sum_sin = sum_sin2 = 0.0
+    sums = [[0.0, 0.0], [0.0, 0.0]]  # sum and sum of squares of cos(phase), then of sin(phase)
     for start in range(0, n, chunk):
         path = _ou_paths(params, start, min(chunk, n - start), decay, sig)
         phase = weights[0] * path[0]
@@ -248,44 +253,27 @@ def empirical_dephasing(
         for k in range(1, times.size):
             phase += np.multiply(path[k], weights[k], out=tmp)
         del path  # so that the next chunk's path does not coexist with this one
-        cos_p = np.cos(phase)
-        sin_p = np.sin(phase)
-        sum_cos += float(np.sum(cos_p))
-        sum_cos2 += float(np.sum(cos_p * cos_p))
-        sum_sin += float(np.sum(sin_p))
-        sum_sin2 += float(np.sum(sin_p * sin_p))
+        for total, part in zip(sums, (np.cos(phase), np.sin(phase))):
+            total[0] += float(np.sum(part))
+            total[1] += float(np.sum(part * part))
 
-    mean_cos = sum_cos / n
-    mean_sin = sum_sin / n
-    if n > 1:
-        var_cos = max(0.0, (sum_cos2 - n * mean_cos**2) / (n - 1))
-        var_sin = max(0.0, (sum_sin2 - n * mean_sin**2) / (n - 1))
-        se_cos = math.sqrt(var_cos / n)
-        se_sin = math.sqrt(var_sin / n)
-    else:
-        se_cos = se_sin = float("inf")
-    return DephasingEstimate(
-        nu_hat=mean_cos,
-        std_err=se_cos,
-        imag_hat=mean_sin,
-        imag_std_err=se_sin,
-        n_traj=n,
-    )
+    stats = []  # mean and standard error of cos(phase), then of sin(phase)
+    for total, total2 in sums:
+        mean = total / n
+        var = max(0.0, (total2 - n * mean**2) / (n - 1)) if n > 1 else math.inf
+        stats += [mean, math.sqrt(var / n)]
+    return DephasingEstimate(*stats, n_traj=n)
 
 
 def simulate_clicks(povm: Povm, pair: StatePair, shots: int, seed: int) -> ClickTally:
     """Sample (true state, outcome) pairs from the Born probabilities."""
     _check_pair(pair)
-    if shots < 1:
-        raise DomainError("shots must be >= 1")
-    if seed < 0:
-        raise DomainError("seed must be >= 0")
-    probs = np.empty((2, 3))
-    for j, rho_j in enumerate((pair.rho0, pair.rho1)):
-        for k, op in enumerate(povm.operators()):
-            probs[j, k] = max(0.0, float(np.trace(rho_j @ op).real))
+    _check_int("shots", shots, 1)
+    _check_int("seed", seed, 0)
+    born = _trace(np.stack((pair.rho0, pair.rho1))[:, None] @ np.array(povm.operators()))
+    probs = np.maximum(born, 0.0)  # Tr(rho_j Pi_k); a rounded -0.0 or below becomes +0.0
     row_sums = probs.sum(axis=1, keepdims=True)
-    if np.any(np.abs(row_sums - 1.0) > 1e-9):
+    if not np.all(np.abs(row_sums - 1.0) <= 1e-9):  # NaN fails too
         raise DomainError("outcome probabilities do not sum to one")
     probs /= row_sums
 

@@ -2,7 +2,7 @@
 
 Everything the rest of the package needs from linear algebra lives here:
 a closed-form Hermitian eigensolver, spectral powers restricted to the
-positive support, and the trace norm.  Every function takes one matrix
+positive support, and a positivity test.  Every function takes one matrix
 of shape ``(2, 2)`` or a stack of shape ``(n, 2, 2)`` and runs the same
 array operations on both, so row ``k`` of a stacked call is bitwise the
 call on matrix ``k`` alone.  The closed forms are exact and fully
@@ -182,13 +182,6 @@ def psd_pow(m: np.ndarray, exponent: float) -> np.ndarray:
     raises :class:`PsdViolationError`.
     """
     return spectral_pow(herm_eig2(m), exponent)
-
-
-def trace_norm_herm2(m: np.ndarray) -> np.ndarray | float:
-    """Sum of absolute eigenvalues of a 2x2 Hermitian matrix (or of each in a stack)."""
-    shape = np.shape(m)[:-2]
-    _, mean, radius = _mean_radius(m)
-    return (np.abs(mean - radius) + np.abs(mean + radius)).reshape(shape)[()]
 
 
 def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> bool | np.ndarray:

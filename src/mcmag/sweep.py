@@ -364,10 +364,9 @@ def _evaluate(cfg: SweepConfig, values: list[float]) -> list[SweepRow]:
         p_inc_t = capped.p_inc.tolist()
         effective = capped.povm
 
-    cond, defined = discrim.conditional_error_stack(effective, pairs)
+    cond = discrim.conditional_error_stack(effective, pairs)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rel = cond / helstrom
-    rel_defined = defined & (helstrom > 1e-300)
+        rel = np.where(helstrom > 1e-300, cond / helstrom, np.nan)
 
     columns = (  # one per SweepRow field
         [float(v) for v in values],
@@ -381,8 +380,8 @@ def _evaluate(cfg: SweepConfig, values: list[float]) -> list[SweepRow]:
         c1_t,
         p_inc_t,
         helstrom.tolist(),
-        [e if ok else None for e, ok in zip(cond.tolist(), defined.tolist())],
-        [r if ok else None for r, ok in zip(rel.tolist(), rel_defined.tolist())],
+        [None if math.isnan(e) else e for e in cond.tolist()],
+        [None if math.isnan(r) else r for r in rel.tolist()],
         sols.branch.tolist(),
     )
     return [SweepRow(*cells) for cells in zip(*columns)]

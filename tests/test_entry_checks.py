@@ -33,12 +33,13 @@ OU = {"kappa": 1.0, "tau_c": 25.0, "dt": 0.1, "T": 1.0, "seed": 0, "n_traj": 10}
         (lambda: OuParams(**{**OU, "kappa": NAN}), "kappa must be >= 0"),
         (lambda: OuParams(**{**OU, "tau_c": NAN}), "tau_c must be > 0"),
         (lambda: OuParams(**{**OU, "T": NAN}), "T must be > 0"),
+        (lambda: OuParams(**{**OU, "seed": NAN}), "seed must be an int"),
     ],
     ids=[
         "nu_ou-kappa", "nu_ou-tau_c", "nu_ou_cpmg-kappa", "nu_ou_cpmg-tau_c", "nu_ou_cpmg-tau",
         "cpmg_switching-tau", "dephasing_integral-rate", "dephasing_integrals-rate",
         "nu_stretched-t", "mu_static-t", "free_decay-T", "OuParams-kappa", "OuParams-tau_c",
-        "OuParams-T",
+        "OuParams-T", "OuParams-seed",
     ],
 )
 def test_nan_is_refused_with_the_domain_message(call, message):
@@ -60,6 +61,30 @@ def test_a_numpy_int_is_a_trajectory_count():
     assert OuParams(**{**OU, "n_traj": np.int64(10)}).n_traj == 10
 
 
+def clicks(shots=10, seed=0):
+    pair = build_state_pair(0.8, 0.5j, 0.5)
+    return noise_sim.simulate_clicks(discrim.solve_max_confidence(pair).povm, pair, shots, seed)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [(lambda v: OuParams(**{**OU, "seed": v}), "seed"), (lambda v: clicks(seed=v), "seed"),
+     (lambda v: clicks(shots=v), "shots")],
+    ids=["OuParams-seed", "simulate_clicks-seed", "simulate_clicks-shots"],
+)
+@pytest.mark.parametrize("value", [1.5, 10.0, "10", True, NAN])
+def test_a_seed_and_a_shot_count_must_be_ints(call, name, value):
+    # simulate_clicks raised numpy's TypeError for a float seed or shot
+    # count, and OuParams accepted a NaN seed.
+    with pytest.raises(DomainError, match=f"^{name} must be an int, got"):
+        call(value)
+
+
+def test_numpy_ints_are_a_seed_and_a_shot_count():
+    assert OuParams(**{**OU, "seed": np.uint64(3)}).seed == 3
+    assert clicks(shots=np.int64(10), seed=np.int32(1)).shots == 10
+
+
 def one_pair_calls():
     """Every public function of ``discrim`` and ``noise_sim`` that takes one
     ``pair``, with its required arguments: ``(function, names)``."""
@@ -78,9 +103,11 @@ def one_pair_calls():
 
 CALLS = one_pair_calls()
 NOT_PAIRS = [
-    (build_state_pair(0.8, 0.5j, 0.5).rho0, build_state_pair(0.8, 0.5j, 0.5).rho1),
-    (1, 2),
-    None,
+    ((build_state_pair(0.8, 0.5j, 0.5).rho0, build_state_pair(0.8, 0.5j, 0.5).rho1),
+     "expected a StatePair"),
+    ((1, 2), "expected a StatePair"),
+    (None, "expected a StatePair"),
+    (build_state_stack([0.3, 0.8], [0.1, 0.9j], 0.5), "expected one pair, got a stack of 2"),
 ]
 
 
@@ -92,15 +119,16 @@ def test_the_one_pair_calls_are_found():
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
-@pytest.mark.parametrize("bad", NOT_PAIRS, ids=["matrices", "tuple", "None"])
-def test_every_one_pair_call_checks_the_pair(name, bad):
-    # achieved_confidences and simulate_clicks raised AttributeError.
+@pytest.mark.parametrize("bad, message", NOT_PAIRS, ids=["matrices", "tuple", "None", "stack"])
+def test_every_one_pair_call_checks_the_pair(name, bad, message):
+    # achieved_confidences and simulate_clicks raised AttributeError, and a
+    # stack was answered for its first pair.
     pair = build_state_pair(0.8, np.exp(-0.3j), 0.5)
     sol = discrim.solve_max_confidence(pair)
     others = {"pair": bad, "sol": sol, "povm": sol.povm, "p_thresh": 0.5, "shots": 10, "seed": 0}
     fn, required = CALLS[name]
     args = [others[p] for p in required]
-    with pytest.raises(DomainError, match="expected a StatePair"):
+    with pytest.raises(DomainError, match=f"^{message}$"):
         fn(*args)
 
 
@@ -112,6 +140,20 @@ def test_the_one_pair_cap_refuses_a_stacked_solution():
     for cap in (0.1, 1.0):
         with pytest.raises(DomainError, match="expected the solution of one pair"):
             discrim.threshold_inconclusive(sols, pair, cap)
+
+
+@pytest.mark.parametrize("cap", [0.05, 1.0])
+def test_the_cap_refuses_solutions_of_another_length(cap):
+    # The solution of pair (0.8, 0.9j) against a two-pair stack was mixed
+    # into both rows (c0 0.55547 for pair 0 at cap 0.05, where its own
+    # solution gives 0.55794), or passed through as one row at cap 1; the
+    # other way round, numpy's broadcast failed at cap 0.05.
+    pair = build_state_pair(0.8, 0.9j, 0.5)
+    pairs = build_state_stack([0.3, 0.8], [0.1, 0.9j], 0.5)
+    with pytest.raises(DomainError, match="one length, got 1 and 2$"):
+        discrim.threshold_stack(discrim.solve_max_confidence(pair), pairs, cap)
+    with pytest.raises(DomainError, match="one length, got 2 and 1$"):
+        discrim.threshold_stack(discrim.solve_stack(pairs), pair, cap)
 
 
 @pytest.mark.parametrize(

@@ -5,21 +5,27 @@ kept verbatim as the oracle: ``np.cross`` and ``np.column_stack`` in
 ``dilate_povm``, ``np.trace`` in ``born_residual``,
 ``achieved_confidences`` and ``threshold_inconclusive``, ``np.frompyfunc``
 in ``spectral_pow``, the per-level block builder in
-``decompose_two_level``, and the one-pair capping (the per-eigenvalue
+``decompose_two_level``, the one-pair capping (the per-eigenvalue
 loop of ``min_error_projectors``, the scalar ``threshold_inconclusive``)
-that the stacked ``threshold_stack`` replaced.  The rewrites run the same floating-point
-operations in the same order, so every field must match exactly, not
-within a tolerance.
+that the stacked ``threshold_stack`` replaced, the six ``np.trace`` calls
+of ``simulate_clicks``' Born table, and the Helstrom bound as a trace norm.
+The rewrites run the same floating-point operations in the same order, so
+every field must match exactly, not within a tolerance; the one exception
+is the closed-form Helstrom bound, which is exact only at ``eta0 = 0.5``
+(every shipped config) and within 1.2e-16 at other priors.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mcmag import channel, dilation, discrim, qmat
+from mcmag import channel, dilation, discrim, noise_sim, qmat, sweep
 from mcmag.discrim import BRANCHES
 from mcmag.sweep import NU_FLOOR
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def edge_pairs(seed, n=400):
@@ -168,6 +174,25 @@ def reference_spectral_pow(eig, exponent):
     return 0.5 * (out + qmat._dagger(out))
 
 
+def reference_trace_norm_herm2(m):
+    shape = np.shape(m)[:-2]
+    _, mean, radius = qmat._mean_radius(m)
+    return (np.abs(mean - radius) + np.abs(mean + radius)).reshape(shape)[()]
+
+
+def reference_min_error_stack(pairs):
+    diff = discrim._hermitize(pairs.eta1 * pairs.rho1 - pairs.eta0 * pairs.rho0)
+    return 0.5 * (1.0 - reference_trace_norm_herm2(diff))
+
+
+def reference_click_table(povm, pair):
+    probs = np.empty((2, 3))
+    for j, rho_j in enumerate((pair.rho0, pair.rho1)):
+        for k, op in enumerate(povm.operators()):
+            probs[j, k] = max(0.0, float(np.trace(rho_j @ op).real))
+    return probs
+
+
 # --- the comparisons ---------------------------------------------------------
 
 
@@ -246,3 +271,46 @@ def test_capping_equals_scalar_construction(seed):
             want = reference_threshold_inconclusive(sol, pair, cap)
             assert all(same(a, b) for a, b in zip(got.povm.operators(), want.povm.operators()))
             assert numbers(got) == numbers(want)
+
+
+def shipped_pairs():
+    """(name, pairs) of every shipped config's grid, as ``run_sweep`` builds them."""
+    for path in sorted(CONFIG_DIR.glob("*.cfg")):
+        cfg = sweep.load_config(str(path))
+        values = sweep.grid_values(cfg)
+        scenario = sweep.SCENARIOS[cfg.scenario]
+        nus = np.maximum(scenario.nu(cfg, values), NU_FLOOR)
+        mus = [scenario.mu(cfg, v) for v in values]
+        yield path.stem, channel.build_state_stack(nus, mus, cfg.eta0)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_helstrom_bound_equals_trace_norm_construction(seed):
+    pairs = edge_pairs(seed)
+    even = channel.build_state_stack([p.nu for p in pairs], [p.mu for p in pairs], 0.5)
+    assert same(discrim.min_error_stack(even), reference_min_error_stack(even))
+    for pair in pairs:  # each at its own prior
+        assert abs(discrim.min_error_stack(pair) - reference_min_error_stack(pair)) <= 1.2e-16
+
+
+def test_helstrom_bound_equals_trace_norm_construction_on_shipped_grids():
+    for name, pairs in shipped_pairs():
+        assert pairs.eta0 == 0.5, name
+        assert same(discrim.min_error_stack(pairs), reference_min_error_stack(pairs)), name
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_click_table_equals_np_trace_loop(seed, monkeypatch):
+    # The table is read where simulate_clicks takes its traces.
+    traces = []
+
+    def recorded(m):
+        traces.append(discrim._trace(m))
+        return traces[-1]
+
+    monkeypatch.setattr(noise_sim, "_trace", recorded)
+    for pair, sol in solved(seed):
+        capped = discrim.threshold_inconclusive(sol, pair, 0.5 * sol.p_inc_opt).povm
+        for povm in (sol.povm, capped):
+            noise_sim.simulate_clicks(povm, pair, 16, 0)
+            assert same(np.maximum(traces.pop(), 0.0), reference_click_table(povm, pair))

@@ -116,16 +116,6 @@ def test_psd_pow_rejects_negative():
         qmat.psd_pow(np.diag([1.0, -0.1]), 0.5)
 
 
-def test_trace_norm_cases():
-    assert qmat.trace_norm_herm2(np.zeros((2, 2))) == 0.0
-    assert qmat.trace_norm_herm2(np.diag([1.0, -1.0])) == 2.0
-    rng = np.random.default_rng(5)
-    for _ in range(300):
-        m = random_hermitian(rng)
-        eigvals, _ = qmat.herm_eig2(m)
-        assert abs(qmat.trace_norm_herm2(m) - np.sum(np.abs(eigvals))) <= 1e-12
-
-
 def support_rank(m):
     """Number of eigenvalues above the relative support cutoff (per matrix)."""
     rank = qmat.support(qmat.herm_eig2(m).eigvals).sum(axis=-1)

@@ -89,7 +89,8 @@ def test_a_matrix_cannot_be_handed_in():
     "changes, message",
     [({"nu": 0.0}, "nu must be in"), ({"nu": 1.5}, "nu must be in"),
      ({"mu": 1.5}, r"\|mu\| must be"), ({"eta0": 1.0}, "eta0 must be in"),
-     ({"nu": np.array([0.5, np.nan])}, "nu must be in")],
+     ({"nu": np.array([0.5, np.nan])}, "nu must be in"),
+     ({"mu": [0.1, 0.2]}, "nu and mu must have one length, got 1 and 2")],
 )
 def test_replace_runs_the_pair_rule(changes, message):
     with pytest.raises(DomainError, match=message):
