@@ -197,7 +197,8 @@ def dephasing_integral(rate: float, switching: SwitchingFunction) -> float:
     return dephasing_integrals(rate, flips, [(len(flips), switching.total_time)])[0]
 
 
-def _check_bath(kappa: float, tau_c: float) -> None:
+def check_bath(kappa: float, tau_c: float) -> None:
+    """The bath domain: ``kappa >= 0`` and ``tau_c > 0``, else DomainError."""
     if not kappa >= 0:
         raise DomainError("kappa must be >= 0")
     if not tau_c > 0:
@@ -217,7 +218,7 @@ def nu_ou(kappa: float, tau_c: float, switching: SwitchingFunction) -> float:
     under switching, W the :func:`dephasing_integral` at rate 1/tau_c; 1
     without a walk when kappa = 0.  :func:`nu_ou_cpmg` gives the same bits
     for a whole grid of echo trains."""
-    _check_bath(kappa, tau_c)
+    check_bath(kappa, tau_c)
     if kappa == 0.0:
         return 1.0
     return _coherence(kappa, dephasing_integral(1.0 / tau_c, switching))
@@ -235,7 +236,7 @@ def nu_ou_cpmg(kappa: float, tau_c: float, n_pulses: list[int], tau: float) -> l
         _check_pulses(n)
     if not tau > 0:
         raise DomainError("tau must be > 0")
-    _check_bath(kappa, tau_c)
+    check_bath(kappa, tau_c)
     if kappa == 0.0:
         return [1.0] * len(n_pulses)
     flips = _cpmg_flips(max(n_pulses, default=0), tau)
@@ -323,29 +324,36 @@ def mu_cpmg(b0: float, sigma_b: float, f: float, n_pulses: int) -> complex:
 class StatePair:
     """The two hypothesis states and their prior mixture, made from ``(nu, mu, eta0)``.
 
-    ``rho0``, ``rho1`` and ``rho = eta0*rho0 + eta1*rho1`` are derived when the
-    pair is made (by ``dataclasses.replace`` too), after the pair rule: ``nu``
-    in (0, 1] and ``|mu| <= 1`` with 1e-12 of slack clamped away, ``eta0`` in
-    (0, 1), else DomainError.  Scalars ``nu`` and ``mu`` make one pair; an array in
-    either makes a stack under one prior (matrices ``(n, 2, 2)``), each row bitwise
-    its own pair.
+    ``states[..., j, :, :]`` (the view ``rhoj``) and ``rho = eta0*rho0 + eta1*rho1``
+    are derived when the pair is made (by ``dataclasses.replace`` too), after the
+    pair rule: ``nu`` in (0, 1] and ``|mu| <= 1`` with 1e-12 of slack clamped away,
+    ``eta0`` in (0, 1), else DomainError.  Scalars ``nu`` and ``mu`` make one pair;
+    an array in either makes a stack under one prior (``states`` ``(n, 2, 2, 2)``),
+    each row bitwise its own pair.
     """
 
     nu: float
     mu: complex
     eta0: float
-    rho0: np.ndarray = field(init=False, repr=False, compare=False)
-    rho1: np.ndarray = field(init=False, repr=False, compare=False)
+    states: np.ndarray = field(init=False, repr=False, compare=False)
     rho: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         stack = np.ndim(self.nu) or np.ndim(self.mu)
-        nu, mu, rho0, rho1 = (_stack_states if stack else _states)(self.nu, self.mu)
+        nu, mu, states = (_stack_states if stack else _states)(self.nu, self.mu)
         eta0 = float(self.eta0)
         if not 0.0 < eta0 < 1.0:
             raise DomainError(f"eta0 must be in (0, 1), got {eta0}")
-        rho = eta0 * rho0 + (1.0 - eta0) * rho1
-        self.__dict__.update(nu=nu, mu=mu, eta0=eta0, rho0=rho0, rho1=rho1, rho=rho)  # frozen
+        rho = eta0 * states[..., 0, :, :] + (1.0 - eta0) * states[..., 1, :, :]
+        self.__dict__.update(nu=nu, mu=mu, eta0=eta0, states=states, rho=rho)  # frozen
+
+    @property
+    def rho0(self) -> np.ndarray:
+        return self.states[..., 0, :, :]
+
+    @property
+    def rho1(self) -> np.ndarray:
+        return self.states[..., 1, :, :]
 
     @property
     def eta1(self) -> float:
@@ -353,7 +361,7 @@ class StatePair:
 
 
 def _states(nu, mu):
-    """The pair rule and ``(nu, mu, rho0, rho1)`` of one pair, in scalar arithmetic."""
+    """The pair rule and ``(nu, mu, states)`` of one pair, in scalar arithmetic."""
     nu, mu = float(nu), complex(mu)
     if not 0.0 < nu <= 1.0 + 1e-12:
         raise DomainError(f"nu must be in (0, 1], got {nu}")
@@ -364,9 +372,8 @@ def _states(nu, mu):
         mu = mu / abs(mu)
     off0 = 0.5 * nu
     off1 = 0.5 * nu * mu
-    rho0 = np.array([[0.5, off0], [off0, 0.5]], dtype=complex)
-    rho1 = np.array([[0.5, off1], [off1.conjugate(), 0.5]], dtype=complex)
-    return nu, mu, rho0, rho1
+    rho0, rho1 = [[0.5, off0], [off0, 0.5]], [[0.5, off1], [off1.conjugate(), 0.5]]
+    return nu, mu, np.array((rho0, rho1), dtype=complex)
 
 
 def _stack_states(nu, mu):
@@ -395,8 +402,7 @@ def _stack_states(nu, mu):
     pairs[:, 1:3] = off0[:, None]
     pairs[:, 5] = _parts(off0 * mu.real - 0.0 * mu.imag, off0 * mu.imag + 0.0 * mu.real)
     pairs[:, 6] = np.conj(pairs[:, 5])
-    pairs = pairs.reshape(-1, 2, 2, 2)
-    return nu, mu, pairs[:, 0], pairs[:, 1]
+    return nu, mu, pairs.reshape(-1, 2, 2, 2)
 
 
 def _parts(re: np.ndarray, im: np.ndarray) -> np.ndarray:

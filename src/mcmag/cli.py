@@ -18,6 +18,7 @@ library alone (no numpy), the others load the sweep layer.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import ConfigError, DomainError, NumericalContractError
@@ -62,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.csv, "r", encoding="utf-8") as fh:
                 csv_text = fh.read()
             svg = plot_csv(csv_text, title=args.csv)
-            out = args.out or (args.csv.rsplit(".", 1)[0] + ".svg")
+            out = args.out or (os.path.splitext(args.csv)[0] + ".svg")
             _write_text(out, svg)
             print(f"wrote {out}")
             return 0

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .discrim import _I2, Povm, _trace
+from .discrim import Povm
 from .errors import DilationRankError, DomainError
 
 _RANK_TOL = 1e-10
@@ -46,18 +46,30 @@ _NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])  # (a x b)_k = a_n b_l -
 class Dilation:
     """Projective realization of a rank-one three-outcome measurement.
 
-    ``u`` is the 3x3 unitary; row k is the bra of the extended vector
-    ``e_vectors[k]``; ``pi_vectors[k]`` is the (weighted) measurement
-    vector |p_k>.  Outcome order everywhere: detector 0, detector 1,
-    inconclusive.  ``c0`` is real and >= 0 by the phase convention.
+    Row k of ``e_vectors`` is the extended vector |e_k> = |p_k> + c_k |2>:
+    ``e_vectors[k, :2]`` is the (weighted) measurement vector |p_k>.  Derived
+    from it: the 3x3 unitary ``u``, row k the bra <e_k|, and ``c0``, ``c1``,
+    ``c2``.  Outcome order everywhere: detector 0, detector 1, inconclusive.
+    ``c0`` is real and >= 0 by the phase convention.
     """
 
-    u: np.ndarray
-    c0: complex
-    c1: complex
-    c2: complex
     e_vectors: np.ndarray
-    pi_vectors: np.ndarray
+
+    @property
+    def u(self) -> np.ndarray:
+        return np.conj(self.e_vectors)
+
+    @property
+    def c0(self) -> complex:
+        return self.e_vectors[0, 2]
+
+    @property
+    def c1(self) -> complex:
+        return self.e_vectors[1, 2]
+
+    @property
+    def c2(self) -> complex:
+        return self.e_vectors[2, 2]
 
 
 def measurement_vector(op: np.ndarray) -> np.ndarray:
@@ -84,10 +96,10 @@ def measurement_vector(op: np.ndarray) -> np.ndarray:
 def dilate_povm(povm: Povm) -> Dilation:
     """Build the three-level unitary realizing a rank-one measurement triple."""
     total = povm.pi0 + povm.pi1 + povm.pi_inc
-    if not np.maximum.reduce(np.abs(total - _I2), axis=None) <= 1e-9:
+    if not np.maximum.reduce(np.abs(total - qmat.I2), axis=None) <= 1e-9:
         raise DomainError("measurement operators do not sum to the identity")
 
-    pis = measurement_vector(np.array(povm.operators()))
+    pis = measurement_vector(povm.ops)
 
     # Columns of U over the computational levels: U[k, j] = <p_k| j >.  The
     # ancilla column is the conjugated cross product of the two, written
@@ -110,15 +122,13 @@ def dilate_povm(povm: Povm) -> Dilation:
     e_vectors = np.empty((3, 3), dtype=complex)
     e_vectors[:, :2] = pis
     e_vectors[:, 2] = c
-    return Dilation(
-        u=np.conj(e_vectors), c0=c[0], c1=c[1], c2=c[2], e_vectors=e_vectors, pi_vectors=pis
-    )
+    return Dilation(e_vectors)
 
 
 def born_residual(dilation: Dilation, povm: Povm, states) -> float:
     """Largest deviation between Tr(rho Pi_k) and the projective readout (NaN if any is NaN)."""
     rhos = np.array(states, dtype=complex).reshape(-1, 1, 2, 2)
-    direct = _trace(rhos @ np.array(povm.operators()))
+    direct = qmat.trace(rhos @ povm.ops)
     ext = np.zeros((len(rhos), 1, 3, 3), dtype=complex)
     ext[..., :2, :2] = rhos
     e = dilation.e_vectors

@@ -45,8 +45,6 @@ from . import qmat
 from .channel import StatePair
 from .errors import DomainError, PsdViolationError, UndefinedConditionalError
 
-_I2 = np.eye(2, dtype=complex)
-
 #: Relative tolerance below which the transformed detector state counts as
 #: scalar, i.e. the two hypotheses are operationally identical.
 DEGENERACY_TOL = 1e-12
@@ -59,16 +57,30 @@ _BRANCH_NAMES = np.array(BRANCHES)  # a stack's branch index -> its name
 class Povm:
     """Three-outcome measurement (detector 0, detector 1, inconclusive).
 
-    Each field is a 2x2 operator; in a stacked :class:`McSolution` or
-    :class:`ThresholdResult` each carries a leading axis of length n.
+    ``ops[..., k, :, :]`` is the 2x2 operator of outcome k, and ``pi0``,
+    ``pi1``, ``pi_inc`` are views of it: ``Povm(np.array((pi0, pi1, pi_inc)))``.
+    A stacked :class:`McSolution` or :class:`ThresholdResult` has ``ops`` of
+    shape ``(n, 3, 2, 2)``; any trailing shape but ``(3, 2, 2)`` is a DomainError.
     """
 
-    pi0: np.ndarray
-    pi1: np.ndarray
-    pi_inc: np.ndarray
+    ops: np.ndarray
 
-    def operators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.pi0, self.pi1, self.pi_inc
+    def __post_init__(self) -> None:
+        self.__dict__["ops"] = ops = np.asarray(self.ops, dtype=complex)  # frozen
+        if ops.shape[-3:] != (3, 2, 2):
+            raise DomainError(f"Povm operators must have shape (..., 3, 2, 2), got {ops.shape}")
+
+    @property
+    def pi0(self) -> np.ndarray:
+        return self.ops[..., 0, :, :]
+
+    @property
+    def pi1(self) -> np.ndarray:
+        return self.ops[..., 1, :, :]
+
+    @property
+    def pi_inc(self) -> np.ndarray:
+        return self.ops[..., 2, :, :]
 
 
 @dataclass(frozen=True)
@@ -82,7 +94,8 @@ class McSolution:
     ``c1_max`` one minus its bottom one, both clipped to [0, 1].
     ``branch`` names the solution family, one of :data:`BRANCHES`.  In a
     stack ``c0_max``, ``c1_max``, ``p_inc_opt`` and ``branch`` (the names)
-    have shape ``(n,)`` and the operators of ``povm`` the same leading axis.
+    have shape ``(n,)`` and ``povm.ops`` has shape ``(n, 3, 2, 2)``; the
+    solution of pair k holds the view ``povm.ops[k]``.
     """
 
     c0_max: float | np.ndarray
@@ -93,12 +106,11 @@ class McSolution:
 
     def row(self, k: int) -> McSolution:
         """The solution of pair k of a stack."""
-        p = self.povm
         return McSolution(
             c0_max=float(self.c0_max[k]),
             c1_max=float(self.c1_max[k]),
             p_inc_opt=float(self.p_inc_opt[k]),
-            povm=Povm(pi0=p.pi0[k], pi1=p.pi1[k], pi_inc=p.pi_inc[k]),
+            povm=Povm(self.povm.ops[k]),
             branch=str(self.branch[k]),
         )
 
@@ -118,10 +130,9 @@ class ThresholdResult:
     mix: float  # 0 = untouched optimum, 1 = pure minimum-error measurement
 
     def row(self, k: int) -> ThresholdResult:
-        p = self.povm
         c0, c1 = float(self.c0[k]), float(self.c1[k])
         return ThresholdResult(
-            povm=Povm(pi0=p.pi0[k], pi1=p.pi1[k], pi_inc=p.pi_inc[k]),
+            povm=Povm(self.povm.ops[k]),
             c0=None if math.isnan(c0) else c0,
             c1=None if math.isnan(c1) else c1,
             p_inc=float(self.p_inc[k]),
@@ -139,15 +150,6 @@ class OracleSolution:
     povm: Povm
 
 
-def _proj(vec: np.ndarray) -> np.ndarray:
-    """|v><v| of a vector, or of each vector in a stack."""
-    return vec[..., :, None] * np.conj(vec)[..., None, :]
-
-
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + np.conj(m).swapaxes(-1, -2))
-
-
 def _clip01(x: np.ndarray) -> np.ndarray:
     """``min(max(x, 0.0), 1.0)`` elementwise, signed zeros and NaN included (``x`` if inside)."""
     low, high = 0.0 > x, 1.0 < x
@@ -156,17 +158,12 @@ def _clip01(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _trace(m: np.ndarray) -> np.ndarray:
-    """Real part of the trace of a matrix or of each in a stack (``np.trace``'s sum)."""
-    return (m[..., 0, 0] + m[..., 1, 1]).real
-
-
 # The balanced projective measurement reported for identical hypotheses.
-_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-_MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
+_BALANCED = qmat.proj(np.array([[1.0, 1.0], [1.0, -1.0], [0.0, 0.0]], dtype=complex) / np.sqrt(2.0))
 
 
-def _check_pair(pair: StatePair) -> None:
+def check_pair(pair: StatePair) -> None:
+    """The one-pair rule: ``pair`` is a StatePair of one pair, else DomainError."""
     if not isinstance(pair, StatePair):
         raise DomainError("expected a StatePair")
     if isinstance(pair.nu, np.ndarray):
@@ -174,7 +171,7 @@ def _check_pair(pair: StatePair) -> None:
 
 
 def _detector_state(s_inv: np.ndarray, rho0: np.ndarray, eta0: float) -> np.ndarray:
-    return _hermitize(eta0 * (s_inv @ rho0 @ s_inv))
+    return qmat.hermitize(eta0 * (s_inv @ rho0 @ s_inv))
 
 
 def solve_stack(pairs: StatePair) -> McSolution:
@@ -199,7 +196,7 @@ def solve_stack(pairs: StatePair) -> McSolution:
     gamma = qmat.herm_eig2(d0)
 
     scale = np.maximum(1.0, np.maximum.reduce(np.abs(d0).reshape(n, 4), axis=1))
-    shift = (0.5 * _trace(d0))[:, None, None] * _I2
+    shift = (0.5 * qmat.trace(d0))[:, None, None] * qmat.I2
     dev_from_scalar = np.maximum.reduce(np.abs(d0 - shift).reshape(n, 4), axis=1)
     live = qmat.support(eig_rho.eigvals)[:, 0] & ~(dev_from_scalar <= DEGENERACY_TOL * scale)
     n_live = np.count_nonzero(live)
@@ -209,9 +206,7 @@ def solve_stack(pairs: StatePair) -> McSolution:
         values = np.empty((n, 3))
         values[:] = (0.0, eta0, 1.0 - eta0)
         branch = np.full(n, 3)
-        ops = np.zeros((n, 3, 2, 2), dtype=complex)
-        ops[:, 0] = _proj(_PLUS)
-        ops[:, 1] = _proj(_MINUS)
+        ops = np.tile(_BALANCED, (n, 1, 1, 1))
         if n_live:
             rows = np.flatnonzero(live)
             values[rows], branch[rows], ops[rows] = _measure(
@@ -219,8 +214,7 @@ def solve_stack(pairs: StatePair) -> McSolution:
             )
 
     p_inc, c0_max, c1_max = values.T
-    povm = Povm(pi0=ops[:, 0], pi1=ops[:, 1], pi_inc=ops[:, 2])
-    return McSolution(c0_max, c1_max, p_inc, povm, _BRANCH_NAMES[branch])
+    return McSolution(c0_max, c1_max, p_inc, Povm(ops), _BRANCH_NAMES[branch])
 
 
 def _measure(rho: np.ndarray, s_inv: np.ndarray, gamma: qmat.EigPair2):
@@ -261,8 +255,8 @@ def _measure(rho: np.ndarray, s_inv: np.ndarray, gamma: qmat.EigPair2):
     wv = (s_inv[:, None] @ gcols[..., None])[..., 0]
     wv = qmat.pin_phase(qmat.unit(wv.reshape(-1, 2))).reshape(n, 2, 2)
     ops = np.empty((n, 3, 2, 2), dtype=complex)
-    ops[:, 1::-1] = _proj(wv) * values[:, 1::-1, None, None]  # a|v><v|, b|w><w|
-    ops[:, 2] = _hermitize(_I2 - ops[:, 0] - ops[:, 1])
+    ops[:, 1::-1] = qmat.proj(wv) * values[:, 1::-1, None, None]  # a|v><v|, b|w><w|
+    ops[:, 2] = qmat.hermitize(qmat.I2 - ops[:, 0] - ops[:, 1])
     if np.count_nonzero(~qmat.is_psd(ops[:, 2], tol=1e-10)):
         raise PsdViolationError("inconclusive operator lost positivity")
     return values[:, 2:], branch, ops
@@ -270,7 +264,7 @@ def _measure(rho: np.ndarray, s_inv: np.ndarray, gamma: qmat.EigPair2):
 
 def solve_max_confidence(pair: StatePair) -> McSolution:
     """Closed-form maximum-confidence measurement for a state pair."""
-    _check_pair(pair)
+    check_pair(pair)
     return solve_stack(pair).row(0)
 
 
@@ -284,8 +278,8 @@ def achieved_confidences(povm: Povm, pair: StatePair) -> tuple[float | None, flo
     Returns ``None`` for a detector that never fires (firing probability
     at most ``_ZERO_FIRE``), where the conditional probability is undefined.
     """
-    _check_pair(pair)
-    c0, c1 = _confidence_stack(np.stack((povm.pi0, povm.pi1)), pair).tolist()
+    check_pair(pair)
+    c0, c1 = _confidence_stack(povm.ops[:2], pair).tolist()
     return (None if math.isnan(c0) else c0), (None if math.isnan(c1) else c1)
 
 
@@ -293,8 +287,8 @@ def _confidence_stack(detectors: np.ndarray, pairs: StatePair):
     """Confidences ``(c0, c1)`` that detectors ``(pi0, pi1)``, an array of
     shape ``(..., 2, 2, 2)``, attain on their pairs, clipped to [0, 1];
     NaN where a detector fires with probability <= ``_ZERO_FIRE``."""
-    fire = _trace(pairs.rho[..., None, :, :] @ detectors)
-    hit = _trace(np.stack((pairs.rho0, pairs.rho1), axis=-3) @ detectors)
+    fire = qmat.trace(pairs.rho[..., None, :, :] @ detectors)
+    hit = qmat.trace(pairs.states @ detectors)
     eta = np.array([pairs.eta0, pairs.eta1])
     return _clip01(eta * hit / np.where(fire <= _ZERO_FIRE, np.nan, fire))
 
@@ -308,20 +302,20 @@ def min_error_stack(pairs: StatePair) -> np.ndarray:
 
 def min_error_probability(pair: StatePair) -> float:
     """Least average error of any two-outcome measurement (Helstrom bound)."""
-    _check_pair(pair)
+    check_pair(pair)
     return float(min_error_stack(pair))
 
 
 def _min_error_ops(pairs: StatePair) -> np.ndarray:
     """:func:`min_error_projectors` of every pair in a stack, as an
     ``(n, 3, 2, 2)`` array of the operators (pi0, pi1, pi_inc)."""
-    diff = _hermitize(pairs.eta1 * pairs.rho1 - pairs.eta0 * pairs.rho0).reshape(-1, 2, 2)
+    diff = qmat.hermitize(pairs.eta1 * pairs.rho1 - pairs.eta0 * pairs.rho0).reshape(-1, 2, 2)
     eigvals, eigvecs = qmat.herm_eig2(diff)
-    kept = np.where((eigvals > 0.0)[..., None, None], _proj(eigvecs.swapaxes(1, 2)), 0.0)
+    kept = np.where((eigvals > 0.0)[..., None, None], qmat.proj(eigvecs.swapaxes(1, 2)), 0.0)
     ops = np.zeros((len(diff), 3, 2, 2), dtype=complex)
     # Summed from +0.0, so no entry is -0.0 (the neumark dump prints the sign).
     ops[:, 1] = 0.0 + kept[:, 0] + kept[:, 1]
-    ops[:, 0] = _hermitize(_I2 - ops[:, 1])
+    ops[:, 0] = qmat.hermitize(qmat.I2 - ops[:, 1])
     return ops
 
 
@@ -331,8 +325,8 @@ def min_error_projectors(pair: StatePair) -> Povm:
     Detector 1 collects the strictly positive eigenspace of
     eta1*rho1 - eta0*rho0; ties at zero go to detector 0.
     """
-    _check_pair(pair)
-    return Povm(*_min_error_ops(pair)[0])
+    check_pair(pair)
+    return Povm(_min_error_ops(pair)[0])
 
 
 def threshold_stack(sols: McSolution, pairs: StatePair, p_thresh: float) -> ThresholdResult:
@@ -357,37 +351,36 @@ def threshold_stack(sols: McSolution, pairs: StatePair, p_thresh: float) -> Thre
     n_sols, n_pairs = len(p_inc_opt), np.size(pairs.nu)
     if n_sols != n_pairs:
         raise DomainError(f"sols and pairs must have one length, got {n_sols} and {n_pairs}")
-    optimum = [op.reshape(-1, 2, 2) for op in sols.povm.operators()]
+    optimum = sols.povm.ops.reshape(-1, 3, 2, 2)
     over = ~(p_inc_opt <= p_thresh)
     n_over = np.count_nonzero(over)
     if not n_over:
         return ThresholdResult(
-            povm=Povm(*optimum), c0=c0_max, c1=c1_max, p_inc=p_inc_opt, mix=np.zeros(len(over))
+            povm=Povm(optimum), c0=c0_max, c1=c1_max, p_inc=p_inc_opt, mix=np.zeros(len(over))
         )
     # Rows under the cap get mix = 1 here and keep their optimum below.
     mix = 1.0 - p_thresh / np.where(over, p_inc_opt, np.inf)
     ops = _min_error_ops(pairs)
     if p_thresh > 0.0:  # else mix = 1: the minimum-error measurement itself
         weight = mix[:, None, None, None]
-        detectors = np.stack(optimum[:2], axis=1)
-        ops[:, :2] = _hermitize((1.0 - weight) * detectors + weight * ops[:, :2])
-        ops[:, 2] = _hermitize(_I2 - ops[:, 0] - ops[:, 1])
+        ops[:, :2] = qmat.hermitize((1.0 - weight) * optimum[:, :2] + weight * ops[:, :2])
+        ops[:, 2] = qmat.hermitize(qmat.I2 - ops[:, 0] - ops[:, 1])
     c0, c1 = _confidence_stack(ops[:, :2], pairs).T
-    p_inc = _trace(pairs.rho @ ops[:, 2])
+    p_inc = qmat.trace(pairs.rho @ ops[:, 2])
     if n_over < len(over):  # rows under the cap keep their optimum
-        ops = np.where(over[:, None, None, None], ops, np.stack(optimum, axis=1))
+        ops = np.where(over[:, None, None, None], ops, optimum)
         c0 = np.where(over, c0, c0_max)
         c1 = np.where(over, c1, c1_max)
         p_inc = np.where(over, p_inc, p_inc_opt)
         mix = np.where(over, mix, 0.0)
-    return ThresholdResult(povm=Povm(*ops.swapaxes(0, 1)), c0=c0, c1=c1, p_inc=p_inc, mix=mix)
+    return ThresholdResult(povm=Povm(ops), c0=c0, c1=c1, p_inc=p_inc, mix=mix)
 
 
 def threshold_inconclusive(
     sol: McSolution, pair: StatePair, p_thresh: float
 ) -> ThresholdResult:
     """Cap the inconclusive rate at ``p_thresh``: :func:`threshold_stack` on one pair."""
-    _check_pair(pair)
+    check_pair(pair)
     if not isinstance(sol.branch, str):
         raise DomainError("expected the solution of one pair")
     return threshold_stack(sol, pair, p_thresh).row(0)
@@ -400,16 +393,16 @@ def conditional_error_stack(povm: Povm, pairs: StatePair) -> np.ndarray:
     probability ``1 - Tr(rho Pi_?)`` at most 1e-12); the other errors are
     clipped to [0, 1] (one that is never wrong can round below 0).
     """
-    wrong = pairs.eta0 * _trace(pairs.rho0 @ povm.pi1) + pairs.eta1 * _trace(
+    wrong = pairs.eta0 * qmat.trace(pairs.rho0 @ povm.pi1) + pairs.eta1 * qmat.trace(
         pairs.rho1 @ povm.pi0
     )
-    conclusive = 1.0 - _trace(pairs.rho @ povm.pi_inc)
+    conclusive = 1.0 - qmat.trace(pairs.rho @ povm.pi_inc)
     return _clip01(wrong / np.where(conclusive <= 1e-12, np.nan, conclusive))
 
 
 def conditional_error(povm: Povm, pair: StatePair) -> float:
     """Probability a conclusive call is wrong, given that it was conclusive."""
-    _check_pair(pair)
+    check_pair(pair)
     error = float(conditional_error_stack(povm, pair))
     if math.isnan(error):
         raise UndefinedConditionalError("measurement is (almost) never conclusive")
@@ -464,8 +457,8 @@ def _confidence_scan(pair: StatePair, which: int, grid: int, refine: int):
 
     Full-sphere scan at the requested density, then window refinement
     around the running argmax.  Returns the best value plus the sampled
-    (confidence, theta, phi) tables of the coarse and final rounds for
-    near-optimal pooling.
+    (confidence, theta, phi) table of the final round for near-optimal
+    pooling.
     """
     rho_j = pair.rho0 if which == 0 else pair.rho1
     eta_j = pair.eta0 if which == 0 else pair.eta1
@@ -479,8 +472,7 @@ def _confidence_scan(pair: StatePair, which: int, grid: int, refine: int):
     conf = evaluate(tt, pp, hats)
     k = int(np.argmax(conf))
     best = (float(conf[k]), float(tt[k]), float(pp[k]))
-    coarse = (conf, tt, pp)
-    final = coarse
+    final = (conf, tt, pp)
 
     dt = np.pi / max(grid - 1, 1)
     dp = 2.0 * np.pi / grid
@@ -497,7 +489,7 @@ def _confidence_scan(pair: StatePair, which: int, grid: int, refine: int):
         dt = (t_hi - t_lo) / max(_REFINE_GRID - 1, 1)
         dp = 4.0 * dp / _REFINE_GRID
         t_ctr, p_ctr = float(tt[k]), float(pp[k])
-    return best, coarse, final
+    return best, final
 
 
 def grid_search_povm(
@@ -515,12 +507,12 @@ def grid_search_povm(
     defining confidence ratio, so it is independent of the eigenbasis
     closed forms it checks.
     """
-    _check_pair(pair)
+    check_pair(pair)
     if grid_density < 64:
         raise DomainError("grid_density must be >= 64")
 
-    best0, _, final0 = _confidence_scan(pair, 0, grid_density, refine)
-    best1, _, final1 = _confidence_scan(pair, 1, grid_density, refine)
+    best0, final0 = _confidence_scan(pair, 0, grid_density, refine)
+    best1, final1 = _confidence_scan(pair, 1, grid_density, refine)
     c0_best = best0[0]
     c1_best = best1[0]
 
@@ -582,12 +574,12 @@ def grid_search_povm(
     # Built with plain numpy: the oracle shares no code with the solver it checks.
     pi0 = a * np.outer(v, v.conj())
     pi1 = b * np.outer(w, w.conj())
-    pi_inc = _I2 - pi0 - pi1
+    pi_inc = np.eye(2) - pi0 - pi1
     pi_inc = 0.5 * (pi_inc + pi_inc.conj().T)
     lam = np.linalg.eigvalsh(pi_inc)
     if lam[0] < -1e-9:
         raise PsdViolationError("grid search produced a non-positive leftover")
-    povm = Povm(pi0=pi0, pi1=pi1, pi_inc=pi_inc)
+    povm = Povm(np.array((pi0, pi1, pi_inc)))
     return OracleSolution(
         c0=c0_best, c1=c1_best, p_inc=1.0 - best_conclusive, povm=povm
     )

@@ -40,8 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import StatePair, SwitchingFunction, _check_bath, free_decay
-from .discrim import Povm, _check_pair, _trace
+from . import qmat
+from .channel import StatePair, SwitchingFunction, check_bath, free_decay
+from .discrim import Povm, check_pair
 from .errors import DomainError
 
 _CHUNK = 2048  # trajectories per chunk, while a chunk's path fits _CHUNK_BYTES
@@ -70,7 +71,7 @@ class OuParams:
     n_traj: int
 
     def __post_init__(self) -> None:
-        _check_bath(self.kappa, self.tau_c)
+        check_bath(self.kappa, self.tau_c)
         if not 0 < self.dt <= self.tau_c / 50.0:
             raise DomainError("dt must satisfy 0 < dt <= tau_c/50")
         if not self.T > 0:
@@ -267,10 +268,10 @@ def empirical_dephasing(
 
 def simulate_clicks(povm: Povm, pair: StatePair, shots: int, seed: int) -> ClickTally:
     """Sample (true state, outcome) pairs from the Born probabilities."""
-    _check_pair(pair)
+    check_pair(pair)
     _check_int("shots", shots, 1)
     _check_int("seed", seed, 0)
-    born = _trace(np.stack((pair.rho0, pair.rho1))[:, None] @ np.array(povm.operators()))
+    born = qmat.trace(pair.states[:, None] @ povm.ops)
     probs = np.maximum(born, 0.0)  # Tr(rho_j Pi_k); a rounded -0.0 or below becomes +0.0
     row_sums = probs.sum(axis=1, keepdims=True)
     if not np.all(np.abs(row_sums - 1.0) <= 1e-9):  # NaN fails too

@@ -2,7 +2,8 @@
 
 Everything the rest of the package needs from linear algebra lives here:
 a closed-form Hermitian eigensolver, spectral powers restricted to the
-positive support, and a positivity test.  Every function takes one matrix
+positive support, a positivity test, and the 2x2 idioms every layer shares
+(``I2``, ``trace``, ``proj``, ``hermitize``).  Every function takes one matrix
 of shape ``(2, 2)`` or a stack of shape ``(n, 2, 2)`` and runs the same
 array operations on both, so row ``k`` of a stacked call is bitwise the
 call on matrix ``k`` alone.  The closed forms are exact and fully
@@ -37,6 +38,7 @@ SUPPORT_CUTOFF = 1e-12  # relative to the largest eigenvalue
 PSD_TOL = 1e-12
 _PHASE_TOL = 1e-12
 
+I2 = np.eye(2, dtype=complex)
 _SIGNS = np.array([-1.0, 1.0])
 _EYE_FLAT = np.array([1.0, 0.0, 0.0, 1.0])
 
@@ -56,6 +58,21 @@ class EigPair2(NamedTuple):
 
 def _dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(m).swapaxes(-1, -2)
+
+
+def hermitize(m: np.ndarray) -> np.ndarray:
+    """The Hermitian part ``(m + m^H)/2`` of a matrix or of each in a stack."""
+    return 0.5 * (m + _dagger(m))
+
+
+def trace(m: np.ndarray) -> np.ndarray:
+    """Real part of the trace of a matrix or of each in a stack (``np.trace``'s sum)."""
+    return (m[..., 0, 0] + m[..., 1, 1]).real
+
+
+def proj(vec: np.ndarray) -> np.ndarray:
+    """|v><v| of a vector, or of each vector in a stack."""
+    return vec[..., :, None] * np.conj(vec)[..., None, :]
 
 
 def unit(vec: np.ndarray) -> np.ndarray:
@@ -169,8 +186,7 @@ def spectral_pow(eig: EigPair2, exponent: float) -> np.ndarray:
         )
     lams, kept = eigvals.ravel().tolist(), support(eigvals).ravel().tolist()
     powered = np.array([math.pow(lam, exponent) if k else 0.0 for lam, k in zip(lams, kept)])
-    out = (eigvecs * powered.reshape(eigvals.shape)[..., None, :]) @ _dagger(eigvecs)
-    return 0.5 * (out + _dagger(out))
+    return hermitize((eigvecs * powered.reshape(eigvals.shape)[..., None, :]) @ _dagger(eigvecs))
 
 
 def psd_pow(m: np.ndarray, exponent: float) -> np.ndarray:

@@ -500,7 +500,7 @@ def neumark_report(cfg: SweepConfig) -> str:
         povm = discrim.threshold_inconclusive(sol, pair, cfg.p_inc_threshold).povm
     dil = dilation.dilate_povm(povm)
     factors = dilation.decompose_two_level(dil.u)
-    residual = dilation.born_residual(dil, povm, (pair.rho0, pair.rho1))
+    residual = dilation.born_residual(dil, povm, pair.states)
     unit_dev = float(np.max(np.abs(dil.u.conj().T @ dil.u - np.eye(3))))
 
     def mat_lines(name: str, m: np.ndarray) -> list[str]:
@@ -515,7 +515,7 @@ def neumark_report(cfg: SweepConfig) -> str:
         f"branch={sol.branch} C0={sol.c0_max:.17g} C1={sol.c1_max:.17g} "
         f"P_inc={sol.p_inc_opt:.17g}",
     ]
-    for name, op in zip(("Pi0", "Pi1", "Pi_inc"), povm.operators()):
+    for name, op in zip(("Pi0", "Pi1", "Pi_inc"), povm.ops):
         lines.extend(mat_lines(name, op))
     lines.append(
         "ancilla coefficients: "

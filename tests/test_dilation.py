@@ -16,11 +16,11 @@ MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
 
 
 def projective_povm():
-    return Povm(
-        pi0=np.outer(PLUS, PLUS.conj()),
-        pi1=np.outer(MINUS, MINUS.conj()),
-        pi_inc=np.zeros((2, 2), dtype=complex),
-    )
+    return Povm(np.array((
+        np.outer(PLUS, PLUS.conj()),
+        np.outer(MINUS, MINUS.conj()),
+        np.zeros((2, 2), dtype=complex),
+    )))
 
 
 def unitarity_dev(u):
@@ -64,7 +64,7 @@ def test_ancilla_coefficients_match_closed_form():
         if sol.branch != "interior" or np.trace(sol.povm.pi0).real > 1.0 - 1e-6:
             continue
         dil = dilate_povm(sol.povm)
-        p0, p1, pq = dil.pi_vectors
+        p0, p1, pq = dil.e_vectors[:, :2]
         c0 = math.sqrt(1.0 - np.vdot(p0, p0).real)
         assert abs(dil.c0 - c0) <= 1e-10
         assert abs(dil.c1 - (-np.vdot(p0, p1) / c0)) <= 1e-9
@@ -81,8 +81,8 @@ def test_rows_are_orthonormal_extended_vectors():
         dil = dilate_povm(sol.povm)
         gram = dil.e_vectors.conj() @ dil.e_vectors.T
         assert np.max(np.abs(gram - np.eye(3))) <= 1e-12
-        # rows of U are the bras of the extended vectors
-        assert np.max(np.abs(dil.u - dil.e_vectors.conj())) <= 1e-15
+        # rows of U are the bras of the extended vectors, bit for bit
+        assert dil.u.tobytes() == np.conj(dil.e_vectors).tobytes()
 
 
 def test_born_rule_and_probability_conservation():
@@ -108,14 +108,17 @@ def test_dilate_deterministic():
     a = dilate_povm(sol.povm)
     b = dilate_povm(solve_max_confidence(pair).povm)
     assert a.u.tobytes() == b.u.tobytes()
+    # the same triple from nested lists dilates exactly like the array
+    c = dilate_povm(Povm(sol.povm.ops.tolist()))
+    assert c.e_vectors.tobytes() == a.e_vectors.tobytes()
 
 
 def test_rank_two_operator_rejected():
-    rank2 = Povm(
-        pi0=0.25 * I2,
-        pi1=0.25 * I2,
-        pi_inc=0.5 * I2,
-    )
+    rank2 = Povm(np.array((
+        0.25 * I2,
+        0.25 * I2,
+        0.5 * I2,
+    )))
     with pytest.raises(DilationRankError):
         dilate_povm(rank2)
     with pytest.raises(DilationRankError):
@@ -123,11 +126,11 @@ def test_rank_two_operator_rejected():
 
 
 def test_incomplete_triple_rejected():
-    bad = Povm(
-        pi0=np.outer(PLUS, PLUS.conj()),
-        pi1=np.zeros((2, 2), dtype=complex),
-        pi_inc=np.zeros((2, 2), dtype=complex),
-    )
+    bad = Povm(np.array((
+        np.outer(PLUS, PLUS.conj()),
+        np.zeros((2, 2), dtype=complex),
+        np.zeros((2, 2), dtype=complex),
+    )))
     with pytest.raises(DomainError):
         dilate_povm(bad)
 
@@ -142,7 +145,7 @@ def test_boundary_branch_zero_weight_row():
         sol = solve_max_confidence(pair)
         if sol.branch == "boundary_a":
             dil = dilate_povm(sol.povm)
-            assert np.allclose(dil.pi_vectors[1], 0.0)
+            assert np.allclose(dil.e_vectors[1, :2], 0.0)
             assert abs(abs(dil.c1) - 1.0) <= 1e-12
             assert dil.c1.imag == pytest.approx(0.0, abs=1e-12)
             assert dil.c1.real >= 0.0
@@ -198,7 +201,7 @@ def test_dilate_rejects_nan_measurement(which):
     nan = np.full((2, 2), np.nan, dtype=complex)
     ops = [nan, nan, nan] if which == "all" else [nan, sol.povm.pi1, sol.povm.pi_inc]
     with pytest.raises(DomainError, match="identity"):
-        dilate_povm(Povm(pi0=ops[0], pi1=ops[1], pi_inc=ops[2]))
+        dilate_povm(Povm(np.array(ops)))
 
 
 def test_born_residual_propagates_nan():

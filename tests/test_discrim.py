@@ -26,7 +26,7 @@ MINUS = np.array([1.0, -1.0]) / np.sqrt(2.0)
 def povm_checks(povm, tol=1e-12):
     total = povm.pi0 + povm.pi1 + povm.pi_inc
     assert np.max(np.abs(total - I2)) <= tol
-    for op in povm.operators():
+    for op in povm.ops:
         assert np.min(np.linalg.eigvalsh(op)) >= -1e-12
 
 
@@ -104,7 +104,7 @@ def test_branch_assignment_matches_search():
         assert sol.p_inc_opt <= oracle.p_inc + 2e-3
         # The dropped detector has weight 0, the kept one weight 1: a
         # rank-one projector, up to the rounding of its unit direction.
-        kept, dropped = sol.povm.operators()[:2]
+        kept, dropped = sol.povm.ops[:2]
         if sol.branch == "boundary_b":
             kept, dropped = dropped, kept
         assert np.all(dropped == 0.0)
@@ -122,7 +122,7 @@ def test_completeness_positivity_10k_random():
         sol = solve_max_confidence(pair)
         total = sol.povm.pi0 + sol.povm.pi1 + sol.povm.pi_inc
         assert np.max(np.abs(total - I2)) <= 1e-12
-        for op in sol.povm.operators():
+        for op in sol.povm.ops:
             eigvals, _ = qmat.herm_eig2(op)
             assert eigvals[0] >= -1e-12
         top = qmat.herm_eig2(transformed_detector_state(pair)).eigvals[1]
@@ -293,11 +293,11 @@ def test_conditional_error_cases():
         0.3, abs=1e-12
     )
     # all-inconclusive measurement has no conclusive calls
-    all_inc = discrim.Povm(
-        pi0=np.zeros((2, 2), dtype=complex),
-        pi1=np.zeros((2, 2), dtype=complex),
-        pi_inc=I2.copy(),
-    )
+    all_inc = discrim.Povm(np.array((
+        np.zeros((2, 2), dtype=complex),
+        np.zeros((2, 2), dtype=complex),
+        I2.copy(),
+    )))
     with pytest.raises(UndefinedConditionalError):
         conditional_error(all_inc, pair)
 
@@ -308,11 +308,10 @@ def test_conditional_error_of_pure_state_is_not_negative():
     sol = solve_max_confidence(pair)
     assert conditional_error(sol.povm, pair) == 0.0
     pairs = channel.build_state_stack([1.0, 1.0], [pair.mu, 1.0], pair.eta0)
-    povm = discrim.Povm(
-        pi0=np.stack([sol.povm.pi0, np.zeros((2, 2))]),
-        pi1=np.stack([sol.povm.pi1, np.zeros((2, 2))]),
-        pi_inc=np.stack([sol.povm.pi_inc, I2]),
-    )
+    povm = discrim.Povm(np.stack([
+        sol.povm.ops,
+        np.array((np.zeros((2, 2)), np.zeros((2, 2)), I2)),
+    ]))
     errors = discrim.conditional_error_stack(povm, pairs)
     assert errors[0] == 0.0
     assert np.isnan(errors[1])  # an undefined row is NaN

@@ -3,6 +3,7 @@ NaN included, and names what is wrong: README's "fails early" rule."""
 
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -184,6 +185,13 @@ def test_a_tally_is_two_rows_of_three_counts(counts):
     # empirical_confidence fail with "ValueError: math domain error".
     with pytest.raises(DomainError, match="counts"):
         ClickTally(counts, int(np.sum(counts)))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 2, 2)], ids=["2x2", "3x2", "2x2x2"])
+def test_a_povm_is_three_2x2_operators(shape):
+    message = rf"shape \(\.\.\., 3, 2, 2\), got {re.escape(str(shape))}$"
+    with pytest.raises(DomainError, match=message):
+        discrim.Povm(np.zeros(shape))
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])

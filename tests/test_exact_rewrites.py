@@ -63,7 +63,7 @@ def same(a, b):
 
 
 def reference_dilate_povm(povm):
-    pis = dilation.measurement_vector(np.stack(povm.operators()))
+    pis = dilation.measurement_vector(np.stack(povm.ops))
     b = pis.conj()
     col0 = b[:, 0]
     col1 = b[:, 1]
@@ -87,7 +87,7 @@ def reference_born_residual(dil, povm, states):
     for rho in states:
         ext = np.zeros((3, 3), dtype=complex)
         ext[:2, :2] = rho
-        for k, op in enumerate(povm.operators()):
+        for k, op in enumerate(povm.ops):
             direct = float(np.trace(rho @ op).real)
             e = dil.e_vectors[k]
             via_u = float(np.vdot(e, ext @ e).real)
@@ -134,14 +134,14 @@ def reference_achieved_confidences(povm, pair, zero_tol=1e-15):
 
 
 def reference_min_error_projectors(pair):
-    diff = discrim._hermitize(pair.eta1 * pair.rho1 - pair.eta0 * pair.rho0)
+    diff = qmat.hermitize(pair.eta1 * pair.rho1 - pair.eta0 * pair.rho0)
     eigvals, eigvecs = qmat.herm_eig2(diff)
     pi1 = np.zeros((2, 2), dtype=complex)
     for i in range(2):
         if eigvals[i] > 0.0:
-            pi1 = pi1 + discrim._proj(eigvecs[:, i])
-    pi0 = discrim._hermitize(discrim._I2 - pi1)
-    return discrim.Povm(pi0=pi0, pi1=pi1, pi_inc=np.zeros((2, 2), dtype=complex))
+            pi1 = pi1 + qmat.proj(eigvecs[:, i])
+    pi0 = qmat.hermitize(qmat.I2 - pi1)
+    return discrim.Povm(np.array((pi0, pi1, np.zeros((2, 2), dtype=complex))))
 
 
 def reference_threshold_inconclusive(sol, pair, p_thresh):
@@ -158,11 +158,11 @@ def reference_threshold_inconclusive(sol, pair, p_thresh):
         povm = me
     else:
         mix = 1.0 - p_thresh / sol.p_inc_opt
-        pi0 = discrim._hermitize((1.0 - mix) * sol.povm.pi0 + mix * me.pi0)
-        pi1 = discrim._hermitize((1.0 - mix) * sol.povm.pi1 + mix * me.pi1)
-        povm = discrim.Povm(pi0=pi0, pi1=pi1, pi_inc=discrim._hermitize(discrim._I2 - pi0 - pi1))
+        pi0 = qmat.hermitize((1.0 - mix) * sol.povm.pi0 + mix * me.pi0)
+        pi1 = qmat.hermitize((1.0 - mix) * sol.povm.pi1 + mix * me.pi1)
+        povm = discrim.Povm(np.array((pi0, pi1, qmat.hermitize(qmat.I2 - pi0 - pi1))))
     c0, c1 = reference_achieved_confidences(povm, pair)
-    p_inc = float(discrim._trace(pair.rho @ povm.pi_inc))
+    p_inc = float(qmat.trace(pair.rho @ povm.pi_inc))
     return discrim.ThresholdResult(povm=povm, c0=c0, c1=c1, p_inc=p_inc, mix=mix)
 
 
@@ -181,14 +181,14 @@ def reference_trace_norm_herm2(m):
 
 
 def reference_min_error_stack(pairs):
-    diff = discrim._hermitize(pairs.eta1 * pairs.rho1 - pairs.eta0 * pairs.rho0)
+    diff = qmat.hermitize(pairs.eta1 * pairs.rho1 - pairs.eta0 * pairs.rho0)
     return 0.5 * (1.0 - reference_trace_norm_herm2(diff))
 
 
 def reference_click_table(povm, pair):
     probs = np.empty((2, 3))
     for j, rho_j in enumerate((pair.rho0, pair.rho1)):
-        for k, op in enumerate(povm.operators()):
+        for k, op in enumerate(povm.ops):
             probs[j, k] = max(0.0, float(np.trace(rho_j @ op).real))
     return probs
 
@@ -203,7 +203,7 @@ def test_dilation_equals_cross_product_construction(seed):
         branches.add(sol.branch)
         dil = dilation.dilate_povm(sol.povm)
         u, c, e_vectors, pis = reference_dilate_povm(sol.povm)
-        assert same(dil.u, u) and same(dil.e_vectors, e_vectors) and same(dil.pi_vectors, pis)
+        assert same(dil.u, u) and same(dil.e_vectors, e_vectors) and same(dil.e_vectors[:, :2], pis)
         assert same([dil.c0, dil.c1, dil.c2], c)
         states = (pair.rho0, pair.rho1, pair.rho)
         assert same(dilation.born_residual(dil, sol.povm, states),
@@ -260,8 +260,8 @@ def numbers(res):
 def test_capping_equals_scalar_construction(seed):
     for pair, sol in solved(seed):
         me = discrim.min_error_projectors(pair)
-        assert all(same(a, b) for a, b in zip(me.operators(),
-                                              reference_min_error_projectors(pair).operators()))
+        assert all(same(a, b) for a, b in zip(me.ops,
+                                              reference_min_error_projectors(pair).ops))
         for povm in (sol.povm, me):
             assert discrim.achieved_confidences(povm, pair) == reference_achieved_confidences(
                 povm, pair)
@@ -269,7 +269,7 @@ def test_capping_equals_scalar_construction(seed):
         for cap in (0.0, 0.5 * sol.p_inc_opt, 0.37, 1.0):
             got = discrim.threshold_inconclusive(sol, pair, cap)
             want = reference_threshold_inconclusive(sol, pair, cap)
-            assert all(same(a, b) for a, b in zip(got.povm.operators(), want.povm.operators()))
+            assert all(same(a, b) for a, b in zip(got.povm.ops, want.povm.ops))
             assert numbers(got) == numbers(want)
 
 
@@ -303,12 +303,13 @@ def test_helstrom_bound_equals_trace_norm_construction_on_shipped_grids():
 def test_click_table_equals_np_trace_loop(seed, monkeypatch):
     # The table is read where simulate_clicks takes its traces.
     traces = []
+    trace = qmat.trace
 
     def recorded(m):
-        traces.append(discrim._trace(m))
+        traces.append(trace(m))
         return traces[-1]
 
-    monkeypatch.setattr(noise_sim, "_trace", recorded)
+    monkeypatch.setattr(qmat, "trace", recorded)
     for pair, sol in solved(seed):
         capped = discrim.threshold_inconclusive(sol, pair, 0.5 * sol.p_inc_opt).povm
         for povm in (sol.povm, capped):

@@ -279,11 +279,11 @@ def test_clicks_orthogonal_states_never_cross():
 
 def test_clicks_all_inconclusive():
     pair = build_state_pair(0.8, 0.5j, 0.5)
-    all_inc = Povm(
-        pi0=np.zeros((2, 2), dtype=complex),
-        pi1=np.zeros((2, 2), dtype=complex),
-        pi_inc=np.eye(2, dtype=complex),
-    )
+    all_inc = Povm(np.array((
+        np.zeros((2, 2), dtype=complex),
+        np.zeros((2, 2), dtype=complex),
+        np.eye(2, dtype=complex),
+    )))
     tally = simulate_clicks(all_inc, pair, 10_000, seed=12)
     assert tally.counts[:, 2].sum() == 10_000
     est = empirical_confidence(tally)

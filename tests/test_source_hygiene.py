@@ -1,4 +1,5 @@
-"""The package holds no code that only the tests use."""
+"""The package holds no code that only the tests use, and no module of it
+uses another module's private names."""
 
 import ast
 import re
@@ -74,3 +75,35 @@ def test_every_package_name_is_used_outside_the_tests():
             if not found:
                 unused.append(f"{path.name}:{first} {defined}")
     assert not unused, "used only by the tests (or by nobody): " + ", ".join(unused)
+
+
+def private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def borrowed_private_names(tree):
+    """(name, line) of every underscore name a module takes from another
+    package module: ``from .<module> import _name``, or ``<module>._name`` on a
+    module bound by ``from . import <module>``."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                modules.update(alias.asname or alias.name for alias in node.names)
+            else:
+                for alias in node.names:
+                    if private(alias.name):
+                        yield f"{node.module}.{alias.name}", node.lineno
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and private(node.attr)
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            yield f"{node.value.id}.{node.attr}", node.lineno
+
+
+def test_no_module_takes_another_modules_private_names():
+    borrowed = [
+        f"{path.name}:{line} {name}"
+        for path in SOURCES
+        for name, line in borrowed_private_names(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not borrowed, "private names used across modules: " + ", ".join(borrowed)

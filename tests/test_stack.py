@@ -72,7 +72,7 @@ def test_stacked_solutions_meet_the_invariants():
         for k in range(len(nu)):
             sol = sols.row(k)
             seen.add(sol.branch)
-            pi0, pi1, pi_inc = sol.povm.operators()
+            pi0, pi1, pi_inc = sol.povm.ops
             assert np.max(np.abs(pi0 + pi1 + pi_inc - I2)) <= TOL
             for op in (pi0, pi1, pi_inc):
                 assert np.linalg.eigvalsh(op)[0] >= -TOL
@@ -138,8 +138,8 @@ def test_oracle_shares_no_code_with_the_solver(monkeypatch):
     for name in dir(qmat):
         if callable(getattr(qmat, name)) and not isinstance(getattr(qmat, name), type):
             monkeypatch.setattr(qmat, name, broken)
-    for name in ("solve_stack", "solve_max_confidence", "_measure", "_proj", "_hermitize",
-                 "_clip01", "_trace", "_detector_state", "min_error_stack",
+    for name in ("solve_stack", "solve_max_confidence", "_measure",
+                 "_clip01", "_detector_state", "min_error_stack",
                  "conditional_error_stack", "threshold_inconclusive", "min_error_projectors"):
         monkeypatch.setattr(discrim, name, broken)
     got = grid_search_povm(pair, grid_density=64, refine=1)
@@ -162,8 +162,7 @@ def test_threshold_rows_equal_batch_of_one(eta0):
         for k in range(len(nu)):
             pair = channel.build_state_pair(nu[k], mu[k], eta0)
             one = discrim.threshold_inconclusive(discrim.solve_max_confidence(pair), pair, cap)
-            for op, ops in zip(one.povm.operators(), capped.povm.operators()):
-                assert op.tobytes() == ops[k].tobytes(), (cap, k)
+            assert one.povm.ops.tobytes() == capped.povm.ops[k].tobytes(), (cap, k)
             assert same_confidence(one.c0, capped.c0[k]) and same_confidence(one.c1, capped.c1[k])
             for x, xs in ((one.p_inc, capped.p_inc), (one.mix, capped.mix)):
                 assert np.float64(x).tobytes() == xs[k].tobytes(), (cap, k)

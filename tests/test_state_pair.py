@@ -31,7 +31,7 @@ def pair_hexes(pair, k=None):
 
 def solution(pair):
     sol = discrim.solve_max_confidence(pair)
-    ops = np.stack(sol.povm.operators())
+    ops = sol.povm.ops
     return sol.branch, hexes(sol.c0_max, sol.c1_max, sol.p_inc_opt, ops)
 
 
@@ -75,14 +75,25 @@ def test_the_pair_rule_clamps_alike_in_both_forms(nu, mu):
     assert pair_hexes(build_state_stack([nu], [mu], 0.4), 0) == pair_hexes(made)
 
 
+def test_the_named_operators_are_views_of_one_array():
+    for pair in (build_state_pair(0.8, 0.5j, 0.3), build_state_stack([0.8, 0.4], [0.5j, 0.1], 0.3)):
+        assert all(np.shares_memory(rho, pair.states) for rho in (pair.rho0, pair.rho1))
+        sols = discrim.solve_stack(pair)
+        for povm in (sols.povm, sols.row(0).povm):
+            assert all(np.shares_memory(op, sols.povm.ops)
+                       for op in (povm.pi0, povm.pi1, povm.pi_inc))
+
+
 def test_a_matrix_cannot_be_handed_in():
     # A pair whose rho was not the mixture solved to c0_max 0.90000 instead
     # of 0.68601, and a non-Hermitian rho0 was silently hermitized.
-    rho0 = build_state_pair(0.8, 0.5j, 0.5).rho0
+    pair = build_state_pair(0.8, 0.5j, 0.5)
     with pytest.raises(TypeError, match="rho0"):
-        StatePair(0.8, 0.5j, 0.5, rho0=rho0)
+        StatePair(0.8, 0.5j, 0.5, rho0=pair.rho0)
     with pytest.raises(ValueError, match="init=False"):
-        dataclasses.replace(build_state_pair(0.8, 0.5j, 0.5), rho0=rho0)
+        dataclasses.replace(pair, states=pair.states)
+    with pytest.raises(TypeError, match="rho0"):
+        dataclasses.replace(pair, rho0=pair.rho0)
 
 
 @pytest.mark.parametrize(
@@ -99,9 +110,9 @@ def test_replace_runs_the_pair_rule(changes, message):
 
 def test_dilation_rejects_a_non_hermitian_measurement():
     # The operators sum to the identity, but pi0 and pi1 are not Hermitian.
-    povm = Povm(pi0=np.array([[1.0, 0.5], [0.0, 0.0]], dtype=complex),
-                pi1=np.array([[0.0, -0.5], [0.0, 1.0]], dtype=complex),
-                pi_inc=np.zeros((2, 2), dtype=complex))
+    povm = Povm(np.array(([[1.0, 0.5], [0.0, 0.0]],
+                          [[0.0, -0.5], [0.0, 1.0]],
+                          np.zeros((2, 2))), dtype=complex))
     with pytest.raises(HermiticityError):
         dilation.dilate_povm(povm)
 

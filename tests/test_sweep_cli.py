@@ -806,6 +806,14 @@ def test_cli_plot_svg(tmp_path, capsys):
     assert b"polyline" in svg
     assert cli.main(["plot", str(csv_path)]) == 0
     assert (tmp_path / "p.svg").read_bytes() == svg
+    # An extension-less path in a dotted directory keeps its directory: the
+    # SVG went to runs.svg beside runs.v2.
+    dotted = tmp_path / "runs.v2"
+    dotted.mkdir()
+    (dotted / "sweep").write_bytes(csv_path.read_bytes())
+    assert cli.main(["plot", str(dotted / "sweep")]) == 0
+    assert (dotted / "sweep.svg").read_bytes().startswith(b"<svg")
+    assert not (tmp_path / "runs.svg").exists()
     capsys.readouterr()
 
 
