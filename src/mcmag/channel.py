@@ -326,10 +326,11 @@ class StatePair:
 
     ``states[..., j, :, :]`` (the view ``rhoj``) and ``rho = eta0*rho0 + eta1*rho1``
     are derived when the pair is made (by ``dataclasses.replace`` too), after the
-    pair rule: ``nu`` in (0, 1] and ``|mu| <= 1`` with 1e-12 of slack clamped away,
-    ``eta0`` in (0, 1), else DomainError.  Scalars ``nu`` and ``mu`` make one pair;
-    an array in either makes a stack under one prior (``states`` ``(n, 2, 2, 2)``),
-    each row bitwise its own pair.
+    one pair rule (:func:`_states`): ``nu`` in (0, 1] and ``|mu| <= 1`` with 1e-12
+    of slack clamped away, ``eta0`` in (0, 1), else DomainError.  An array in
+    ``nu`` or ``mu`` makes a stack under one prior (``states`` ``(n, 2, 2, 2)``);
+    scalars make one pair, row 0 of that stack: a float ``nu``, a complex ``mu``
+    and ``states`` the ``(2, 2, 2)`` view of the row.
     """
 
     nu: float
@@ -339,8 +340,9 @@ class StatePair:
     rho: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        stack = np.ndim(self.nu) or np.ndim(self.mu)
-        nu, mu, states = (_stack_states if stack else _states)(self.nu, self.mu)
+        nu, mu, states = _states(self.nu, self.mu)
+        if not (np.ndim(self.nu) or np.ndim(self.mu)):  # one pair: row 0
+            nu, mu, states = float(nu[0]), complex(mu[0]), states[0]
         eta0 = float(self.eta0)
         if not 0.0 < eta0 < 1.0:
             raise DomainError(f"eta0 must be in (0, 1), got {eta0}")
@@ -361,24 +363,9 @@ class StatePair:
 
 
 def _states(nu, mu):
-    """The pair rule and ``(nu, mu, states)`` of one pair, in scalar arithmetic."""
-    nu, mu = float(nu), complex(mu)
-    if not 0.0 < nu <= 1.0 + 1e-12:
-        raise DomainError(f"nu must be in (0, 1], got {nu}")
-    if not abs(mu) <= 1.0 + 1e-12:
-        raise DomainError(f"|mu| must be <= 1, got {abs(mu)}")
-    nu = min(nu, 1.0)
-    if abs(mu) > 1.0:
-        mu = mu / abs(mu)
-    off0 = 0.5 * nu
-    off1 = 0.5 * nu * mu
-    rho0, rho1 = [[0.5, off0], [off0, 0.5]], [[0.5, off1], [off1.conjugate(), 0.5]]
-    return nu, mu, np.array((rho0, rho1), dtype=complex)
-
-
-def _stack_states(nu, mu):
-    """:func:`_states` of a stack, row ``k`` bitwise ``_states(nu[k], mu[k])``:
-    ``nu*mu/2`` and the rescaling of ``mu`` repeat Python's complex arithmetic."""
+    """The pair rule and ``(nu, mu, states)`` of a stack, one row per pair:
+    ``nu*mu/2`` and the rescaling of ``mu`` repeat the bits of Python's
+    complex ``0.5*nu*mu`` and ``mu/abs(mu)``."""
     nu = np.asarray(nu, dtype=float).reshape(-1)
     mu = np.array(mu, dtype=complex).reshape(-1)
     size = np.hypot(mu.real, mu.imag)
@@ -394,22 +381,18 @@ def _stack_states(nu, mu):
     over = size > 1.0
     if np.count_nonzero(over):
         re, im, size = mu.real[over], mu.imag[over], size[over]
-        mu[over] = _parts((re + im * 0.0) / size, (im - re * 0.0) / size)
+        mu.real[over] = (re + im * 0.0) / size
+        mu.imag[over] = (im - re * 0.0) / size
     off0 = 0.5 * nu
     # Each pair as [rho0, rho1] flattened: 0.5, off0, off0, 0.5, 0.5, off1, conj(off1), 0.5.
     pairs = np.empty((nu.size, 8), dtype=complex)
     pairs.reshape(-1, 2, 4)[:, :, ::3] = 0.5
     pairs[:, 1:3] = off0[:, None]
-    pairs[:, 5] = _parts(off0 * mu.real - 0.0 * mu.imag, off0 * mu.imag + 0.0 * mu.real)
-    pairs[:, 6] = np.conj(pairs[:, 5])
+    off1 = pairs[:, 5]
+    off1.real = off0 * mu.real - 0.0 * mu.imag
+    off1.imag = off0 * mu.imag + 0.0 * mu.real
+    pairs[:, 6] = np.conj(off1)
     return nu, mu, pairs.reshape(-1, 2, 2, 2)
-
-
-def _parts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    out = np.empty(re.shape, dtype=complex)
-    out.real = re
-    out.imag = im
-    return out
 
 
 def build_state_stack(nu, mu, eta0: float = 0.5) -> StatePair:
@@ -418,5 +401,5 @@ def build_state_stack(nu, mu, eta0: float = 0.5) -> StatePair:
 
 
 def build_state_pair(nu: float, mu: complex, eta0: float = 0.5) -> StatePair:
-    """One state pair in scalar arithmetic; :func:`build_state_stack` makes a grid of them."""
+    """One state pair: row 0 of :func:`build_state_stack`, which makes a grid of them."""
     return StatePair(float(nu), mu, eta0)

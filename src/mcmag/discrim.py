@@ -162,12 +162,20 @@ def _clip01(x: np.ndarray) -> np.ndarray:
 _BALANCED = qmat.proj(np.array([[1.0, 1.0], [1.0, -1.0], [0.0, 0.0]], dtype=complex) / np.sqrt(2.0))
 
 
-def check_pair(pair: StatePair) -> None:
-    """The one-pair rule: ``pair`` is a StatePair of one pair, else DomainError."""
+def check_pair(pair: StatePair, povm: Povm | None = None) -> None:
+    """The one-record rule of the one-pair calls, read from array rank: ``pair``
+    is a StatePair of one pair and ``povm``, if given, one measurement, else DomainError."""
     if not isinstance(pair, StatePair):
         raise DomainError("expected a StatePair")
-    if isinstance(pair.nu, np.ndarray):
-        raise DomainError(f"expected one pair, got a stack of {pair.nu.size}")
+    if pair.states.ndim != 3:
+        raise DomainError(f"expected one pair, got a stack of {len(pair.states)}")
+    if povm is not None:
+        _check_one(povm, "one measurement")
+
+
+def _check_one(povm: Povm, record: str) -> None:
+    if povm.ops.ndim != 3:
+        raise DomainError(f"expected {record}, got operators of shape {povm.ops.shape}")
 
 
 def _detector_state(s_inv: np.ndarray, rho0: np.ndarray, eta0: float) -> np.ndarray:
@@ -278,7 +286,7 @@ def achieved_confidences(povm: Povm, pair: StatePair) -> tuple[float | None, flo
     Returns ``None`` for a detector that never fires (firing probability
     at most ``_ZERO_FIRE``), where the conditional probability is undefined.
     """
-    check_pair(pair)
+    check_pair(pair, povm)
     c0, c1 = _confidence_stack(povm.ops[:2], pair).tolist()
     return (None if math.isnan(c0) else c0), (None if math.isnan(c1) else c1)
 
@@ -381,8 +389,7 @@ def threshold_inconclusive(
 ) -> ThresholdResult:
     """Cap the inconclusive rate at ``p_thresh``: :func:`threshold_stack` on one pair."""
     check_pair(pair)
-    if not isinstance(sol.branch, str):
-        raise DomainError("expected the solution of one pair")
+    _check_one(sol.povm, "the solution of one pair")
     return threshold_stack(sol, pair, p_thresh).row(0)
 
 
@@ -402,7 +409,7 @@ def conditional_error_stack(povm: Povm, pairs: StatePair) -> np.ndarray:
 
 def conditional_error(povm: Povm, pair: StatePair) -> float:
     """Probability a conclusive call is wrong, given that it was conclusive."""
-    check_pair(pair)
+    check_pair(pair, povm)
     error = float(conditional_error_stack(povm, pair))
     if math.isnan(error):
         raise UndefinedConditionalError("measurement is (almost) never conclusive")

@@ -268,7 +268,7 @@ def empirical_dephasing(
 
 def simulate_clicks(povm: Povm, pair: StatePair, shots: int, seed: int) -> ClickTally:
     """Sample (true state, outcome) pairs from the Born probabilities."""
-    check_pair(pair)
+    check_pair(pair, povm)
     _check_int("shots", shots, 1)
     _check_int("seed", seed, 0)
     born = qmat.trace(pair.states[:, None] @ povm.ops)

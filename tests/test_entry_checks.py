@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from mcmag import channel, discrim, noise_sim
+from mcmag import channel, dilation, discrim, noise_sim
 from mcmag.channel import build_state_pair, build_state_stack, free_decay
 from mcmag.errors import DomainError
 from mcmag.noise_sim import ClickTally, OuParams
@@ -86,23 +86,25 @@ def test_numpy_ints_are_a_seed_and_a_shot_count():
     assert clicks(shots=np.int64(10), seed=np.int32(1)).shots == 10
 
 
-def one_pair_calls():
-    """Every public function of ``discrim`` and ``noise_sim`` that takes one
-    ``pair``, with its required arguments: ``(function, names)``."""
+def one_record_calls(modules, records):
+    """Every public function of ``modules`` that takes one of ``records`` and
+    no stack of pairs, with the names of its required arguments and of the
+    records it takes: ``(function, names)``."""
     calls = {}
-    for module in (discrim, noise_sim):
+    for module in modules:
         for name, fn in vars(module).items():
             public = not name.startswith("_") and inspect.isfunction(fn)
             if not public or fn.__module__ != module.__name__:
                 continue
             params = inspect.signature(fn).parameters
-            if "pair" in params:
-                required = [p for p, spec in params.items() if spec.default is spec.empty]
-                calls[f"{module.__name__}.{name}"] = (fn, required)
+            if records & set(params) and "pairs" not in params:
+                names = [p for p, spec in params.items()
+                         if spec.default is spec.empty or p in records]
+                calls[f"{module.__name__}.{name}"] = (fn, names)
     return calls
 
 
-CALLS = one_pair_calls()
+CALLS = one_record_calls((discrim, noise_sim), {"pair"})
 NOT_PAIRS = [
     ((build_state_pair(0.8, 0.5j, 0.5).rho0, build_state_pair(0.8, 0.5j, 0.5).rho1),
      "expected a StatePair"),
@@ -131,6 +133,36 @@ def test_every_one_pair_call_checks_the_pair(name, bad, message):
     args = [others[p] for p in required]
     with pytest.raises(DomainError, match=f"^{message}$"):
         fn(*args)
+
+
+RECORD_CALLS = one_record_calls((discrim, noise_sim, dilation), {"povm", "sol"})
+#: The solution of three pairs, operators of shape (3, 3, 2, 2).
+STACKED = discrim.solve_stack(build_state_stack([0.8, 0.6, 0.5], [0.5j, 0.1, 0.2], 0.4))
+
+
+def test_the_one_record_calls_are_found():
+    assert {
+        "mcmag.discrim.achieved_confidences", "mcmag.discrim.conditional_error",
+        "mcmag.discrim.threshold_inconclusive", "mcmag.noise_sim.simulate_clicks",
+        "mcmag.dilation.dilate_povm", "mcmag.dilation.born_residual",
+    } <= set(RECORD_CALLS)
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_CALLS))
+def test_every_one_record_call_refuses_a_stacked_measurement(name):
+    # A stacked Povm with one pair failed in numpy with a broadcast ValueError
+    # (achieved_confidences, simulate_clicks, dilate_povm, born_residual) or a
+    # TypeError (conditional_error), and threshold_inconclusive named no shape.
+    pair = build_state_pair(0.8, np.exp(-0.3j), 0.5)
+    one = discrim.solve_max_confidence(pair).povm
+    others = {"pair": pair, "sol": STACKED, "povm": STACKED.povm, "p_thresh": 0.5,
+              "shots": 10, "seed": 0, "dilation": dilation.dilate_povm(one),
+              "states": pair.states}
+    fn, names = RECORD_CALLS[name]
+    record = "the solution of one pair" if "sol" in names else "one measurement"
+    message = f"expected {record}, got operators of shape (3, 3, 2, 2)"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        fn(*[others[p] for p in names])
 
 
 def test_the_one_pair_cap_refuses_a_stacked_solution():

@@ -7,11 +7,11 @@ import pytest
 from mcmag import channel, discrim, qmat
 from mcmag.discrim import BRANCHES, grid_search_povm
 from mcmag.errors import PsdViolationError, UndefinedConditionalError
-from mcmag.sweep import NU_FLOOR
+from mcmag.sweep import NU_FLOOR, SweepConfig, run_sweep
 
 I2 = np.eye(2)
 TOL = 1e-9
-#: Pure no-field states (nu = 1) round worse: ROADMAP item 5.
+#: Pure no-field states (nu = 1) round worse: ROADMAP item 3 (3a).
 PURE_TOL = 1e-8
 
 
@@ -111,12 +111,26 @@ def without_known_psd_failures(nu, mu, eta0):
 
 
 @pytest.mark.xfail(raises=PsdViolationError, strict=True,
-                   reason="pure-state rounding at an extreme prior (ROADMAP item 5)")
+                   reason="pure-state rounding of a rank-one Pi_? (ROADMAP item 3a)")
 def test_pure_state_extreme_prior_loses_positivity():
     mu = 7.640057898065168e-08 - 2.555426162089355e-07j
     pairs = channel.build_state_stack([1.0], [mu], 1.0 - 4e-7)
     sol = discrim.solve_stack(pairs).row(0)
     assert np.linalg.eigvalsh(sol.povm.pi_inc)[0] >= -TOL
+
+
+@pytest.mark.xfail(raises=PsdViolationError, strict=True,
+                   reason="pure-state rounding of a rank-one Pi_? (ROADMAP item 3a)")
+def test_balanced_prior_sweep_from_t0_keeps_positivity():
+    # The same defect at eta0 = 0.5: a static sweep from t = 0 under a long
+    # T2* has nu within about 1e-7 of 1 and a small phase on its first rows,
+    # and `mcmag sweep` exits 3 on it.
+    cfg = SweepConfig(scenario="static_single", b0_uT=1.0, T2_star_us=10.0, grid_start=0.0,
+                      grid_stop=1.0, grid_points=400, eta0=0.5)
+    rows = run_sweep(cfg)
+    assert len(rows) == 400
+    for r in rows:
+        assert all(0.0 <= x <= 1.0 for x in (r.c0_max, r.c1_max, r.p_inc_opt, r.helstrom_err))
 
 
 def test_stack_builder_rejects_each_bad_row():

@@ -66,11 +66,17 @@ def test_the_constructor_is_bitwise_both_builders_at_the_edges(seed):
 
 @pytest.mark.parametrize(
     "nu, mu",
-    [(1.0 + 1e-13, 0.5), (1.0, 1.0 + 1e-13), (0.7, (1.0 + 1e-13) * np.exp(0.3j)), (1e-300, 0.0)],
+    [(1.0 + 1e-13, 0.5), (1.0, 1.0 + 1e-13), (0.7, (1.0 + 1e-13) * np.exp(0.3j)), (1e-300, 0.0),
+     (np.float64(0.8), np.array(0.5j)), (np.array(1.0 + 1e-13), np.complex128(0.6 - 0.8j))],
 )
 def test_the_pair_rule_clamps_alike_in_both_forms(nu, mu):
     made = StatePair(nu, mu, 0.4)
     assert made.nu <= 1.0 and abs(made.mu) <= 1.0
+    # One pair is row 0 of the stack the rule makes: plain Python numbers, and
+    # states a (2, 2, 2) view whose hypotheses are views of it in turn.
+    assert type(made.nu) is float and type(made.mu) is complex
+    assert made.states.shape == (2, 2, 2) and made.states.base is not None
+    assert all(np.shares_memory(rho, made.states) for rho in (made.rho0, made.rho1))
     assert pair_hexes(made) == pair_hexes(build_state_pair(nu, mu, 0.4))
     assert pair_hexes(build_state_stack([nu], [mu], 0.4), 0) == pair_hexes(made)
 
