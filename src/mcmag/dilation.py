@@ -94,6 +94,8 @@ def measurement_vector(op: np.ndarray) -> np.ndarray:
 
 
 def _check_one(povm: Povm) -> None:  # discrim.check_pair's rule for a measurement
+    if not isinstance(povm, Povm):
+        raise DomainError(f"expected a Povm, got {type(povm).__name__}")
     if povm.ops.ndim != 3:
         raise DomainError(f"expected one measurement, got operators of shape {povm.ops.shape}")
 

@@ -162,18 +162,21 @@ def _clip01(x: np.ndarray) -> np.ndarray:
 _BALANCED = qmat.proj(np.array([[1.0, 1.0], [1.0, -1.0], [0.0, 0.0]], dtype=complex) / np.sqrt(2.0))
 
 
-def check_pair(pair: StatePair, povm: Povm | None = None) -> None:
-    """The one-record rule of the one-pair calls, read from array rank: ``pair``
-    is a StatePair of one pair and ``povm``, if given, one measurement, else DomainError."""
+def check_pair(pair: StatePair, *povm: Povm) -> None:
+    """The one-record rule of the one-pair calls, read from type and array rank:
+    ``pair`` is a StatePair of one pair and ``povm``, if passed, one measurement,
+    else DomainError."""
     if not isinstance(pair, StatePair):
         raise DomainError("expected a StatePair")
     if pair.states.ndim != 3:
         raise DomainError(f"expected one pair, got a stack of {len(pair.states)}")
-    if povm is not None:
-        _check_one(povm, "one measurement")
+    for measurement in povm:
+        _check_one(measurement, "one measurement")
 
 
 def _check_one(povm: Povm, record: str) -> None:
+    if not isinstance(povm, Povm):
+        raise DomainError(f"expected a Povm, got {type(povm).__name__}")
     if povm.ops.ndim != 3:
         raise DomainError(f"expected {record}, got operators of shape {povm.ops.shape}")
 
@@ -389,6 +392,8 @@ def threshold_inconclusive(
 ) -> ThresholdResult:
     """Cap the inconclusive rate at ``p_thresh``: :func:`threshold_stack` on one pair."""
     check_pair(pair)
+    if not isinstance(sol, McSolution):
+        raise DomainError(f"expected an McSolution, got {type(sol).__name__}")
     _check_one(sol.povm, "the solution of one pair")
     return threshold_stack(sol, pair, p_thresh).row(0)
 

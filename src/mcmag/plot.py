@@ -32,6 +32,41 @@ def _plot_cell(cell: str, lineno: int, column: str) -> float | None:
     return value
 
 
+def _plot_rows(lines: list[tuple[int, str]], n_cells: int, cols: dict[str, int]):
+    """The plotted columns read row by row, in line order: the first row
+    without ``n_cells`` cells, or bad cell, is the one the ConfigError names."""
+    values: dict[str, list[float | None]] = {column: [] for column in cols}
+    for lineno, line in lines:
+        cells = line.split(",")
+        if len(cells) != n_cells:
+            raise ConfigError(f"line {lineno}: {len(cells)} cells, the header has {n_cells}")
+        for column, i in cols.items():
+            values[column].append(_plot_cell(cells[i], lineno, column))
+    return values
+
+
+def _plot_columns(rows: list[list[str]], n_cells: int, cols: dict[str, int]):
+    """The plotted columns of ``rows`` as :func:`_plot_cell` reads them, one
+    column at a time; None if a row has other than ``n_cells`` cells or a cell
+    is bad."""
+    if any(len(cells) != n_cells for cells in rows):
+        return None
+    values: dict[str, list[float | None]] = {}
+    try:
+        for column, i in cols.items():
+            cells = [row[i] for row in rows]
+            if column != "axis" and "NA" in cells:
+                values[column] = [None if cell == "NA" else float(cell) for cell in cells]
+                numbers = [v for v in values[column] if v is not None]
+            else:
+                values[column] = numbers = list(map(float, cells))
+            if not all(map(math.isfinite, numbers)):
+                return None
+    except ValueError:  # a cell that is not a number
+        return None
+    return values
+
+
 def plot_csv(csv_text: str, title: str = "") -> str:
     """Render probability columns of a sweep CSV as a standalone SVG.
 
@@ -46,13 +81,9 @@ def plot_csv(csv_text: str, title: str = "") -> str:
         raise ConfigError("CSV has no data rows")
     plotted = [(column, color) for column, color in _PLOT_COLUMNS if column in header]
     cols = {column: header.index(column) for column in ["axis"] + [c for c, _ in plotted]}
-    values: dict[str, list[float | None]] = {column: [] for column in cols}
-    for lineno, line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ConfigError(f"line {lineno}: {len(cells)} cells, the header has {len(header)}")
-        for column, i in cols.items():
-            values[column].append(_plot_cell(cells[i], lineno, column))
+    values = _plot_columns([line.split(",") for _, line in lines[1:]], len(header), cols)
+    if values is None:  # read again row by row, to name the first fault
+        values = _plot_rows(lines[1:], len(header), cols)
     xs = values["axis"]
     x_lo, x_hi = min(xs), max(xs)
     span = (x_hi - x_lo) or 1.0
@@ -76,19 +107,20 @@ def plot_csv(csv_text: str, title: str = "") -> str:
         f'<rect x="{ax_x0:.2f}" y="{ax_y1:.2f}" width="{ax_x1 - ax_x0:.2f}" '
         f'height="{ax_y0 - ax_y1:.2f}" fill="none" stroke="#333" stroke-width="1"/>'
     )
+    # to_xy written out: each row's x pixel once, each point's y inline.
+    pxs = [ml + (x - x_lo) / span * (width - ml - mr) for x in xs]
     for column, color in plotted:
-        pts = []
-        for x, y in zip(xs, values[column]):
-            if y is None:
-                continue
-            px, py = to_xy(x, y)
-            pts.append(f"{px:.2f},{py:.2f}")
+        pts = [
+            "%.2f,%.2f" % (px, mt + (1.0 - y) * (height - mt - mb))
+            for px, y in zip(pxs, values[column]) if y is not None
+        ]
         if len(pts) >= 2:
             parts.append(
                 f'<polyline points="{" ".join(pts)}" fill="none" '
                 f'stroke="{color}" stroke-width="1.5"/>'
             )
-    label = title or "probability vs axis"
+    label = (title or "probability vs axis").replace("&", "&amp;")
+    label = label.replace("<", "&lt;").replace(">", "&gt;")
     parts.append(
         f'<text x="{ml:.0f}" y="20" font-family="monospace" font-size="13">'
         f"{label} [{x_lo:g} .. {x_hi:g}]</text>"

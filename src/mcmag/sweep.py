@@ -397,15 +397,15 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     return _evaluate(cfg, grid_values(cfg))
 
 
-def _fmt(x: float | None) -> str:
-    return "NA" if x is None else format(x, ".17g")
-
-
 def rows_to_csv(rows: list[SweepRow]) -> str:
-    lines = [CSV_HEADER]
-    for *cells, branch in rows:
-        lines.append(",".join([*map(_fmt, cells), branch]))
-    return "\n".join(lines) + "\n"
+    """CSV text of ``rows``: the header line, then one line per row with each
+    number to 17 significant digits and ``NA`` for an unavailable cell; the
+    text ends in a newline.  Formatted one column at a time."""
+    if not rows:
+        return CSV_HEADER + "\n"
+    *numbers, branches = zip(*rows)
+    columns = [["NA" if x is None else format(x, ".17g") for x in column] for column in numbers]
+    return "\n".join([CSV_HEADER, *map(",".join, zip(*columns, branches))]) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,23 @@ def test_every_one_record_call_refuses_a_stacked_measurement(name):
         fn(*[others[p] for p in names])
 
 
+@pytest.mark.parametrize("name", sorted(RECORD_CALLS))
+@pytest.mark.parametrize("wrong", ["part", "None"])
+def test_every_one_record_call_refuses_a_record_of_another_type(name, wrong):
+    # A measurement's operator array or None for the measurement, and a
+    # measurement or None for the solution, failed with an AttributeError.
+    pair = build_state_pair(0.8, np.exp(-0.3j), 0.5)
+    sol = discrim.solve_max_confidence(pair)
+    fn, names = RECORD_CALLS[name]
+    record, expected = ("sol", "an McSolution") if "sol" in names else ("povm", "a Povm")
+    bad = None if wrong == "None" else {"sol": sol.povm, "povm": sol.povm.ops}[record]
+    others = {"pair": pair, "sol": sol, "povm": sol.povm, "p_thresh": 0.5, "shots": 10,
+              "seed": 0, "dilation": dilation.dilate_povm(sol.povm), "states": pair.states,
+              record: bad}
+    with pytest.raises(DomainError, match=f"^expected {expected}, got {type(bad).__name__}$"):
+        fn(*[others[p] for p in names])
+
+
 def test_the_one_pair_cap_refuses_a_stacked_solution():
     # A stack's solution used to fail in the conversion to a stack of one
     # with numpy's "truth value of an array is ambiguous".

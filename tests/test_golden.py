@@ -7,10 +7,13 @@ config as recorded when the benchmark was defined; the stacked solve and
 the seeded Monte Carlo must reproduce them exactly, not just within a
 tolerance.  It also holds one row per ``api_pointwise`` draw, which the
 benchmark compares cell by cell within ``checks.REF_TOL`` (1e-12).
+The reference holds no SVG: the shipped sweep SVGs, and the CSVs and SVGs
+of the benchmark's seeds 1-3, are pinned by recorded SHA-256 digests.
 """
 
 import dataclasses
 import gzip
+import hashlib
 import importlib
 import json
 from pathlib import Path
@@ -68,3 +71,39 @@ def test_api_pointwise_rows_match_reference_within_tolerance(reference, monkeypa
     assert len(rows) == len(reference["pointwise"]) == 512
     got, want = ("\n".join([api.HEADER, *table]) + "\n" for table in (rows, reference["pointwise"]))
     assert checks.compare_csv(got, want, checks.REF_TOL) == []
+
+
+#: Recorded before the CSV and SVG writers were rewritten column by column;
+#: the rewrite keeps every byte.
+SHIPPED_SVG_SHA256 = "2fd2f9b7d3c45c921693f0197050c269b705932ac26ae726b42a7b1b1ea696c9"
+JITTERED_FIGURES_SHA256 = "415abd1f14aab38abcf03809407b4535418ea6c6f77c7db972062eb03752f8a5"
+
+
+def figure_digest(configs: dict[str, str], names: list[str], with_csv: bool) -> str:
+    """SHA-256 over the SVG (and, with ``with_csv``, first the CSV) of each
+    named config in order, each plotted with its name as the title."""
+    digest = hashlib.sha256()
+    for name in names:
+        csv_text = sweep.rows_to_csv(sweep.run_sweep(sweep.parse_config_text(configs[name])))
+        if with_csv:
+            digest.update(csv_text.encode())
+        digest.update(sweep.plot_csv(csv_text, title=name).encode())
+    return digest.hexdigest()
+
+
+def test_shipped_sweep_svgs_match_recorded_digest(reference):
+    configs = {name: (ROOT / "configs" / f"{name}.cfg").read_text(encoding="utf-8")
+               for name in reference["sweep"]}
+    assert figure_digest(configs, sorted(configs), with_csv=False) == SHIPPED_SVG_SHA256
+
+
+def test_jittered_sweep_figures_match_recorded_digest(monkeypatch):
+    # Seeds 1-3 of the benchmark's sweep inputs reach the cap, the NA
+    # patterns and values that the shipped configs do not.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    inputs = importlib.import_module("inputs")
+    digest = hashlib.sha256()
+    for seed in (1, 2, 3):
+        configs = inputs.jittered_configs(seed)
+        digest.update(figure_digest(configs, inputs.sweep_names(configs), with_csv=True).encode())
+    assert digest.hexdigest() == JITTERED_FIGURES_SHA256

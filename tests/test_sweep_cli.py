@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import xml.dom.minidom
 from pathlib import Path
 
 import numpy as np
@@ -817,14 +818,54 @@ def test_cli_plot_svg(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_plot_escapes_the_title(tmp_path, capsys):
+    # The CSV path is the title; written raw, its "&" and "<" made an SVG
+    # that no XML parser reads.
+    folder = tmp_path / "runs&co<1>"
+    folder.mkdir()
+    csv_path = folder / "sweep.csv"
+    csv_path.write_text(sweep.rows_to_csv(sweep.run_sweep(sweep.parse_config_text(BASE))))
+    assert cli.main(["plot", str(csv_path)]) == 0
+    svg = xml.dom.minidom.parse(str(folder / "sweep.svg"))
+    title = svg.getElementsByTagName("text")[0].firstChild.data
+    assert title.startswith(f"{csv_path} [")
+    capsys.readouterr()
+
+
+def per_cell_csv(rows):
+    """The writer that formatted one cell per call, kept as the reference."""
+    lines = [sweep.CSV_HEADER]
+    for *cells, branch in rows:
+        lines.append(",".join(["NA" if x is None else format(x, ".17g") for x in cells] + [branch]))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_writer_matches_the_per_cell_reference():
+    # None in each nullable column, then the values where ".17g" prints a
+    # sign, a subnormal, the largest float and switches to an exponent.
+    rows = sweep.run_sweep(sweep.parse_config_text(BASE + "p_inc_threshold = 0.6\n"))[:3]
+    numeric = sweep.SweepRow._fields[:-1]
+    nullable = [f for f, hint in sweep.SweepRow.__annotations__.items() if "None" in str(hint)]
+    assert len(nullable) == 5
+    rows += [rows[0]._replace(**{field: None}) for field in nullable]
+    rows += [rows[1]._replace(**dict.fromkeys(nullable))]
+    for x in (-0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e17, 0.1):
+        rows.append(rows[2]._replace(**dict.fromkeys(numeric, x)))
+    for table in ([], rows[:1], rows):
+        assert sweep.rows_to_csv(table) == per_cell_csv(table)
+    assert sweep.rows_to_csv([]) == sweep.CSV_HEADER + "\n"
+
+
 @pytest.mark.parametrize(
     "csv_text, fragment",
     [
         ("axis,c0_max\nabc,0.5\n", "line 2, column 'axis'"),
         ("axis,c0_max,c1_max\n0,0.5,0.5\n1,0.5\n", "line 3: 2 cells, the header has 3"),
         ("axis,c0_max\n0,0.5\n1,nan\n", "line 3, column 'c0_max'"),
+        ("axis,c0_max\n0,abc\nxyz,0.5\n", "line 2, column 'c0_max'"),
+        ("axis,c0_max,c1_max\n0,abc,0.5\n1,0.5\n", "line 2, column 'c0_max'"),
     ],
-    ids=["unparsable", "short_row", "nan"],
+    ids=["unparsable", "short_row", "nan", "bad_cell_before_bad_axis", "bad_cell_before_short_row"],
 )
 def test_cli_plot_malformed_csv_named(tmp_path, capsys, csv_text, fragment):
     # These used to exit 1 with a ValueError or IndexError traceback, or,
