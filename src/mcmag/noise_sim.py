@@ -7,14 +7,17 @@ Two independent estimators live here:
   time tau_c) advanced with its exact one-step update, so the only
   discretization left is the quadrature of the accumulated phase.  One
   kernel advances a chunk of paths at once: each trajectory draws into a
-  contiguous row, blocks of rows are copied transposed into a time-major
-  path, and the recursion and the phase sum run over contiguous rows.
-  Reseating the generator and calling the sampler cost about 2.5 us per
-  trajectory, about what drawing 100 normals costs, so a 100-step chunk
-  takes more than twice as long as one bulk draw of its normals and a
-  400-step chunk about 1.6 times as long.  ``ou_trajectory`` is a chunk
-  of one and costs about 0.4 ms per 100-step path (numpy calls per time
-  step), so take many paths from the kernel;
+  contiguous row, blocks of rows are copied transposed into time-major
+  normals, and the recursion carries the path one contiguous row at a
+  time, folding each row into the phase sum, so no full path is held.
+  Checks on one bath, seed and trajectory count share the draw: a
+  trajectory's first p normals are those of a p-point draw, so each
+  check reads a prefix of the longest grid's normals.  Reseating the
+  generator costs about 0.9 us per trajectory and a 100-normal draw about
+  2.7 us, close to their share of one bulk draw, so what the sharing
+  saves is drawing a number twice.  ``ou_trajectory`` is a chunk of one
+  and costs about 0.6 ms per 100-step path (numpy calls per time step),
+  so take many paths from the kernel;
 * measurement clicks -- categorical sampling of (true state, outcome)
   from the Born probabilities, giving empirical confidences and
   inconclusive rates with binomial error bars.
@@ -26,7 +29,7 @@ Philox.jumped(i), for 0 <= i < 2**64.  The counter is set through the
 generator's state dict, held as plain Python ints, and not through the
 ``Philox(counter=...)`` constructor, which reads indices >= 2**63
 differently.  Statistics are accumulated in fixed chunk order; a chunk
-holds at most 2048 trajectories, fewer on a grid so long that their paths
+holds at most 2048 trajectories, fewer on a grid so long that their normals
 would pass 16 MiB.  Results for a given seed are therefore reproducible
 bit for bit and independent of any thread-count setting.
 """
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Callable
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +48,7 @@ from .channel import StatePair, SwitchingFunction, check_bath, free_decay
 from .discrim import Povm, check_pair
 from .errors import DomainError
 
-_CHUNK = 2048  # trajectories per chunk, while a chunk's path fits _CHUNK_BYTES
+_CHUNK = 2048  # trajectories per chunk, while a chunk's normals fit _CHUNK_BYTES
 _CHUNK_BYTES = 16 * 2**20  # a chunk on a longer grid takes fewer trajectories
 _BLOCK = 64  # trajectories drawn row-wise before one transposed copy
 _MAX_STREAMS = 2**64  # trajectory indices fit counter word 2
@@ -184,29 +187,62 @@ def _grid_and_weights(
     return np.asarray(times), np.asarray(weights)
 
 
-def _ou_paths(
-    params: OuParams, first: int, count: int, decay: np.ndarray, sig: np.ndarray
-) -> np.ndarray:
-    """Bath paths of trajectories first, ..., first+count-1 as columns: B(0) ~ N(0, kappa^2),
-    then B(k+1) = B(k)*decay[k] + sig[k]*N(0,1) in place (IEEE + and * commute).
+def _normals(seed: int, first: int, count: int, points: int) -> np.ndarray:
+    """Normals of trajectories first, ..., first+count-1 as time-major columns.
 
     Each trajectory draws into a contiguous row of a ``_BLOCK``-row buffer,
-    which is copied transposed into the C-contiguous path, so the recursion
-    runs over contiguous rows and the path takes no second full-size copy."""
-    at = _streams(params.seed)
-    path = np.empty((decay.size + 1, count))
-    block = np.empty((min(_BLOCK, count), decay.size + 1))
+    which is copied transposed into the C-contiguous result.  A trajectory's
+    first p normals are those of a p-point draw, so a shorter grid reads a
+    prefix of the rows."""
+    at = _streams(seed)
+    z = np.empty((points, count))
+    block = np.empty((min(_BLOCK, count), points))
     for lo in range(0, count, _BLOCK):
         rows = block[: min(_BLOCK, count - lo)]
         for i, row in enumerate(rows, start=first + lo):
             at(i).standard_normal(out=row)
-        path[:, lo : lo + len(rows)] = rows.T
-    path[0] *= params.kappa
-    tmp = np.empty(count)
+        z[:, lo : lo + len(rows)] = rows.T
+    return z
+
+
+def _ou_rows(
+    kappa: float, z: np.ndarray, decay: np.ndarray, sig: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Bath rows B(0), ..., B(decay.size) over the columns of ``z``: B(0) =
+    kappa*z[0], then B(k+1) = z[k+1]*sig[k] + B(k)*decay[k] (IEEE + and *
+    commute).  ``z`` is only read; two buffers take turns, so a yielded row
+    is overwritten two rows later."""
+    row = np.multiply(z[0], kappa)
+    yield row
+    nxt, tmp = np.empty_like(row), np.empty_like(row)
     for k in range(decay.size):
-        path[k + 1] *= sig[k]
-        path[k + 1] += np.multiply(path[k], decay[k], out=tmp)
+        np.multiply(z[k + 1], sig[k], out=nxt)
+        nxt += np.multiply(row, decay[k], out=tmp)
+        row, nxt = nxt, row
+        yield row
+
+
+def _ou_paths(
+    params: OuParams, first: int, count: int, decay: np.ndarray, sig: np.ndarray
+) -> np.ndarray:
+    """Bath paths of trajectories first, ..., first+count-1 as C-contiguous
+    columns, each row written over the normals it was made from."""
+    path = _normals(params.seed, first, count, decay.size + 1)
+    for k, row in enumerate(_ou_rows(params.kappa, path, decay, sig)):
+        path[k] = row  # the recursion reads z[k] only before it yields row k
     return path
+
+
+def _phase(
+    kappa: float, z: np.ndarray, weights: np.ndarray, decay: np.ndarray, sig: np.ndarray
+) -> np.ndarray:
+    """sum(w * B) of each column: each bath row is folded in as it is made."""
+    rows = _ou_rows(kappa, z, decay, sig)
+    phase = weights[0] * next(rows)
+    tmp = np.empty_like(phase)
+    for k, row in enumerate(rows, start=1):
+        phase += np.multiply(row, weights[k], out=tmp)
+    return phase
 
 
 def ou_trajectory(params: OuParams, index: int = 0) -> np.ndarray:
@@ -231,39 +267,67 @@ def empirical_dephasing(
     error; the imaginary part averages to zero by symmetry and is
     reported as a diagnostic.
     """
-    if switching is None:
-        switching = free_decay(params.T)
-    if abs(switching.total_time - params.T) > 1e-9:
-        raise DomainError("switching horizon differs from params.T")
-    gap = switching.min_gap()
-    if math.isfinite(gap) and params.dt > gap / 50.0 + 1e-15:
-        raise DomainError("dt must be <= (pulse spacing)/50")
+    return empirical_dephasings([(params, switching)])[0]
 
-    times, weights = _grid_and_weights(switching, params.dt)
-    steps = np.diff(times)
-    decay = np.exp(-steps / params.tau_c)
-    sig = params.kappa * np.sqrt(np.maximum(0.0, 1.0 - decay * decay))
 
-    n = params.n_traj
-    chunk = max(1, min(_CHUNK, _CHUNK_BYTES // (8 * times.size)))
-    sums = [[0.0, 0.0], [0.0, 0.0]]  # sum and sum of squares of cos(phase), then of sin(phase)
-    for start in range(0, n, chunk):
-        path = _ou_paths(params, start, min(chunk, n - start), decay, sig)
-        phase = weights[0] * path[0]
-        tmp = np.empty_like(phase)
-        for k in range(1, times.size):
-            phase += np.multiply(path[k], weights[k], out=tmp)
-        del path  # so that the next chunk's path does not coexist with this one
-        for total, part in zip(sums, (np.cos(phase), np.sin(phase))):
-            total[0] += float(np.sum(part))
-            total[1] += float(np.sum(part * part))
+def empirical_dephasings(
+    checks: Sequence[tuple[OuParams, SwitchingFunction | None]],
+) -> list[DephasingEstimate]:
+    """:func:`empirical_dephasing` of each (params, switching) check, bit for
+    bit, drawing each trajectory's normals once for all of them.
 
-    stats = []  # mean and standard error of cos(phase), then of sin(phase)
-    for total, total2 in sums:
-        mean = total / n
-        var = max(0.0, (total2 - n * mean**2) / (n - 1)) if n > 1 else math.inf
-        stats += [mean, math.sqrt(var / n)]
-    return DephasingEstimate(*stats, n_traj=n)
+    The checks must share ``kappa``, ``tau_c``, ``seed`` and ``n_traj``, so
+    they read the same streams.  Each check keeps its own chunk size; the
+    checks of one chunk size share one draw at the longest of their grids,
+    and each reads its prefix.
+    """
+    if not checks:
+        raise DomainError("checks must hold at least one (params, switching) pair")
+    base = checks[0][0]
+    grids = []  # weights, decay and sig of each check
+    for params, switching in checks:
+        for field in ("kappa", "tau_c", "seed", "n_traj"):
+            if getattr(params, field) != getattr(base, field):
+                raise DomainError(f"checks differ in {field}")
+        if switching is None:
+            switching = free_decay(params.T)
+        if abs(switching.total_time - params.T) > 1e-9:
+            raise DomainError("switching horizon differs from params.T")
+        gap = switching.min_gap()
+        if math.isfinite(gap) and params.dt > gap / 50.0 + 1e-15:
+            raise DomainError("dt must be <= (pulse spacing)/50")
+        times, weights = _grid_and_weights(switching, params.dt)
+        decay = np.exp(-np.diff(times) / params.tau_c)
+        sig = params.kappa * np.sqrt(np.maximum(0.0, 1.0 - decay * decay))
+        grids.append((weights, decay, sig))
+
+    n = base.n_traj
+    groups: dict[int, list[int]] = {}  # chunk size -> indices of its checks
+    for i, (weights, _, _) in enumerate(grids):
+        chunk = max(1, min(_CHUNK, _CHUNK_BYTES // (8 * weights.size)))
+        groups.setdefault(chunk, []).append(i)
+    # per check: sum and sum of squares of cos(phase), then of sin(phase)
+    sums = [[[0.0, 0.0], [0.0, 0.0]] for _ in checks]
+    for chunk, members in groups.items():
+        points = max(grids[i][0].size for i in members)
+        for start in range(0, n, chunk):
+            z = _normals(base.seed, start, min(chunk, n - start), points)
+            for i in members:
+                phase = _phase(base.kappa, z, *grids[i])
+                for total, part in zip(sums[i], (np.cos(phase), np.sin(phase))):
+                    total[0] += float(np.sum(part))
+                    total[1] += float(np.sum(part * part))
+            del z  # so that the next chunk's normals do not coexist with these
+
+    estimates = []
+    for check_sums in sums:
+        stats = []  # mean and standard error of cos(phase), then of sin(phase)
+        for total, total2 in check_sums:
+            mean = total / n
+            var = max(0.0, (total2 - n * mean**2) / (n - 1)) if n > 1 else math.inf
+            stats += [mean, math.sqrt(var / n)]
+        estimates.append(DephasingEstimate(*stats, n_traj=n))
+    return estimates
 
 
 def simulate_clicks(povm: Povm, pair: StatePair, shots: int, seed: int) -> ClickTally:

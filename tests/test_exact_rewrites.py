@@ -49,7 +49,7 @@ def solved(seed):
     for pair in edge_pairs(seed):
         try:
             out.append((pair, discrim.solve_max_confidence(pair)))
-        except discrim.PsdViolationError:  # the known extreme-prior defect
+        except discrim.PsdViolationError:  # rank-one Pi_? positivity: ROADMAP item 3 (3a)
             pass
     return out
 

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +13,12 @@ from mcmag import (
     empirical_confidence,
     empirical_dephasing,
     free_decay,
+    noise_sim,
     nu_ou,
     ou_trajectory,
     simulate_clicks,
     solve_max_confidence,
+    sweep,
 )
 from mcmag.discrim import Povm
 from mcmag.errors import DomainError
@@ -23,10 +27,14 @@ from mcmag.noise_sim import (
     _CHUNK,
     _CHUNK_BYTES,
     ClickTally,
+    _grid_and_weights,
     _ou_paths,
     _streams,
+    empirical_dephasings,
     substream,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 KAPPA = 3.6
 TAU_C = 25.0
@@ -233,6 +241,149 @@ def test_empirical_dephasing_bits():
         "0x1.28ae4f79c2c17p-8",
     ]
     assert est.n_traj == _CHUNK + 2
+
+
+def reference_dephasing(params, switching):
+    """One check as the kernel was first written: each chunk's full path by
+    the in-place recursion, then the phase loop over its rows."""
+    times, weights = _grid_and_weights(switching, params.dt)
+    decay = np.exp(-np.diff(times) / params.tau_c)
+    sig = params.kappa * np.sqrt(np.maximum(0.0, 1.0 - decay * decay))
+    n = params.n_traj
+    chunk = max(1, min(_CHUNK, _CHUNK_BYTES // (8 * times.size)))
+    stream = _streams(params.seed)
+    sums = [[0.0, 0.0], [0.0, 0.0]]
+    for start in range(0, n, chunk):
+        path = np.empty((times.size, min(chunk, n - start)))
+        for j in range(path.shape[1]):
+            path[:, j] = stream(start + j).standard_normal(times.size)
+        path[0] *= params.kappa
+        for k in range(decay.size):
+            path[k + 1] *= sig[k]
+            path[k + 1] += path[k] * decay[k]
+        phase = weights[0] * path[0]
+        for k in range(1, times.size):
+            phase += path[k] * weights[k]
+        for total, part in zip(sums, (np.cos(phase), np.sin(phase))):
+            total[0] += float(np.sum(part))
+            total[1] += float(np.sum(part * part))
+    stats = []
+    for total, total2 in sums:
+        mean = total / n
+        var = max(0.0, (total2 - n * mean**2) / (n - 1)) if n > 1 else math.inf
+        stats += [mean, math.sqrt(var / n)]
+    return [x.hex() for x in stats]
+
+
+def ou_checks(kappa, seed, n_traj, grids):
+    """(params, switching) of each (switching, dt) in ``grids`` on one bath."""
+    return [(OuParams(kappa=kappa, tau_c=TAU_C, dt=dt, T=sw.total_time, seed=seed,
+                      n_traj=n_traj), sw) for sw, dt in grids]
+
+
+SHARED_DRAW_CASES = {
+    "free decay, three equal lengths": ou_checks(
+        KAPPA, 0, 300, [(free_decay(t), t / 100.0) for t in (0.1, 0.25, 0.4)]),
+    "pulse trains N = 2, 4, 8: prefix reads": ou_checks(
+        KAPPA, 1, 300, [(cpmg_switching(n, 0.5), 0.01) for n in (2, 4, 8)]),
+    "a grid over 1,024 points: two chunk groups": ou_checks(
+        KAPPA, 2, 1500, [(free_decay(0.2), 0.002), (free_decay(3.0), 0.001),
+                         (cpmg_switching(2, 0.5), 0.01)]),
+    "two chunk boundaries, then a short block": ou_checks(
+        KAPPA, 3, 2 * _CHUNK + 70, [(cpmg_switching(n, 0.5), 0.01) for n in (2, 4)]),
+    "kappa = 0": ou_checks(
+        0.0, 4, 100, [(free_decay(0.1), 0.001), (cpmg_switching(2, 0.5), 0.01)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_DRAW_CASES))
+def test_shared_draw_equals_one_check_at_a_time(case):
+    checks = SHARED_DRAW_CASES[case]
+    got = empirical_dephasings(checks)
+    assert len(got) == len(checks)
+    for est, (params, sw) in zip(got, checks):
+        fields = (est.nu_hat, est.std_err, est.imag_hat, est.imag_std_err)
+        assert [x.hex() for x in fields] == reference_dephasing(params, sw)
+        assert est.n_traj == params.n_traj
+    assert empirical_dephasing(*checks[-1]) == got[-1]
+
+
+def test_shared_draw_checks_share_the_bath_and_the_streams():
+    base = OuParams(kappa=KAPPA, tau_c=TAU_C, dt=0.01, T=1.0, seed=5, n_traj=16)
+    with pytest.raises(DomainError, match="at least one"):
+        empirical_dephasings([])
+    for field, value in (("kappa", 1.0), ("tau_c", 30.0), ("seed", 6), ("n_traj", 17)):
+        other = dataclasses.replace(base, **{field: value})
+        with pytest.raises(DomainError, match=f"checks differ in {field}"):
+            empirical_dephasings([(base, None), (other, None)])
+
+
+def test_shared_draw_keeps_each_checks_refusals():
+    base = OuParams(kappa=KAPPA, tau_c=TAU_C, dt=0.01, T=1.0, seed=5, n_traj=16)
+    sw = cpmg_switching(2, 0.5)
+    with pytest.raises(DomainError, match="switching horizon differs from params.T"):
+        empirical_dephasings([(base, None), (base, cpmg_switching(4, 0.5))])
+    coarse = OuParams(kappa=KAPPA, tau_c=TAU_C, dt=0.05, T=sw.total_time, seed=5, n_traj=16)
+    with pytest.raises(DomainError, match=r"dt must be <= \(pulse spacing\)/50"):
+        empirical_dephasings([(base, None), (coarse, sw)])
+
+
+def test_shared_draw_memory_is_capped():
+    # The 20,000-step grid takes chunks of 104 trajectories, so the call
+    # holds one chunk's normals at a time only if each is dropped in turn.
+    checks = ou_checks(0.05, 14, 200, [(free_decay(0.5), 0.005), (free_decay(400.0), 0.02),
+                                       (free_decay(1.0), 0.01)])
+    tracemalloc.start()
+    try:
+        est = empirical_dephasings(checks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * _CHUNK_BYTES
+    assert abs(est[1].nu_hat - nu_ou(0.05, TAU_C, free_decay(400.0))) <= 3.0 * est[1].std_err
+
+
+class CountingStreams:
+    """Stands in for ``noise_sim._streams``: counts reseats and normals drawn."""
+
+    def __init__(self):
+        self.reseats = []  # trajectory index of each reseat
+        self.normals = 0
+
+    def __call__(self, seed):
+        at = _streams(seed)
+
+        def counted(index):
+            self.reseats.append(index)
+            return CountingGenerator(at(index), self)
+
+        return counted
+
+
+class CountingGenerator:
+    def __init__(self, rng, tally):
+        self.rng, self.tally = rng, tally
+
+    def standard_normal(self, size=None, out=None):
+        drawn = self.rng.standard_normal(size, out=out)
+        self.tally.normals += np.size(drawn)
+        return drawn
+
+
+@pytest.mark.parametrize("name, points", [("validate_static_single", 101),
+                                          ("validate_cpmg_single", 401)])
+def test_a_validate_report_draws_each_normal_once(monkeypatch, name, points):
+    # Every bit would survive a regression to one draw per check, so count:
+    # one reseat per trajectory and the longest grid's normals, where one
+    # draw per check reseats each trajectory three times.
+    cfg = sweep.load_config(str(ROOT / "configs" / f"{name}.cfg"))
+    cfg = dataclasses.replace(cfg, n_traj=130, shots=1000)
+    counting = CountingStreams()
+    monkeypatch.setattr(noise_sim, "_streams", counting)
+    report, ok = sweep.validate_report(cfg)
+    assert report.count("analytic=") >= 6  # three OU checks and the click lines
+    assert counting.reseats == list(range(cfg.n_traj))  # one chunk group
+    assert counting.normals == cfg.n_traj * points
 
 
 def test_empirical_dephasing_dt_guard():
