@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .discrim import Povm
+from .discrim import Povm, check_povm
 from .errors import DilationRankError, DomainError
 
 _RANK_TOL = 1e-10
@@ -93,16 +93,9 @@ def measurement_vector(op: np.ndarray) -> np.ndarray:
     return vec
 
 
-def _check_one(povm: Povm) -> None:  # discrim.check_pair's rule for a measurement
-    if not isinstance(povm, Povm):
-        raise DomainError(f"expected a Povm, got {type(povm).__name__}")
-    if povm.ops.ndim != 3:
-        raise DomainError(f"expected one measurement, got operators of shape {povm.ops.shape}")
-
-
 def dilate_povm(povm: Povm) -> Dilation:
     """Build the three-level unitary realizing a rank-one measurement triple."""
-    _check_one(povm)
+    check_povm(povm)
     total = povm.pi0 + povm.pi1 + povm.pi_inc
     if not np.maximum.reduce(np.abs(total - qmat.I2), axis=None) <= 1e-9:
         raise DomainError("measurement operators do not sum to the identity")
@@ -135,7 +128,7 @@ def dilate_povm(povm: Povm) -> Dilation:
 
 def born_residual(dilation: Dilation, povm: Povm, states) -> float:
     """Largest deviation between Tr(rho Pi_k) and the projective readout (NaN if any is NaN)."""
-    _check_one(povm)
+    check_povm(povm)
     rhos = np.array(states, dtype=complex).reshape(-1, 1, 2, 2)
     direct = qmat.trace(rhos @ povm.ops)
     ext = np.zeros((len(rhos), 1, 3, 3), dtype=complex)

@@ -171,10 +171,11 @@ def check_pair(pair: StatePair, *povm: Povm) -> None:
     if pair.states.ndim != 3:
         raise DomainError(f"expected one pair, got a stack of {len(pair.states)}")
     for measurement in povm:
-        _check_one(measurement, "one measurement")
+        check_povm(measurement)
 
 
-def _check_one(povm: Povm, record: str) -> None:
+def check_povm(povm: Povm, record: str = "one measurement") -> None:
+    """The one-record rule for a measurement: a Povm of one, else DomainError naming ``record``."""
     if not isinstance(povm, Povm):
         raise DomainError(f"expected a Povm, got {type(povm).__name__}")
     if povm.ops.ndim != 3:
@@ -394,7 +395,7 @@ def threshold_inconclusive(
     check_pair(pair)
     if not isinstance(sol, McSolution):
         raise DomainError(f"expected an McSolution, got {type(sol).__name__}")
-    _check_one(sol.povm, "the solution of one pair")
+    check_povm(sol.povm, "the solution of one pair")
     return threshold_stack(sol, pair, p_thresh).row(0)
 
 

@@ -15,9 +15,10 @@ Two independent estimators live here:
   check reads a prefix of the longest grid's normals.  Reseating the
   generator costs about 0.9 us per trajectory and a 100-normal draw about
   2.7 us, close to their share of one bulk draw, so what the sharing
-  saves is drawing a number twice.  ``ou_trajectory`` is a chunk of one
-  and costs about 0.6 ms per 100-step path (numpy calls per time step),
-  so take many paths from the kernel;
+  saves is drawing a number twice.  ``ou_trajectory`` collects the rows
+  of the same recursion for one trajectory and costs about 0.3 ms per
+  100-step path (numpy calls per time step), so take many paths from the
+  kernel;
 * measurement clicks -- categorical sampling of (true state, outcome)
   from the Born probabilities, giving empirical confidences and
   inconclusive rates with binomial error bars.
@@ -222,17 +223,6 @@ def _ou_rows(
         yield row
 
 
-def _ou_paths(
-    params: OuParams, first: int, count: int, decay: np.ndarray, sig: np.ndarray
-) -> np.ndarray:
-    """Bath paths of trajectories first, ..., first+count-1 as C-contiguous
-    columns, each row written over the normals it was made from."""
-    path = _normals(params.seed, first, count, decay.size + 1)
-    for k, row in enumerate(_ou_rows(params.kappa, path, decay, sig)):
-        path[k] = row  # the recursion reads z[k] only before it yields row k
-    return path
-
-
 def _phase(
     kappa: float, z: np.ndarray, weights: np.ndarray, decay: np.ndarray, sig: np.ndarray
 ) -> np.ndarray:
@@ -255,7 +245,9 @@ def ou_trajectory(params: OuParams, index: int = 0) -> np.ndarray:
     n_steps = math.ceil(params.T / params.dt - 1e-9)
     decay = math.exp(-params.dt / params.tau_c)
     sig = params.kappa * math.sqrt(max(0.0, 1.0 - decay * decay))
-    return _ou_paths(params, index, 1, np.full(n_steps, decay), np.full(n_steps, sig))[:, 0]
+    z = _normals(params.seed, index, 1, n_steps + 1)
+    rows = _ou_rows(params.kappa, z, np.full(n_steps, decay), np.full(n_steps, sig))
+    return np.array([row[0] for row in rows])
 
 
 def empirical_dephasing(

@@ -19,36 +19,29 @@ _PLOT_COLUMNS = (
 )
 
 
-def _plot_cell(cell: str, lineno: int, column: str) -> float | None:
-    """One plotted CSV cell: None for ``NA`` (not allowed on the axis), else a finite float."""
-    if cell == "NA" and column != "axis":
-        return None
-    try:
-        value = float(cell)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ConfigError(f"line {lineno}, column {column!r}: not a finite number: {cell!r}")
-    return value
-
-
-def _plot_rows(lines: list[tuple[int, str]], n_cells: int, cols: dict[str, int]):
-    """The plotted columns read row by row, in line order: the first row
-    without ``n_cells`` cells, or bad cell, is the one the ConfigError names."""
-    values: dict[str, list[float | None]] = {column: [] for column in cols}
+def _first_fault(lines: list[tuple[int, str]], n_cells: int, cols: dict[str, int]) -> None:
+    """Raise the ConfigError naming the first fault of the rows, in line
+    order: a row without ``n_cells`` cells, or a plotted cell that is neither
+    ``NA`` (not allowed on the axis) nor a finite number."""
     for lineno, line in lines:
         cells = line.split(",")
         if len(cells) != n_cells:
             raise ConfigError(f"line {lineno}: {len(cells)} cells, the header has {n_cells}")
         for column, i in cols.items():
-            values[column].append(_plot_cell(cells[i], lineno, column))
-    return values
+            cell = cells[i]
+            if cell == "NA" and column != "axis":
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ConfigError(f"line {lineno}, column {column!r}: not a finite number: {cell!r}")
 
 
 def _plot_columns(rows: list[list[str]], n_cells: int, cols: dict[str, int]):
-    """The plotted columns of ``rows`` as :func:`_plot_cell` reads them, one
-    column at a time; None if a row has other than ``n_cells`` cells or a cell
-    is bad."""
+    """The plotted columns of ``rows``, one column at a time: None for ``NA``
+    off the axis, else a float; None if :func:`_first_fault` finds a fault."""
     if any(len(cells) != n_cells for cells in rows):
         return None
     values: dict[str, list[float | None]] = {}
@@ -82,8 +75,8 @@ def plot_csv(csv_text: str, title: str = "") -> str:
     plotted = [(column, color) for column, color in _PLOT_COLUMNS if column in header]
     cols = {column: header.index(column) for column in ["axis"] + [c for c, _ in plotted]}
     values = _plot_columns([line.split(",") for _, line in lines[1:]], len(header), cols)
-    if values is None:  # read again row by row, to name the first fault
-        values = _plot_rows(lines[1:], len(header), cols)
+    if values is None:
+        _first_fault(lines[1:], len(header), cols)
     xs = values["axis"]
     x_lo, x_hi = min(xs), max(xs)
     span = (x_hi - x_lo) or 1.0

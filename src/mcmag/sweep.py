@@ -222,37 +222,27 @@ def _mc_free(cfg: SweepConfig, values: list[float]) -> list[tuple]:
     return checks
 
 
-#: Optional keys of a free-decay scenario: the T2* stretch, the readout
-#: transition and the OU bath that validate checks.
-_FREE = ("p", "delta_ms", "kappa_per_us", "tau_c_us")
+def _free(p: float, delta_ms: int, reads_sigma_b: bool = False) -> Scenario:
+    """A free-decay scenario with defaults ``p`` and ``delta_ms``: it may set
+    the T2* stretch, the readout transition, the OU bath that validate checks
+    and, if ``reads_sigma_b``, ``sigma_b_uT``."""
+    optional = ("p", "delta_ms", "kappa_per_us", "tau_c_us") + ("sigma_b_uT",) * reads_sigma_b
+    defaults = {"p": p, "delta_ms": delta_ms}
+    return Scenario("time", ("T2_star_us",), optional, defaults, _nu_free, _mu_free, _mc_free)
+
 
 #: Every scenario by name: axis, required and optional keys it reads, its
 #: defaults, factor functions, OU bath checks.
 SCENARIOS = {
-    "static_single": Scenario(
-        "time", ("T2_star_us",), _FREE, {"p": 2.0, "delta_ms": 1},
-        _nu_free, _mu_free, _mc_free,
-    ),
-    "static_gaussian_single": Scenario(
-        "time", ("T2_star_us",), (*_FREE, "sigma_b_uT"), {"p": 2.0, "delta_ms": 1},
-        _nu_free, _mu_free, _mc_free,
-    ),
+    "static_single": _free(2.0, 1),
+    "static_gaussian_single": _free(2.0, 1, reads_sigma_b=True),
     "cpmg_single": Scenario(
         "pulse count", ("kappa_per_us", "tau_c_us", "f_MHz"), ("sigma_b_uT",), {"delta_ms": 1},
         _nu_bath_train, _mu_train, _mc_train,
     ),
-    "static_ensemble": Scenario(
-        "time", ("T2_star_us",), _FREE, {"p": 1.0, "delta_ms": 1},
-        _nu_free, _mu_free, _mc_free,
-    ),
-    "static_ensemble_dq": Scenario(
-        "time", ("T2_star_us",), _FREE, {"p": 1.0, "delta_ms": 2},
-        _nu_free, _mu_free, _mc_free,
-    ),
-    "gaussian_ensemble": Scenario(
-        "time", ("T2_star_us",), (*_FREE, "sigma_b_uT"), {"p": 1.0, "delta_ms": 1},
-        _nu_free, _mu_free, _mc_free,
-    ),
+    "static_ensemble": _free(1.0, 1),
+    "static_ensemble_dq": _free(1.0, 2),
+    "gaussian_ensemble": _free(1.0, 1, reads_sigma_b=True),
     "cpmg_ensemble": Scenario(
         "pulse count", ("T2_us", "s", "f_MHz"), ("p", "sigma_b_uT"), {"p": 1.0, "delta_ms": 1},
         _nu_ensemble, _mu_train, None,

@@ -8,9 +8,9 @@ import re
 import numpy as np
 import pytest
 
-from mcmag import channel, dilation, discrim, noise_sim
-from mcmag.channel import build_state_pair, build_state_stack, free_decay
-from mcmag.errors import DomainError
+from mcmag import channel, dilation, discrim, noise_sim, sweep
+from mcmag.channel import SwitchingFunction, build_state_pair, build_state_stack, free_decay
+from mcmag.errors import ConfigError, DomainError
 from mcmag.noise_sim import ClickTally, OuParams
 
 NAN = math.nan
@@ -49,6 +49,92 @@ def test_nan_is_refused_with_the_domain_message(call, message):
     # failed later with a message that names no argument.
     with pytest.raises(DomainError, match=f"^{message}"):
         call()
+
+
+#: name: (call with the argument v, a v out of the domain, the whole message
+#: for it and for NaN; ``{v:g}`` stands for v).
+ARGUMENT_CHECKS = {
+    "SwitchingFunction-flips": (lambda v: SwitchingFunction((0.5, v), 1.0), 0.3,
+                                "flip times must be increasing inside (0, T)"),
+    "SwitchingFunction-T": (lambda v: SwitchingFunction((), v), -1.0,
+                            "total_time must be > 0"),
+    "nu_stretched-T2_star": (lambda v: channel.nu_stretched(v, 2.0, 1.0), 0.0,
+                             "T2_star must be > 0"),
+    "nu_stretched-p": (lambda v: channel.nu_stretched(1.0, v, 1.0), 0.0,
+                       "stretch exponent p must be > 0"),
+    "nu_stretched-t": (lambda v: channel.nu_stretched(1.0, 2.0, v), -1.0,
+                       "time must be >= 0"),
+    "nu_ensemble_cpmg-T2": (lambda v: channel.nu_ensemble_cpmg(v, 0.5, 1.0, 2, 1.0), 0.0,
+                            "T2 must be > 0"),
+    "nu_ensemble_cpmg-s": (lambda v: channel.nu_ensemble_cpmg(1.0, v, 1.0, 2, 1.0), 1.0,
+                           "s must be in [0, 1)"),
+    "nu_ensemble_cpmg-p": (lambda v: channel.nu_ensemble_cpmg(1.0, 0.5, v, 2, 1.0), 0.0,
+                           "stretch exponent p must be > 0"),
+    "nu_ensemble_cpmg-n_pulses": (lambda v: channel.nu_ensemble_cpmg(1.0, 0.5, 1.0, v, 1.0), 3,
+                                  "pulse count must be an even integer >= 2"),
+    "nu_ensemble_cpmg-f": (lambda v: channel.nu_ensemble_cpmg(1.0, 0.5, 1.0, 2, v), 0.0,
+                           "f must be > 0"),
+    "mu_static-b0": (lambda v: channel.mu_static(v, 0.0, 1, 1e10), 1e300,
+                     "b0 = {v:g} takes the phase past the float range at t = 1e+10"),
+    "mu_static-sigma_b": (lambda v: channel.mu_static(1.0, v, 1, 1.0), -1.0,
+                          "sigma_b must be >= 0"),
+    "mu_static-delta_ms": (lambda v: channel.mu_static(1.0, 0.0, v, 1.0), 3,
+                           "delta_ms must be 1 or 2"),
+    "mu_static-t": (lambda v: channel.mu_static(1.0, 0.0, 1, v), -1.0,
+                    "time must be >= 0"),
+    "mu_cpmg-b0": (lambda v: channel.mu_cpmg(v, 0.0, 1e-10, 2), 1e300,
+                   "b0 = {v:g} takes the phase past the float range at N = 2"),
+    "mu_cpmg-sigma_b": (lambda v: channel.mu_cpmg(1.0, v, 1.0, 2), -1.0,
+                        "sigma_b must be >= 0"),
+    "mu_cpmg-f": (lambda v: channel.mu_cpmg(1.0, 0.0, v, 2), 0.0, "f must be > 0"),
+    "mu_cpmg-n_pulses": (lambda v: channel.mu_cpmg(1.0, 0.0, 1.0, v), 3,
+                         "pulse count must be an even integer >= 2"),
+    "decompose_two_level-shape": (lambda v: dilation.decompose_two_level(np.full((2, 2), v)),
+                                  1.0, "expected a 3x3 matrix"),
+    "decompose_two_level-unitary": (lambda v: dilation.decompose_two_level(v * np.eye(3)),
+                                    2.0, "input is not unitary within tolerance"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARGUMENT_CHECKS))
+@pytest.mark.parametrize("kind", ["outside", "nan"])
+def test_each_argument_is_refused_outside_its_domain_and_as_nan(name, kind):
+    # No test reached these raises; a NaN must fail the bound it would pass
+    # unchecked and get that bound's message.
+    call, outside, message = ARGUMENT_CHECKS[name]
+    value = outside if kind == "outside" else NAN
+    with pytest.raises(DomainError) as err:
+        call(value)
+    assert type(err.value) is DomainError
+    assert str(err.value) == message.format(v=value)
+
+
+VALID_CONFIG = """scenario = static_single
+T2_star_us = 1
+grid_start = 0.1
+grid_stop = 1
+grid_points = 3
+"""
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sweep.parse_config_text(VALID_CONFIG + "b0_uT 50\n"),
+         "line 6: expected 'key = value'"),
+        (lambda: sweep.parse_config_text(VALID_CONFIG.replace("grid_start = 0.1\n", "")),
+         "missing required key 'grid_start'"),
+        (lambda: sweep.parse_config_text("grid_start = 0.1\n"), "missing required key 'scenario'"),
+        (lambda: sweep.neumark_report(sweep.parse_config_text(VALID_CONFIG)),
+         "neumark requires key 'point' (time or pulse count)"),
+    ],
+    ids=["no_equals_sign", "missing_grid_start", "missing_scenario", "neumark_without_point"],
+)
+def test_config_faults_are_named(call, message):
+    with pytest.raises(ConfigError) as err:
+        call()
+    assert type(err.value) is ConfigError
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("n_traj", [2.5, 10.0, "10", True])

@@ -423,6 +423,20 @@ shots       = 200000
     assert (tmp_path / "report.txt").read_text().startswith("validation report")
 
 
+def test_cli_validate_exits_3_on_a_failed_check(tmp_path, capsys):
+    # The shipped free-decay check with two trajectories and one shot: the
+    # Monte Carlo coherence at T = 0.1 lies 13 standard errors off.
+    text = (CONFIG_DIR / "validate_static_single.cfg").read_text(encoding="utf-8")
+    for key, value in (("seed", "0"), ("n_traj", "2"), ("shots", "1")):
+        text = re.sub(rf"^{key}\s*=.*$", f"{key} = {value}", text, flags=re.M)
+    cfg = make_cfg(tmp_path, text, name="val_fail.cfg")
+    report = tmp_path / "report.txt"
+    assert cli.main(["validate", cfg, "--out", str(report)]) == 3
+    out = capsys.readouterr().out
+    assert out == report.read_text(encoding="utf-8")
+    assert "z=+13.450" in out and out.endswith("RESULT: FAIL\n")
+
+
 @pytest.mark.parametrize(
     "mutation, key",
     [("seed = -1\n", "seed"), ("n_traj = 1\n", "n_traj"), ("shots = 0\n", "shots")],
@@ -864,8 +878,15 @@ def test_csv_writer_matches_the_per_cell_reference():
         ("axis,c0_max\n0,0.5\n1,nan\n", "line 3, column 'c0_max'"),
         ("axis,c0_max\n0,abc\nxyz,0.5\n", "line 2, column 'c0_max'"),
         ("axis,c0_max,c1_max\n0,abc,0.5\n1,0.5\n", "line 2, column 'c0_max'"),
+        ("axis,c0_max,c0_thresh\n0,0.5,NA\n1,abc,0.5\n",
+         "line 3, column 'c0_max': not a finite number: 'abc'"),
+        ("axis,c0_max,c0_thresh,c1_thresh\n0,0.5,0.5,0.5\n1,0.5,NA,abc\n",
+         "line 3, column 'c1_thresh': not a finite number: 'abc'"),
+        ("x,c0_max\n0,0.5\n", "not a sweep CSV (missing header)"),
+        ("axis,c0_max\n", "CSV has no data rows"),
     ],
-    ids=["unparsable", "short_row", "nan", "bad_cell_before_bad_axis", "bad_cell_before_short_row"],
+    ids=["unparsable", "short_row", "nan", "bad_cell_before_bad_axis", "bad_cell_before_short_row",
+         "bad_row_after_NA", "NA_before_bad_cell", "no_header", "header_only"],
 )
 def test_cli_plot_malformed_csv_named(tmp_path, capsys, csv_text, fragment):
     # These used to exit 1 with a ValueError or IndexError traceback, or,
