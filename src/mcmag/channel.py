@@ -21,7 +21,7 @@ numbers and raises DomainError outside their domain:
 
 Where a power in a formula overflows, the function returns the formula's
 limit: a coherence or damping of 0 (or a vanishing 1/rate**2 term).  A
-field phase past the float range has no limit and is a DomainError.
+field phase past the float range (no limit) or a NaN field is a DomainError.
 :class:`StatePair` assembles the pair.  Units throughout: time in
 microseconds, frequency in MHz, field in microtesla (gyromagnetic ratio
 :data:`GAMMA_E_DEFAULT`), so every exponent is dimensionless and the
@@ -115,10 +115,8 @@ def nu_stretched(T2_star: float, p: float, t: float) -> float:
         raise DomainError("stretch exponent p must be > 0")
     if not t >= 0:
         raise DomainError("time must be >= 0")
-    if t == 0.0:
-        return 1.0
     try:
-        return math.exp(-((t / T2_star) ** p))
+        return math.exp(-((t / T2_star) ** p))  # exactly 1.0 at t = 0
     except OverflowError:
         return 0.0
 
@@ -263,6 +261,16 @@ def nu_ensemble_cpmg(T2: float, s: float, p: float, n_pulses: int, f: float) -> 
         return 0.0
 
 
+def _field_phasor(b0: float, phase: float, at: str, value) -> complex:
+    """``exp(i*phase)`` for the phase a field ``b0`` leaves; a NaN ``b0``, or a
+    phase past the float range at ``at.format(value)``, is a DomainError."""
+    if not math.isfinite(phase):
+        if math.isnan(b0):
+            raise DomainError(f"b0 must be a number, got {b0}")
+        raise DomainError(f"b0 = {b0:g} takes the phase past the float range at {at.format(value)}")
+    return complex(math.cos(phase), math.sin(phase))
+
+
 def mu_static(b0: float, sigma_b: float, delta_ms: int, t: float) -> complex:
     """Phase factor from a constant field over time t.
 
@@ -279,10 +287,7 @@ def mu_static(b0: float, sigma_b: float, delta_ms: int, t: float) -> complex:
     if not t >= 0:
         raise DomainError("time must be >= 0")
     g = GAMMA_E_DEFAULT
-    phase = -2.0 * math.pi * g * b0 * t * delta_ms
-    if not math.isfinite(phase):
-        raise DomainError(f"b0 = {b0:g} takes the phase past the float range at t = {t:g}")
-    out = complex(math.cos(phase), math.sin(phase))
+    out = _field_phasor(b0, -2.0 * math.pi * g * b0 * t * delta_ms, "t = {:g}", t)
     if sigma_b > 0:
         try:
             damp = math.exp(-2.0 * math.pi**2 * g**2 * t**2 * sigma_b**2 * delta_ms**2)
@@ -306,10 +311,7 @@ def mu_cpmg(b0: float, sigma_b: float, f: float, n_pulses: int) -> complex:
         raise DomainError("f must be > 0")
     _check_pulses(n_pulses)
     g = GAMMA_E_DEFAULT
-    phase = -2.0 * n_pulses * g * b0 / f
-    if not math.isfinite(phase):
-        raise DomainError(f"b0 = {b0:g} takes the phase past the float range at N = {n_pulses}")
-    out = complex(math.cos(phase), math.sin(phase))
+    out = _field_phasor(b0, -2.0 * n_pulses * g * b0 / f, "N = {}", n_pulses)
     if sigma_b > 0:
         try:
             damp = math.exp(-2.0 * n_pulses**2 * g**2 * sigma_b**2 / f**2)

@@ -23,6 +23,14 @@ import sys
 
 from .errors import ConfigError, DomainError, NumericalContractError
 
+#: Each subcommand: name, help, its one positional argument, help of --out.
+_COMMANDS = (
+    ("sweep", "run a sweep config, write CSV", "config", "override the config's out path"),
+    ("neumark", "dump the projective extension", "config", "write the dump here instead of stdout"),
+    ("validate", "Monte Carlo consistency checks", "config", "also write the report here"),
+    ("plot", "render a sweep CSV to SVG", "csv", "SVG path (default: csv path with .svg)"),
+)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -30,22 +38,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Maximum-confidence magnetic-field detection toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sweep = sub.add_parser("sweep", help="run a sweep config, write CSV")
-    p_sweep.add_argument("config")
-    p_sweep.add_argument("--out", default=None, help="override the config's out path")
-
-    p_neu = sub.add_parser("neumark", help="dump the projective extension")
-    p_neu.add_argument("config")
-    p_neu.add_argument("--out", default=None, help="write the dump here instead of stdout")
-
-    p_val = sub.add_parser("validate", help="Monte Carlo consistency checks")
-    p_val.add_argument("config")
-    p_val.add_argument("--out", default=None, help="also write the report here")
-
-    p_plot = sub.add_parser("plot", help="render a sweep CSV to SVG")
-    p_plot.add_argument("csv")
-    p_plot.add_argument("--out", default=None, help="SVG path (default: csv path with .svg)")
+    for name, help_text, arg, out_help in _COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument(arg)
+        command.add_argument("--out", default=None, help=out_help)
     return parser
 
 

@@ -84,24 +84,15 @@ def plot_csv(csv_text: str, title: str = "") -> str:
     width, height = 800.0, 520.0
     ml, mr, mt, mb = 60.0, 20.0, 30.0, 40.0
 
-    def to_xy(x: float, y: float) -> tuple[float, float]:
-        px = ml + (x - x_lo) / span * (width - ml - mr)
-        py = mt + (1.0 - y) * (height - mt - mb)
-        return px, py
-
+    # Each row's x pixel once (monotone in x: the frame ends at the largest).
+    pxs = [ml + (x - x_lo) / span * (width - ml - mr) for x in xs]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" '
         f'height="{height:g}" viewBox="0 0 {width:g} {height:g}">',
         f'<rect width="{width:g}" height="{height:g}" fill="white"/>',
+        f'<rect x="{ml:.2f}" y="{mt:.2f}" width="{max(pxs) - ml:.2f}" '
+        f'height="{height - mt - mb:.2f}" fill="none" stroke="#333" stroke-width="1"/>',
     ]
-    ax_x0, ax_y0 = to_xy(x_lo, 0.0)
-    ax_x1, ax_y1 = to_xy(x_hi, 1.0)
-    parts.append(
-        f'<rect x="{ax_x0:.2f}" y="{ax_y1:.2f}" width="{ax_x1 - ax_x0:.2f}" '
-        f'height="{ax_y0 - ax_y1:.2f}" fill="none" stroke="#333" stroke-width="1"/>'
-    )
-    # to_xy written out: each row's x pixel once, each point's y inline.
-    pxs = [ml + (x - x_lo) / span * (width - ml - mr) for x in xs]
     for column, color in plotted:
         pts = [
             "%.2f,%.2f" % (px, mt + (1.0 - y) * (height - mt - mb))

@@ -438,17 +438,15 @@ def validate_report(cfg: SweepConfig) -> tuple[str, bool]:
     dephasing = SCENARIOS[cfg.scenario].dephasing
     kappa, tau_c = cfg.kappa_per_us, cfg.tau_c_us
     if kappa is not None:
-        expected, ou_checks = [], []
-        for label, imag_label, switching, dt in dephasing(cfg, values):
-            params = noise_sim.OuParams(
-                kappa, tau_c, dt, switching.total_time, cfg.seed, cfg.n_traj
-            )
-            expected.append((label, imag_label, channel.nu_ou(kappa, tau_c, switching)))
-            ou_checks.append((params, switching))
+        checks = dephasing(cfg, values)
         # One draw of each trajectory's normals serves every check.
-        estimates = noise_sim.empirical_dephasings(ou_checks)
-        for (label, imag_label, nu), est in zip(expected, estimates):
-            check(label, nu, est.nu_hat, est.std_err)
+        estimates = noise_sim.empirical_dephasings([
+            (noise_sim.OuParams(kappa, tau_c, dt, switching.total_time, cfg.seed, cfg.n_traj),
+             switching)
+            for _label, _imag_label, switching, dt in checks
+        ])
+        for (label, imag_label, switching, _dt), est in zip(checks, estimates):
+            check(label, channel.nu_ou(kappa, tau_c, switching), est.nu_hat, est.std_err)
             if imag_label is not None:
                 check(imag_label, 0.0, est.imag_hat, est.imag_std_err)
 
@@ -498,26 +496,21 @@ def neumark_report(cfg: SweepConfig) -> str:
     residual = dilation.born_residual(dil, povm, pair.states)
     unit_dev = float(np.max(np.abs(dil.u.conj().T @ dil.u - np.eye(3))))
 
+    def cell(z: complex) -> str:
+        return f"{z.real:+.17g}{z.imag:+.17g}j"
+
     def mat_lines(name: str, m: np.ndarray) -> list[str]:
-        out = [f"{name}:"]
-        for row in m:
-            out.append("  " + "  ".join(f"{z.real:+.17g}{z.imag:+.17g}j" for z in row))
-        return out
+        return [f"{name}:"] + ["  " + "  ".join(map(cell, row)) for row in m]
 
     lines = [
         f"neumark dump: scenario={cfg.scenario} axis={axis_value:g}",
-        f"nu={nu:.17g} mu={mu.real:+.17g}{mu.imag:+.17g}j eta0={cfg.eta0:g}",
+        f"nu={nu:.17g} mu={cell(mu)} eta0={cfg.eta0:g}",
         f"branch={sol.branch} C0={sol.c0_max:.17g} C1={sol.c1_max:.17g} "
         f"P_inc={sol.p_inc_opt:.17g}",
     ]
     for name, op in zip(("Pi0", "Pi1", "Pi_inc"), povm.ops):
         lines.extend(mat_lines(name, op))
-    lines.append(
-        "ancilla coefficients: "
-        f"c0={dil.c0.real:+.17g}{dil.c0.imag:+.17g}j "
-        f"c1={dil.c1.real:+.17g}{dil.c1.imag:+.17g}j "
-        f"c_inc={dil.c2.real:+.17g}{dil.c2.imag:+.17g}j"
-    )
+    lines.append(f"ancilla coefficients: c0={cell(dil.c0)} c1={cell(dil.c1)} c_inc={cell(dil.c2)}")
     lines.extend(mat_lines("U", dil.u))
     lines.append(f"two-level factors: {len(factors)}")
     for i, f in enumerate(factors):

@@ -52,7 +52,7 @@ def test_nan_is_refused_with_the_domain_message(call, message):
 
 
 #: name: (call with the argument v, a v out of the domain, the whole message
-#: for it and for NaN; ``{v:g}`` stands for v).
+#: for it and for NaN, unless a fourth entry gives NaN's; ``{v:g}`` stands for v).
 ARGUMENT_CHECKS = {
     "SwitchingFunction-flips": (lambda v: SwitchingFunction((0.5, v), 1.0), 0.3,
                                 "flip times must be increasing inside (0, T)"),
@@ -75,7 +75,8 @@ ARGUMENT_CHECKS = {
     "nu_ensemble_cpmg-f": (lambda v: channel.nu_ensemble_cpmg(1.0, 0.5, 1.0, 2, v), 0.0,
                            "f must be > 0"),
     "mu_static-b0": (lambda v: channel.mu_static(v, 0.0, 1, 1e10), 1e300,
-                     "b0 = {v:g} takes the phase past the float range at t = 1e+10"),
+                     "b0 = {v:g} takes the phase past the float range at t = 1e+10",
+                     "b0 must be a number, got nan"),
     "mu_static-sigma_b": (lambda v: channel.mu_static(1.0, v, 1, 1.0), -1.0,
                           "sigma_b must be >= 0"),
     "mu_static-delta_ms": (lambda v: channel.mu_static(1.0, 0.0, v, 1.0), 3,
@@ -83,7 +84,8 @@ ARGUMENT_CHECKS = {
     "mu_static-t": (lambda v: channel.mu_static(1.0, 0.0, 1, v), -1.0,
                     "time must be >= 0"),
     "mu_cpmg-b0": (lambda v: channel.mu_cpmg(v, 0.0, 1e-10, 2), 1e300,
-                   "b0 = {v:g} takes the phase past the float range at N = 2"),
+                   "b0 = {v:g} takes the phase past the float range at N = 2",
+                   "b0 must be a number, got nan"),
     "mu_cpmg-sigma_b": (lambda v: channel.mu_cpmg(1.0, v, 1.0, 2), -1.0,
                         "sigma_b must be >= 0"),
     "mu_cpmg-f": (lambda v: channel.mu_cpmg(1.0, 0.0, v, 2), 0.0, "f must be > 0"),
@@ -101,8 +103,10 @@ ARGUMENT_CHECKS = {
 def test_each_argument_is_refused_outside_its_domain_and_as_nan(name, kind):
     # No test reached these raises; a NaN must fail the bound it would pass
     # unchecked and get that bound's message.
-    call, outside, message = ARGUMENT_CHECKS[name]
+    call, outside, message, *nan_message = ARGUMENT_CHECKS[name]
     value = outside if kind == "outside" else NAN
+    if kind == "nan" and nan_message:
+        message = nan_message[0]
     with pytest.raises(DomainError) as err:
         call(value)
     assert type(err.value) is DomainError
