@@ -87,9 +87,7 @@ def measurement_vector(op: np.ndarray) -> np.ndarray:
             "rank-one required"
         )
     vec = np.sqrt(top)[..., None] * qmat.pin_phase(eigvecs[..., :, 1])
-    zero = top <= _ZERO_WEIGHT
-    if np.count_nonzero(zero):
-        vec[zero] = 0.0
+    vec[top <= _ZERO_WEIGHT] = 0.0
     return vec
 
 

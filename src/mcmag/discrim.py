@@ -182,10 +182,6 @@ def check_povm(povm: Povm, record: str = "one measurement") -> None:
         raise DomainError(f"expected {record}, got operators of shape {povm.ops.shape}")
 
 
-def _detector_state(s_inv: np.ndarray, rho0: np.ndarray, eta0: float) -> np.ndarray:
-    return qmat.hermitize(eta0 * (s_inv @ rho0 @ s_inv))
-
-
 def solve_stack(pairs: StatePair) -> McSolution:
     """Closed-form maximum-confidence measurement of every pair in a stack.
 
@@ -204,7 +200,7 @@ def solve_stack(pairs: StatePair) -> McSolution:
     n = len(rho)
     eig_rho = qmat.herm_eig2(rho)
     s_inv = qmat.spectral_pow(eig_rho, -0.5)
-    d0 = _detector_state(s_inv, rho0, eta0)
+    d0 = qmat.hermitize(eta0 * (s_inv @ rho0 @ s_inv))  # top eigenvalue: c0_max
     gamma = qmat.herm_eig2(d0)
 
     scale = np.maximum(1.0, np.maximum.reduce(np.abs(d0).reshape(n, 4), axis=1))
@@ -365,8 +361,7 @@ def threshold_stack(sols: McSolution, pairs: StatePair, p_thresh: float) -> Thre
         raise DomainError(f"sols and pairs must have one length, got {n_sols} and {n_pairs}")
     optimum = sols.povm.ops.reshape(-1, 3, 2, 2)
     over = ~(p_inc_opt <= p_thresh)
-    n_over = np.count_nonzero(over)
-    if not n_over:
+    if not np.count_nonzero(over):
         return ThresholdResult(
             povm=Povm(optimum), c0=c0_max, c1=c1_max, p_inc=p_inc_opt, mix=np.zeros(len(over))
         )
@@ -379,12 +374,11 @@ def threshold_stack(sols: McSolution, pairs: StatePair, p_thresh: float) -> Thre
         ops[:, 2] = qmat.hermitize(qmat.I2 - ops[:, 0] - ops[:, 1])
     c0, c1 = _confidence_stack(ops[:, :2], pairs).T
     p_inc = qmat.trace(pairs.rho @ ops[:, 2])
-    if n_over < len(over):  # rows under the cap keep their optimum
-        ops = np.where(over[:, None, None, None], ops, optimum)
-        c0 = np.where(over, c0, c0_max)
-        c1 = np.where(over, c1, c1_max)
-        p_inc = np.where(over, p_inc, p_inc_opt)
-        mix = np.where(over, mix, 0.0)
+    ops = np.where(over[:, None, None, None], ops, optimum)
+    c0 = np.where(over, c0, c0_max)
+    c1 = np.where(over, c1, c1_max)
+    p_inc = np.where(over, p_inc, p_inc_opt)
+    mix = np.where(over, mix, 0.0)
     return ThresholdResult(povm=Povm(ops), c0=c0, c1=c1, p_inc=p_inc, mix=mix)
 
 

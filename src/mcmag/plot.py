@@ -21,27 +21,22 @@ _PLOT_COLUMNS = (
 
 def _first_fault(lines: list[tuple[int, str]], n_cells: int, cols: dict[str, int]) -> None:
     """Raise the ConfigError naming the first fault of the rows, in line
-    order: a row without ``n_cells`` cells, or a plotted cell that is neither
-    ``NA`` (not allowed on the axis) nor a finite number."""
+    order: a row without ``n_cells`` cells, or a plotted cell that
+    :func:`_plot_columns` refuses, read on its own."""
     for lineno, line in lines:
         cells = line.split(",")
         if len(cells) != n_cells:
             raise ConfigError(f"line {lineno}: {len(cells)} cells, the header has {n_cells}")
         for column, i in cols.items():
-            cell = cells[i]
-            if cell == "NA" and column != "axis":
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise ConfigError(f"line {lineno}, column {column!r}: not a finite number: {cell!r}")
+            if _plot_columns([cells], n_cells, {column: i}) is None:
+                raise ConfigError(
+                    f"line {lineno}, column {column!r}: not a finite number: {cells[i]!r}"
+                )
 
 
 def _plot_columns(rows: list[list[str]], n_cells: int, cols: dict[str, int]):
-    """The plotted columns of ``rows``, one column at a time: None for ``NA``
-    off the axis, else a float; None if :func:`_first_fault` finds a fault."""
+    """The plotted columns of ``rows``: None for ``NA`` off the axis, else a
+    finite float; None if a row has not ``n_cells`` cells or a cell is neither."""
     if any(len(cells) != n_cells for cells in rows):
         return None
     values: dict[str, list[float | None]] = {}

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from mcmag import discrim, qmat
+from mcmag import qmat
 from mcmag.channel import StatePair, SwitchingFunction, build_state_pair
 from mcmag.errors import DomainError
 
@@ -23,7 +23,8 @@ def random_pair(
 
 def transformed_detector_state(pair: StatePair) -> np.ndarray:
     """eta0 * rho^(-1/2) rho0 rho^(-1/2), the operator whose spectrum caps C0."""
-    return discrim._detector_state(qmat.psd_pow(pair.rho, -0.5), pair.rho0, pair.eta0)
+    s = qmat.psd_pow(pair.rho, -0.5)
+    return qmat.hermitize(pair.eta0 * (s @ pair.rho0 @ s))
 
 
 def sign_at(switching: SwitchingFunction, t: float) -> int:

@@ -107,3 +107,41 @@ def test_no_module_takes_another_modules_private_names():
         for name, line in borrowed_private_names(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert not borrowed, "private names used across modules: " + ", ".join(borrowed)
+
+
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+_ITEM = re.compile(r"ROADMAP item \d+")
+
+
+def _text(node):
+    """The literal text of a string constant or f-string (its constant parts)."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(part.value for part in node.values if isinstance(part, ast.Constant))
+    return ""
+
+
+def xfail_markers(tree):
+    """(line, call or None) of every ``pytest.mark.xfail`` in a test module;
+    None where the marker is used without arguments."""
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "xfail"
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "mark"):
+            yield node.lineno, calls.get(id(node))
+
+
+def test_every_known_defect_pin_is_strict_and_names_its_roadmap_item():
+    loose, count = [], 0
+    for path in TESTS:
+        for line, call in xfail_markers(ast.parse(path.read_text(encoding="utf-8"))):
+            count += 1
+            keywords = {} if call is None else {kw.arg: kw.value for kw in call.keywords}
+            strict = keywords.get("strict")
+            if not (isinstance(strict, ast.Constant) and strict.value is True):
+                loose.append(f"{path.name}:{line} not strict=True")
+            if not _ITEM.search(_text(keywords.get("reason"))):
+                loose.append(f"{path.name}:{line} reason names no ROADMAP item")
+    assert count, "no xfail markers found: the scan is broken"
+    assert not loose, ", ".join(loose)

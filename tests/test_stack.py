@@ -153,7 +153,7 @@ def test_oracle_shares_no_code_with_the_solver(monkeypatch):
         if callable(getattr(qmat, name)) and not isinstance(getattr(qmat, name), type):
             monkeypatch.setattr(qmat, name, broken)
     for name in ("solve_stack", "solve_max_confidence", "_measure",
-                 "_clip01", "_detector_state", "min_error_stack",
+                 "_clip01", "min_error_stack",
                  "conditional_error_stack", "threshold_inconclusive", "min_error_projectors"):
         monkeypatch.setattr(discrim, name, broken)
     got = grid_search_povm(pair, grid_density=64, refine=1)
