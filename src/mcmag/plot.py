@@ -37,7 +37,7 @@ def _first_fault(lines: list[tuple[int, str]], n_cells: int, cols: dict[str, int
 def _plot_columns(rows: list[list[str]], n_cells: int, cols: dict[str, int]):
     """The plotted columns of ``rows``: None for ``NA`` off the axis, else a
     finite float; None if a row has not ``n_cells`` cells or a cell is neither."""
-    if any(len(cells) != n_cells for cells in rows):
+    if set(map(len, rows)) - {n_cells}:
         return None
     values: dict[str, list[float | None]] = {}
     try:
@@ -79,19 +79,22 @@ def plot_csv(csv_text: str, title: str = "") -> str:
     width, height = 800.0, 520.0
     ml, mr, mt, mb = 60.0, 20.0, 30.0, 40.0
 
-    # Each row's x pixel once (monotone in x: the frame ends at the largest).
+    # Each row's x pixel once (monotone in x: the frame ends at the largest),
+    # and its text once for every curve.
     pxs = [ml + (x - x_lo) / span * (width - ml - mr) for x in xs]
+    x_texts = ["%.2f," % px for px in pxs]
+    plot_h = height - mt - mb
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" '
         f'height="{height:g}" viewBox="0 0 {width:g} {height:g}">',
         f'<rect width="{width:g}" height="{height:g}" fill="white"/>',
         f'<rect x="{ml:.2f}" y="{mt:.2f}" width="{max(pxs) - ml:.2f}" '
-        f'height="{height - mt - mb:.2f}" fill="none" stroke="#333" stroke-width="1"/>',
+        f'height="{plot_h:.2f}" fill="none" stroke="#333" stroke-width="1"/>',
     ]
     for column, color in plotted:
         pts = [
-            "%.2f,%.2f" % (px, mt + (1.0 - y) * (height - mt - mb))
-            for px, y in zip(pxs, values[column]) if y is not None
+            x_text + "%.2f" % (mt + (1.0 - y) * plot_h)
+            for x_text, y in zip(x_texts, values[column]) if y is not None
         ]
         if len(pts) >= 2:
             parts.append(

@@ -19,6 +19,8 @@ anyway.
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 from dataclasses import MISSING, dataclass, fields
 from typing import Callable, NamedTuple, get_args, get_type_hints
@@ -110,10 +112,15 @@ class SweepConfig:
         # The train length and the phase grow with the axis, so the axis end
         # bounds them; every other argument of the phase factor is in its domain.
         end = scenario.snap(max(self.grid_stop, self.point or 0.0))
+        if scenario.axis == "pulse count" and end > _PULSE_BUDGET:
+            key = "grid_stop" if self.grid_stop >= (self.point or 0.0) else "point"
+            raise ConfigError(
+                f"key {key!r}: N = {end:.17g} pulses is over the budget of {_PULSE_BUDGET} pulses"
+            )
         if self.f_MHz is not None and not end * (1.0 / (2.0 * self.f_MHz)) < math.inf:
             raise ConfigError(f"key 'f_MHz': the train N/(2*f_MHz) overflows at N = {end:g}")
         try:
-            scenario.mu(self, end)
+            scenario.mu(self, [end])
         except DomainError as exc:
             raise ConfigError(f"key 'b0_uT': {exc}") from exc
 
@@ -154,9 +161,9 @@ class Scenario:
     scenario-dependent keys it reads that a config must and may set;
     ``defaults`` holds the values it uses for unset keys where these are
     not the :class:`SweepConfig` defaults (a config puts them in when it
-    is made).  ``nu(cfg, values)`` lists the coherence factors of a grid of
-    axis values and ``mu(cfg, axis_value)`` is the phase factor at one, from
-    the channel factor functions called with the config's keys.
+    is made).  ``nu(cfg, values)`` and ``mu(cfg, values)`` list the coherence
+    and phase factors of a grid of axis values, from the channel factor
+    functions called with the config's keys.
     ``dephasing(cfg, values)`` lists validate's Monte Carlo checks of the
     OU bath (``kappa_per_us``, ``tau_c_us``) as (label, imaginary-part
     label or None, switching, dt); None: the scenario has no bath.
@@ -167,7 +174,7 @@ class Scenario:
     optional: tuple[str, ...]
     defaults: dict[str, float]
     nu: Callable[[SweepConfig, list[float]], list[float]]
-    mu: Callable[[SweepConfig, float], complex]
+    mu: Callable[[SweepConfig, list[float]], list[complex]]
     dephasing: Callable[[SweepConfig, list[float]], list[tuple]] | None
 
     @property
@@ -183,12 +190,14 @@ class Scenario:
 
 
 def _nu_free(cfg: SweepConfig, times: list[float]) -> list[float]:
-    return [channel.nu_stretched(cfg.T2_star_us, cfg.p, float(t)) for t in times]
+    t2_star, p = cfg.T2_star_us, cfg.p
+    return [channel.nu_stretched(t2_star, p, float(t)) for t in times]
 
 
-def _mu_free(cfg: SweepConfig, t: float) -> complex:
+def _mu_free(cfg: SweepConfig, times: list[float]) -> list[complex]:
     """A constant field; a known field is one with ``sigma_b_uT = 0``."""
-    return channel.mu_static(cfg.b0_uT, cfg.sigma_b_uT, cfg.delta_ms, float(t))
+    b0, sigma_b, delta_ms = cfg.b0_uT, cfg.sigma_b_uT, cfg.delta_ms
+    return [channel.mu_static(b0, sigma_b, delta_ms, float(t)) for t in times]
 
 
 def _nu_bath_train(cfg: SweepConfig, counts: list[float]) -> list[float]:
@@ -198,11 +207,13 @@ def _nu_bath_train(cfg: SweepConfig, counts: list[float]) -> list[float]:
 
 
 def _nu_ensemble(cfg: SweepConfig, counts: list[float]) -> list[float]:
-    return [channel.nu_ensemble_cpmg(cfg.T2_us, cfg.s, cfg.p, int(n), cfg.f_MHz) for n in counts]
+    t2, s, p, f = cfg.T2_us, cfg.s, cfg.p, cfg.f_MHz
+    return [channel.nu_ensemble_cpmg(t2, s, p, int(n), f) for n in counts]
 
 
-def _mu_train(cfg: SweepConfig, n: float) -> complex:
-    return channel.mu_cpmg(cfg.b0_uT, cfg.sigma_b_uT, cfg.f_MHz, int(n))
+def _mu_train(cfg: SweepConfig, counts: list[float]) -> list[complex]:
+    b0, sigma_b, f = cfg.b0_uT, cfg.sigma_b_uT, cfg.f_MHz
+    return [channel.mu_cpmg(b0, sigma_b, f, int(n)) for n in counts]
 
 
 def _mc_train(cfg: SweepConfig, values: list[float]) -> list[tuple]:
@@ -255,11 +266,19 @@ _SCENARIO_KEYS = [
     if 0 < sum(key in s.required + s.optional for s in SCENARIOS.values()) < len(SCENARIOS)
 ]
 
+#: Work budgets: the most points of a grid (a sweep takes 33-45 us and
+#: 2.6 KB of peak memory per point, its CSV and SVG included) and the
+#: longest train at the end of a pulse-count axis (``grid_stop``, or
+#: ``point`` where it is larger; the OU bath walks the longest train at
+#: 0.34-0.9 us per pulse).  README gives the sizes they allow.
+_GRID_BUDGET = 100_000
+_PULSE_BUDGET = 1_000_000
+
 #: The domain of each key that has one, as (test, rule); a set key outside
 #: it is refused with "key '<key>' must be <rule>".  Float keys must also
 #: be finite.
 DOMAINS: dict[str, tuple[Callable[[object], bool], str]] = {
-    "grid_points": (lambda v: v >= 2, ">= 2"),
+    "grid_points": (lambda v: 2 <= v <= _GRID_BUDGET, f"in [2, {_GRID_BUDGET}]"),
     "grid_scale": (lambda v: v in ("lin", "log"), "'lin' or 'log'"),
     "sigma_b_uT": (lambda v: v >= 0, ">= 0"),
     "f_MHz": (lambda v: v > 0 and 0 < 1 / (2 * v) < math.inf, "> 0 with 1/(2*f_MHz) in (0, inf)"),
@@ -319,9 +338,10 @@ def grid_values(cfg: SweepConfig) -> list[float]:
         values = np.geomspace(cfg.grid_start, cfg.grid_stop, cfg.grid_points)
     else:
         values = np.linspace(cfg.grid_start, cfg.grid_stop, cfg.grid_points)
+    values = values.tolist()
     scenario = SCENARIOS[cfg.scenario]
     if scenario.axis == "time":
-        return [float(v) for v in values]
+        return values
     evens: list[float] = []
     for v in values:
         n = scenario.snap(v)
@@ -333,14 +353,14 @@ def grid_values(cfg: SweepConfig) -> list[float]:
 def factors_at(cfg: SweepConfig, axis_value: float) -> tuple[float, complex]:
     """Coherence and phase factors of one grid point."""
     scenario = SCENARIOS[cfg.scenario]
-    return scenario.nu(cfg, [axis_value])[0], scenario.mu(cfg, axis_value)
+    return scenario.nu(cfg, [axis_value])[0], scenario.mu(cfg, [axis_value])[0]
 
 
 def _evaluate(cfg: SweepConfig, values: list[float]) -> list[SweepRow]:
     """Rows of the given grid points, solved as one stack."""
     scenario = SCENARIOS[cfg.scenario]
     nus = scenario.nu(cfg, values)
-    mus = [scenario.mu(cfg, v) for v in values]
+    mus = scenario.mu(cfg, values)
     pairs = channel.build_state_stack(np.maximum(nus, NU_FLOOR), mus, cfg.eta0)
     sols = discrim.solve_stack(pairs)
     helstrom = discrim.min_error_stack(pairs)
@@ -359,10 +379,12 @@ def _evaluate(cfg: SweepConfig, values: list[float]) -> list[SweepRow]:
         rel = np.where(helstrom > 1e-300, cond / helstrom, np.nan)
 
     columns = (  # one per SweepRow field
-        [float(v) for v in values],
+        map(float, values),
         nus,
-        [abs(mu) for mu in mus],
-        [math.atan2(mu.imag, mu.real) for mu in mus],
+        map(abs, mus),
+        # atan2(imag, real) bit for bit; cmath.phase raises where that
+        # underflows to 0, which needs |real| > 1, and |mu| <= 1.
+        map(cmath.phase, mus),
         sols.c0_max.tolist(),
         sols.c1_max.tolist(),
         sols.p_inc_opt.tolist(),
@@ -374,7 +396,7 @@ def _evaluate(cfg: SweepConfig, values: list[float]) -> list[SweepRow]:
         [None if math.isnan(r) else r for r in rel.tolist()],
         sols.branch.tolist(),
     )
-    return [SweepRow(*cells) for cells in zip(*columns)]
+    return list(map(tuple.__new__, itertools.repeat(SweepRow), zip(*columns)))
 
 
 def evaluate_point(cfg: SweepConfig, axis_value: float) -> SweepRow:

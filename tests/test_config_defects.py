@@ -1,4 +1,5 @@
-"""Known config defects, pinned as strict xfails until they are mended.
+"""Config defects: the mended ones as plain tests, the known ones as strict
+xfails until they are mended.
 
 Each test only parses a config; none runs a sweep or a report.
 """
@@ -56,14 +57,34 @@ def test_replace_takes_the_new_scenarios_defaults():
     assert dataclasses.replace(cfg, scenario="static_ensemble").p == from_file.p
 
 
-@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
-                   reason="ROADMAP item 6: configs of unbounded work parse without error")
+UNBOUNDED_MONTE_CARLO = pytest.mark.xfail(
+    strict=True, raises=pytest.fail.Exception,
+    reason="ROADMAP item 6: validate configs of unbounded Monte Carlo work parse without error",
+)
+
+
 @pytest.mark.parametrize("text, key", [
     (with_values(CPMG_SINGLE, grid_stop="1e10"), "grid_stop"),
-    (with_values(VALIDATE, tau_c_us="1e-300"), "tau_c_us"),
-    (with_values(VALIDATE, n_traj=10**12, shots=10**15), "n_traj|shots"),
+    pytest.param(with_values(VALIDATE, tau_c_us="1e-300"), "tau_c_us",
+                 marks=UNBOUNDED_MONTE_CARLO),
+    pytest.param(with_values(VALIDATE, n_traj=10**12, shots=10**15), "n_traj|shots",
+                 marks=UNBOUNDED_MONTE_CARLO),
     (with_values(STATIC_SINGLE, grid_points=10**11), "grid_points"),
 ], ids=["cpmg_grid_stop", "tau_c", "n_traj_and_shots", "grid_points"])
 def test_a_config_of_unbounded_work_is_refused_at_parse_naming_the_key(text, key):
     with pytest.raises(ConfigError, match=rf"'({key})'"):
         sweep.parse_config_text(text)
+
+
+@pytest.mark.parametrize("key, over", [
+    ("grid_points", "100001"),
+    ("grid_stop", "1000002"),
+    ("point", "1000002"),
+])
+def test_the_work_budgets_take_their_end_and_refuse_one_step_past_it(key, over):
+    # At the budget a config parses; one grid point or one pulse pair past
+    # it, the refusal names the key that sets the size.
+    at = str(int(over) - (1 if key == "grid_points" else 2))
+    assert getattr(sweep.parse_config_text(with_values(CPMG_SINGLE, **{key: at})), key) == int(at)
+    with pytest.raises(ConfigError, match=rf"^key '{key}'"):
+        sweep.parse_config_text(with_values(CPMG_SINGLE, **{key: over}))

@@ -280,7 +280,7 @@ def shipped_pairs():
         values = sweep.grid_values(cfg)
         scenario = sweep.SCENARIOS[cfg.scenario]
         nus = np.maximum(scenario.nu(cfg, values), NU_FLOOR)
-        mus = [scenario.mu(cfg, v) for v in values]
+        mus = scenario.mu(cfg, values)
         yield path.stem, channel.build_state_stack(nus, mus, cfg.eta0)
 
 
