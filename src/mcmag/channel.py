@@ -19,6 +19,11 @@ numbers and raises DomainError outside their domain:
     mu_static(b0, sigma_b, delta_ms, t)      constant field, Gaussian spread
     mu_cpmg(b0, sigma_b, f, n_pulses)        oscillating field, pulse train
 
+The four closed forms also come as grid kernels (``nu_stretched_grid``,
+``nu_ensemble_cpmg_grid``, ``mu_static_grid``, ``mu_cpmg_grid``) that take
+the axis argument as an iterable of values, check the others once and
+list one factor per value; each per-point function is its kernel on one point.
+
 Where a power in a formula overflows, the function returns the formula's
 limit: a coherence or damping of 0 (or a vanishing 1/rate**2 term).  A
 field phase past the float range (no limit) or a NaN field is a DomainError.
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,18 +113,27 @@ def cpmg_switching(n_pulses: int, tau: float) -> SwitchingFunction:
     return SwitchingFunction(tuple(_cpmg_flips(n_pulses, tau)), n_pulses * tau)
 
 
-def nu_stretched(T2_star: float, p: float, t: float) -> float:
-    """Free-decay coherence exp(-(t/T2_star)^p); 0 where the power overflows."""
+def nu_stretched_grid(T2_star: float, p: float, times: Iterable[float]) -> list[float]:
+    """:func:`nu_stretched` at each of ``times``, in order, with the scalar
+    arguments checked once."""
     if not T2_star > 0:
         raise DomainError("T2_star must be > 0")
     if not p > 0:
         raise DomainError("stretch exponent p must be > 0")
-    if not t >= 0:
-        raise DomainError("time must be >= 0")
-    try:
-        return math.exp(-((t / T2_star) ** p))  # exactly 1.0 at t = 0
-    except OverflowError:
-        return 0.0
+    out = []
+    for t in times:
+        if not t >= 0:
+            raise DomainError("time must be >= 0")
+        try:
+            out.append(math.exp(-((t / T2_star) ** p)))  # exactly 1.0 at t = 0
+        except OverflowError:
+            out.append(0.0)
+    return out
+
+
+def nu_stretched(T2_star: float, p: float, t: float) -> float:
+    """Free-decay coherence exp(-(t/T2_star)^p); 0 where the power overflows."""
+    return nu_stretched_grid(T2_star, p, [t])[0]
 
 
 def _walk_order(flips, trains):
@@ -242,23 +257,34 @@ def nu_ou_cpmg(kappa: float, tau_c: float, n_pulses: list[int], tau: float) -> l
     return [_coherence(kappa, w) for w in ws]
 
 
-def nu_ensemble_cpmg(T2: float, s: float, p: float, n_pulses: int, f: float) -> float:
-    """Driven-ensemble coherence exp(-(N^(1-s) / (2*T2*f))^p); 0 where that
-    exponent leaves the float range."""
+def nu_ensemble_cpmg_grid(
+    T2: float, s: float, p: float, n_pulses: Iterable[int], f: float
+) -> list[float]:
+    """:func:`nu_ensemble_cpmg` at each of the pulse counts ``n_pulses``, in
+    order, with the scalar arguments checked once."""
     if not T2 > 0:
         raise DomainError("T2 must be > 0")
     if not 0.0 <= s < 1.0:
         raise DomainError("s must be in [0, 1)")
     if not p > 0:
         raise DomainError("stretch exponent p must be > 0")
-    _check_pulses(n_pulses)
-    if not f > 0:
-        raise DomainError("f must be > 0")
-    try:
-        x = n_pulses ** (1.0 - s) / (2.0 * T2 * f)
-        return math.exp(-(x**p))
-    except (OverflowError, ZeroDivisionError):
-        return 0.0
+    out = []
+    for n in n_pulses:
+        _check_pulses(n)
+        if not f > 0:  # after the count, in argument order: a bad first count is named
+            raise DomainError("f must be > 0")
+        try:
+            x = n ** (1.0 - s) / (2.0 * T2 * f)
+            out.append(math.exp(-(x**p)))
+        except (OverflowError, ZeroDivisionError):
+            out.append(0.0)
+    return out
+
+
+def nu_ensemble_cpmg(T2: float, s: float, p: float, n_pulses: int, f: float) -> float:
+    """Driven-ensemble coherence exp(-(N^(1-s) / (2*T2*f))^p); 0 where that
+    exponent leaves the float range."""
+    return nu_ensemble_cpmg_grid(T2, s, p, [n_pulses], f)[0]
 
 
 def _field_phasor(b0: float, phase: float, at: str, value) -> complex:
@@ -271,6 +297,36 @@ def _field_phasor(b0: float, phase: float, at: str, value) -> complex:
     return complex(math.cos(phase), math.sin(phase))
 
 
+def mu_static_grid(
+    b0: float, sigma_b: float, delta_ms: int, times: Iterable[float]
+) -> list[complex]:
+    """:func:`mu_static` at each of ``times``, in order, with the scalar
+    arguments checked once."""
+    if not sigma_b >= 0:
+        raise DomainError("sigma_b must be >= 0")
+    if delta_ms not in (1, 2):
+        raise DomainError("delta_ms must be 1 or 2")
+    g = GAMMA_E_DEFAULT
+    # The leading constant factors of each exponent, multiplied in the same
+    # left-to-right order as at one point, so with the same roundings.
+    turn = -2.0 * math.pi * g * b0
+    spread = -2.0 * math.pi**2 * g**2
+    out = []
+    for t in times:
+        if not t >= 0:
+            raise DomainError("time must be >= 0")
+        mu = _field_phasor(b0, turn * t * delta_ms, "t = {:g}", t)
+        if sigma_b > 0:
+            try:
+                damp = math.exp(spread * t**2 * sigma_b**2 * delta_ms**2)
+            except OverflowError:  # a square overflows; their product may not
+                x = g * t * sigma_b * delta_ms
+                damp = math.exp(-2.0 * math.pi**2 * x * x)
+            mu *= damp
+        out.append(mu)
+    return out
+
+
 def mu_static(b0: float, sigma_b: float, delta_ms: int, t: float) -> complex:
     """Phase factor from a constant field over time t.
 
@@ -280,21 +336,31 @@ def mu_static(b0: float, sigma_b: float, delta_ms: int, t: float) -> complex:
     field, ``sigma_b = 0``); delta_ms multiplies the phase exponent and
     its square the damping exponent.
     """
+    return mu_static_grid(b0, sigma_b, delta_ms, [t])[0]
+
+
+def mu_cpmg_grid(
+    b0: float, sigma_b: float, f: float, n_pulses: Iterable[int]
+) -> list[complex]:
+    """:func:`mu_cpmg` at each of the pulse counts ``n_pulses``, in order,
+    with the scalar arguments checked once."""
     if not sigma_b >= 0:
         raise DomainError("sigma_b must be >= 0")
-    if delta_ms not in (1, 2):
-        raise DomainError("delta_ms must be 1 or 2")
-    if not t >= 0:
-        raise DomainError("time must be >= 0")
+    if not f > 0:
+        raise DomainError("f must be > 0")
     g = GAMMA_E_DEFAULT
-    out = _field_phasor(b0, -2.0 * math.pi * g * b0 * t * delta_ms, "t = {:g}", t)
-    if sigma_b > 0:
-        try:
-            damp = math.exp(-2.0 * math.pi**2 * g**2 * t**2 * sigma_b**2 * delta_ms**2)
-        except OverflowError:  # a square overflows; their product may not
-            x = g * t * sigma_b * delta_ms
-            damp = math.exp(-2.0 * math.pi**2 * x * x)
-        out *= damp
+    out = []
+    for n in n_pulses:
+        _check_pulses(n)
+        mu = _field_phasor(b0, -2.0 * n * g * b0 / f, "N = {}", n)
+        if sigma_b > 0:
+            try:
+                damp = math.exp(-2.0 * n**2 * g**2 * sigma_b**2 / f**2)
+            except (OverflowError, ZeroDivisionError):  # a square leaves the float range
+                x = n * g * sigma_b / f
+                damp = math.exp(-2.0 * x * x)
+            mu *= damp
+        out.append(mu)
     return out
 
 
@@ -305,21 +371,7 @@ def mu_cpmg(b0: float, sigma_b: float, f: float, n_pulses: int) -> complex:
     exp(-i*2*N*gamma*b0/f) * exp(-2*N^2*gamma^2*sigma_b^2/f^2).
     Only the single-quantum transition is supported here.
     """
-    if not sigma_b >= 0:
-        raise DomainError("sigma_b must be >= 0")
-    if not f > 0:
-        raise DomainError("f must be > 0")
-    _check_pulses(n_pulses)
-    g = GAMMA_E_DEFAULT
-    out = _field_phasor(b0, -2.0 * n_pulses * g * b0 / f, "N = {}", n_pulses)
-    if sigma_b > 0:
-        try:
-            damp = math.exp(-2.0 * n_pulses**2 * g**2 * sigma_b**2 / f**2)
-        except (OverflowError, ZeroDivisionError):  # a square leaves the float range
-            x = n_pulses * g * sigma_b / f
-            damp = math.exp(-2.0 * x * x)
-        out *= damp
-    return out
+    return mu_cpmg_grid(b0, sigma_b, f, [n_pulses])[0]
 
 
 @dataclass(frozen=True)

@@ -162,8 +162,8 @@ class Scenario:
     ``defaults`` holds the values it uses for unset keys where these are
     not the :class:`SweepConfig` defaults (a config puts them in when it
     is made).  ``nu(cfg, values)`` and ``mu(cfg, values)`` list the coherence
-    and phase factors of a grid of axis values, from the channel factor
-    functions called with the config's keys.
+    and phase factors of a grid of axis values, from one call of a channel
+    grid kernel with the config's keys.
     ``dephasing(cfg, values)`` lists validate's Monte Carlo checks of the
     OU bath (``kappa_per_us``, ``tau_c_us``) as (label, imaginary-part
     label or None, switching, dt); None: the scenario has no bath.
@@ -190,14 +190,12 @@ class Scenario:
 
 
 def _nu_free(cfg: SweepConfig, times: list[float]) -> list[float]:
-    t2_star, p = cfg.T2_star_us, cfg.p
-    return [channel.nu_stretched(t2_star, p, float(t)) for t in times]
+    return channel.nu_stretched_grid(cfg.T2_star_us, cfg.p, map(float, times))
 
 
 def _mu_free(cfg: SweepConfig, times: list[float]) -> list[complex]:
     """A constant field; a known field is one with ``sigma_b_uT = 0``."""
-    b0, sigma_b, delta_ms = cfg.b0_uT, cfg.sigma_b_uT, cfg.delta_ms
-    return [channel.mu_static(b0, sigma_b, delta_ms, float(t)) for t in times]
+    return channel.mu_static_grid(cfg.b0_uT, cfg.sigma_b_uT, cfg.delta_ms, map(float, times))
 
 
 def _nu_bath_train(cfg: SweepConfig, counts: list[float]) -> list[float]:
@@ -207,13 +205,11 @@ def _nu_bath_train(cfg: SweepConfig, counts: list[float]) -> list[float]:
 
 
 def _nu_ensemble(cfg: SweepConfig, counts: list[float]) -> list[float]:
-    t2, s, p, f = cfg.T2_us, cfg.s, cfg.p, cfg.f_MHz
-    return [channel.nu_ensemble_cpmg(t2, s, p, int(n), f) for n in counts]
+    return channel.nu_ensemble_cpmg_grid(cfg.T2_us, cfg.s, cfg.p, map(int, counts), cfg.f_MHz)
 
 
 def _mu_train(cfg: SweepConfig, counts: list[float]) -> list[complex]:
-    b0, sigma_b, f = cfg.b0_uT, cfg.sigma_b_uT, cfg.f_MHz
-    return [channel.mu_cpmg(b0, sigma_b, f, int(n)) for n in counts]
+    return channel.mu_cpmg_grid(cfg.b0_uT, cfg.sigma_b_uT, cfg.f_MHz, map(int, counts))
 
 
 def _mc_train(cfg: SweepConfig, values: list[float]) -> list[tuple]:
@@ -412,11 +408,16 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
 def rows_to_csv(rows: list[SweepRow]) -> str:
     """CSV text of ``rows``: the header line, then one line per row with each
     number to 17 significant digits and ``NA`` for an unavailable cell; the
-    text ends in a newline.  Formatted one column at a time."""
+    text ends in a newline.  Formatted one column at a time.  Every number
+    must be a ``float``, as :class:`SweepRow` annotates it: another type
+    (an ``int``) is a TypeError."""
     if not rows:
         return CSV_HEADER + "\n"
     *numbers, branches = zip(*rows)
-    columns = [["NA" if x is None else format(x, ".17g") for x in column] for column in numbers]
+    # Every cell but NA is a float (SweepRow's annotation), so the unbound
+    # float.__format__ gives format()'s text without its per-cell method lookup.
+    fmt = float.__format__
+    columns = [["NA" if x is None else fmt(x, ".17g") for x in column] for column in numbers]
     return "\n".join([CSV_HEADER, *map(",".join, zip(*columns, branches))]) + "\n"
 
 

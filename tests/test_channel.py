@@ -271,3 +271,260 @@ def test_factor_limits_where_a_power_overflows():
     assert channel.mu_cpmg(0.0, 1e-200, 1e-200, 2) == pytest.approx(
         channel.mu_cpmg(0.0, 1.0, 1.0, 2), rel=1e-12
     )
+
+
+# --- the grid kernels against the per-point functions they replaced ----------
+#
+# Each ``reference_*`` function is the per-point factor function as it was
+# before the grid kernels, kept verbatim as the oracle; the sweep called it
+# once per grid point.  Floats compare by ``float.hex``, complex numbers by
+# the hex of both parts, so even a signed zero must agree.
+
+
+def reference_check_pulses(n_pulses):
+    if n_pulses < 2 or n_pulses % 2 != 0:
+        raise DomainError("pulse count must be an even integer >= 2")
+
+
+def reference_nu_stretched(T2_star, p, t):
+    if not T2_star > 0:
+        raise DomainError("T2_star must be > 0")
+    if not p > 0:
+        raise DomainError("stretch exponent p must be > 0")
+    if not t >= 0:
+        raise DomainError("time must be >= 0")
+    try:
+        return math.exp(-((t / T2_star) ** p))
+    except OverflowError:
+        return 0.0
+
+
+def reference_nu_ensemble_cpmg(T2, s, p, n_pulses, f):
+    if not T2 > 0:
+        raise DomainError("T2 must be > 0")
+    if not 0.0 <= s < 1.0:
+        raise DomainError("s must be in [0, 1)")
+    if not p > 0:
+        raise DomainError("stretch exponent p must be > 0")
+    reference_check_pulses(n_pulses)
+    if not f > 0:
+        raise DomainError("f must be > 0")
+    try:
+        x = n_pulses ** (1.0 - s) / (2.0 * T2 * f)
+        return math.exp(-(x**p))
+    except (OverflowError, ZeroDivisionError):
+        return 0.0
+
+
+def reference_field_phasor(b0, phase, at, value):
+    if not math.isfinite(phase):
+        if math.isnan(b0):
+            raise DomainError(f"b0 must be a number, got {b0}")
+        raise DomainError(f"b0 = {b0:g} takes the phase past the float range at {at.format(value)}")
+    return complex(math.cos(phase), math.sin(phase))
+
+
+def reference_mu_static(b0, sigma_b, delta_ms, t):
+    if not sigma_b >= 0:
+        raise DomainError("sigma_b must be >= 0")
+    if delta_ms not in (1, 2):
+        raise DomainError("delta_ms must be 1 or 2")
+    if not t >= 0:
+        raise DomainError("time must be >= 0")
+    g = channel.GAMMA_E_DEFAULT
+    out = reference_field_phasor(b0, -2.0 * math.pi * g * b0 * t * delta_ms, "t = {:g}", t)
+    if sigma_b > 0:
+        try:
+            damp = math.exp(-2.0 * math.pi**2 * g**2 * t**2 * sigma_b**2 * delta_ms**2)
+        except OverflowError:
+            x = g * t * sigma_b * delta_ms
+            damp = math.exp(-2.0 * math.pi**2 * x * x)
+        out *= damp
+    return out
+
+
+def reference_mu_cpmg(b0, sigma_b, f, n_pulses):
+    if not sigma_b >= 0:
+        raise DomainError("sigma_b must be >= 0")
+    if not f > 0:
+        raise DomainError("f must be > 0")
+    reference_check_pulses(n_pulses)
+    g = channel.GAMMA_E_DEFAULT
+    out = reference_field_phasor(b0, -2.0 * n_pulses * g * b0 / f, "N = {}", n_pulses)
+    if sigma_b > 0:
+        try:
+            damp = math.exp(-2.0 * n_pulses**2 * g**2 * sigma_b**2 / f**2)
+        except (OverflowError, ZeroDivisionError):
+            x = n_pulses * g * sigma_b / f
+            damp = math.exp(-2.0 * x * x)
+        out *= damp
+    return out
+
+
+#: name: (grid kernel, the replaced per-point function, position of the axis argument).
+KERNELS = {
+    "nu_stretched": (channel.nu_stretched_grid, reference_nu_stretched, 2),
+    "nu_ensemble_cpmg": (channel.nu_ensemble_cpmg_grid, reference_nu_ensemble_cpmg, 3),
+    "mu_static": (channel.mu_static_grid, reference_mu_static, 3),
+    "mu_cpmg": (channel.mu_cpmg_grid, reference_mu_cpmg, 3),
+}
+
+#: A pulse count whose square leaves the float range while the count does not.
+HUGE_COUNT = 2 * 10**160
+
+
+def bits(values):
+    out = []
+    for v in values:
+        parts = (v.real, v.imag) if isinstance(v, complex) else (v,)
+        out.append((type(v), *(x.hex() for x in parts)))
+    return out
+
+
+def outcome(call):
+    """("ok", the bits of the result), or the type and message of what it raised."""
+    try:
+        return "ok", bits(call())
+    except Exception as exc:  # noqa: BLE001 - the exception is what is compared
+        return type(exc), str(exc)
+
+
+def per_point(function, args, axis):
+    """The sweep's earlier loop: ``function`` once per value of ``args[axis]``."""
+    return [function(*args[:axis], x, *args[axis + 1:]) for x in args[axis]]
+
+
+def kernel_cases(name, rng):
+    """Seeded argument tuples of one kernel that reach every branch of its formula."""
+    times = [0.0, -0.0, *rng.uniform(0.0, 3.0, 12).tolist(), 40.0, 1e200]
+    counts = [2, 4, *sorted((2 * rng.integers(3, 500_000, 12)).tolist()), 10**6]
+    u, R = rng.uniform, range(16)  # R: how many random scalar tuples
+    if name == "nu_stretched":
+        for T2_star, p in [(0.4, 2.0), *((u(0.1, 5.0), u(0.5, 3.0)) for _ in R),
+                           (1e-300, 2.0), (0.4, 1000.0), (5e-324, 1e-3), (math.inf, 2.0)]:
+            yield T2_star, p, times + [math.inf]
+    elif name == "nu_ensemble_cpmg":
+        for T2, s, p, f in [(53.0, 2.0 / 3.0, 1.0, 1.0), (100.0, 0.0, 1.0, 1.0),
+                            *((u(10, 500), u(0, 1), u(0.5, 2), u(0.1, 5)) for _ in R),
+                            (1e-200, 0.5, 1.0, 1e-200), (1.0, 0.0, 1000.0, 1e-3),
+                            (1e300, 0.5, 2.0, 1e300)]:
+            yield T2, s, p, counts + [HUGE_COUNT], f
+    elif name == "mu_static":
+        for b0, sigma_b, delta_ms in [(50.0, 0.0, 1), (20.0, 10.0, 2),
+                                      *((u(0, 60), u(0, 60), 1 + k % 2) for k in R),
+                                      (u(0, 60), 0.0, 2), (0.0, 1e200, 1), (1e-310, 1.0, 2),
+                                      (1e-100, 1.0, 1), (1.0, 1e200, 2)]:
+            yield b0, sigma_b, delta_ms, times + [1e-200]
+    else:
+        for b0, sigma_b, f in [(1.0, 0.2, 1.0), *((u(0, 60), u(0, 1), u(0.1, 5)) for _ in R),
+                               (u(0, 60), 0.0, 2.0), (1.0, 0.2, 1e-200), (0.0, 1e-170, 1.0),
+                               (0.0, 1e200, 1.0), (1e-310, 0.5, 1e300)]:
+            yield b0, sigma_b, f, counts + [HUGE_COUNT] * (b0 == 0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_each_grid_kernel_has_the_bits_of_the_per_point_loop(name, seed):
+    kernel, reference, axis = KERNELS[name]
+    one_point = getattr(channel, name)
+    for args in kernel_cases(name, np.random.default_rng([seed, len(name)])):
+        want = outcome(lambda: per_point(reference, args, axis))
+        assert want[0] == "ok", (args, want)
+        assert outcome(lambda: kernel(*args)) == want, args
+        assert outcome(lambda: per_point(one_point, args, axis)) == want, args
+
+
+def fallback(call):
+    """The type of what ``call`` raised if it is one the formulas fall back from, else None."""
+    try:
+        call()
+    except (OverflowError, ZeroDivisionError) as exc:
+        return type(exc).__name__
+    return None
+
+
+def test_the_kernel_cases_reach_every_branch():
+    # Each fallback of the formulas is taken by some case above: the first
+    # expression of each ``try`` raises, as in the per-point functions.
+    g = channel.GAMMA_E_DEFAULT
+    rng = np.random.default_rng(0)
+    hit = set()
+    for T2_star, p, times in kernel_cases("nu_stretched", rng):
+        hit.update(("nu", t == 0.0, fallback(lambda: (t / T2_star) ** p)) for t in times)
+    for T2, s, p, counts, f in kernel_cases("nu_ensemble_cpmg", rng):
+        hit.update(("ens", fallback(lambda: (n ** (1.0 - s) / (2.0 * T2 * f)) ** p))
+                   for n in counts)
+    for b0, sigma_b, delta_ms, times in kernel_cases("mu_static", rng):
+        hit.update(("static", delta_ms, sigma_b > 0,
+                    fallback(lambda: t**2), fallback(lambda: g**2 * t**2 * sigma_b**2))
+                   for t in times)
+    for b0, sigma_b, f, counts in kernel_cases("mu_cpmg", rng):
+        hit.update(("cpmg", sigma_b > 0, fallback(lambda: -2.0 * n**2),
+                    fallback(lambda: -2.0 * n**2 * g**2 * sigma_b**2 / f**2)) for n in counts)
+    assert {("nu", True, None), ("nu", False, None), ("nu", False, "OverflowError")} <= hit
+    assert {("ens", None), ("ens", "OverflowError"), ("ens", "ZeroDivisionError")} <= hit
+    for delta_ms in (1, 2):
+        assert {("static", delta_ms, False, None, None), ("static", delta_ms, True, None, None),
+                ("static", delta_ms, True, None, "OverflowError")} <= hit
+    assert ("static", 1, True, "OverflowError", "OverflowError") in hit  # t**2 overflows
+    assert {("cpmg", False, None, None), ("cpmg", True, None, None),
+            ("cpmg", True, None, "ZeroDivisionError"),  # a tiny f: f**2 is 0
+            ("cpmg", True, None, "OverflowError"),  # sigma_b**2 overflows
+            ("cpmg", True, "OverflowError", "OverflowError")} <= hit  # n**2 does
+
+
+#: Grids with faults: (name, scalar arguments around the axis, the axis values).
+FAULTY = [
+    ("nu_stretched", (0.4, 2.0), [0.1, -1.0, 0.5]),
+    ("nu_stretched", (0.4, 2.0), [0.1, 0.2, math.nan]),
+    ("nu_stretched", (0.0, 2.0), [-1.0, 0.5]),
+    ("nu_stretched", (0.4, math.nan), [0.1, math.nan]),
+    ("nu_ensemble_cpmg", (10.0, 0.5, 1.0, 1.0), [2, 4, 7, 8]),
+    ("nu_ensemble_cpmg", (10.0, 0.5, 1.0, 0.0), [3, 4]),
+    ("nu_ensemble_cpmg", (10.0, 0.5, 1.0, 0.0), [4, 3]),
+    ("nu_ensemble_cpmg", (10.0, 0.5, 1.0, math.nan), [2, 0]),
+    ("nu_ensemble_cpmg", (10.0, 1.5, 1.0, 1.0), [3]),
+    ("mu_static", (1.0, 0.0, 1), [0.1, -0.5, 0.2]),
+    ("mu_static", (1.0, 0.5, 2), [0.1, math.nan]),
+    ("mu_static", (math.nan, 0.0, 1), [0.1, -1.0]),
+    ("mu_static", (math.nan, 0.0, 1), [-1.0, 0.1]),
+    ("mu_static", (1e300, 1.0, 2), [1.0, 1e10, -1.0]),
+    ("mu_static", (1e300, 1.0, 2), [1.0, -1.0, 1e10]),
+    ("mu_static", (1.0, -1.0, 3), [-1.0]),
+    ("mu_cpmg", (1.0, 0.2, 1.0), [2, 4, 5, 6]),
+    ("mu_cpmg", (1.0, 0.2, 1.0), [2, 0]),
+    ("mu_cpmg", (math.nan, 0.2, 1.0), [2, 3]),
+    ("mu_cpmg", (math.nan, 0.2, 1.0), [3, 2]),
+    ("mu_cpmg", (1e307, 0.0, 1.0), [2, 20, 2000, 7]),
+    ("mu_cpmg", (1e307, 0.0, 1.0), [2, 7, 2000]),
+    ("mu_cpmg", (1.0, 0.2, 0.0), [3]),
+]
+
+
+@pytest.mark.parametrize("name, scalars, values", FAULTY)
+def test_a_faulty_grid_raises_what_the_per_point_loop_raised_first(name, scalars, values):
+    kernel, reference, axis = KERNELS[name]
+    args = (*scalars[:axis], values, *scalars[axis:])
+    want = outcome(lambda: per_point(reference, args, axis))
+    assert want[0] is DomainError
+    assert outcome(lambda: kernel(*args)) == want
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_a_seeded_faulty_grid_raises_what_the_per_point_loop_raised_first(name, seed):
+    # Faults of each kind at seeded places in a valid grid; a phase past the
+    # float range takes a field whose phase overflows from some point on.
+    kernel, reference, axis = KERNELS[name]
+    rng = np.random.default_rng([seed, len(name), 7])
+    faults = (-1.0, math.nan) if name in ("nu_stretched", "mu_static") else (3, 0, -2)
+    for args in kernel_cases(name, rng):
+        values = list(args[axis])
+        for _ in range(int(rng.integers(1, 3))):
+            values[int(rng.integers(len(values)))] = faults[int(rng.integers(len(faults)))]
+        cases = [(*args[:axis], values, *args[axis + 1:])]
+        if name.startswith("mu_"):
+            cases += [(b0, *args[1:axis], values, *args[axis + 1:]) for b0 in (math.nan, 1e305)]
+        for case in cases:
+            want = outcome(lambda: per_point(reference, case, axis))
+            assert outcome(lambda: kernel(*case)) == want, case

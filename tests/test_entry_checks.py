@@ -91,6 +91,24 @@ ARGUMENT_CHECKS = {
     "mu_cpmg-f": (lambda v: channel.mu_cpmg(1.0, 0.0, v, 2), 0.0, "f must be > 0"),
     "mu_cpmg-n_pulses": (lambda v: channel.mu_cpmg(1.0, 0.0, 1.0, v), 3,
                          "pulse count must be an even integer >= 2"),
+    # The grid kernels check each axis value in order: the fault is at the second.
+    "nu_stretched_grid-t": (lambda v: channel.nu_stretched_grid(1.0, 2.0, [0.5, v]), -1.0,
+                            "time must be >= 0"),
+    "nu_ensemble_cpmg_grid-n_pulses": (
+        lambda v: channel.nu_ensemble_cpmg_grid(1.0, 0.5, 1.0, [2, v], 1.0), 3,
+        "pulse count must be an even integer >= 2"),
+    "nu_ensemble_cpmg_grid-f": (lambda v: channel.nu_ensemble_cpmg_grid(1.0, 0.5, 1.0, [2, 4], v),
+                                0.0, "f must be > 0"),
+    "mu_static_grid-b0": (lambda v: channel.mu_static_grid(v, 0.0, 1, [1.0, 1e10]), 1e300,
+                          "b0 = {v:g} takes the phase past the float range at t = 1e+10",
+                          "b0 must be a number, got nan"),
+    "mu_static_grid-t": (lambda v: channel.mu_static_grid(1.0, 0.0, 1, [0.5, v]), -1.0,
+                         "time must be >= 0"),
+    "mu_cpmg_grid-b0": (lambda v: channel.mu_cpmg_grid(v, 0.0, 1e-7, [2, 2000]), 1e300,
+                        "b0 = {v:g} takes the phase past the float range at N = 2000",
+                        "b0 must be a number, got nan"),
+    "mu_cpmg_grid-n_pulses": (lambda v: channel.mu_cpmg_grid(1.0, 0.0, 1.0, [2, v]), 3,
+                              "pulse count must be an even integer >= 2"),
     "decompose_two_level-shape": (lambda v: dilation.decompose_two_level(np.full((2, 2), v)),
                                   1.0, "expected a 3x3 matrix"),
     "decompose_two_level-unitary": (lambda v: dilation.decompose_two_level(v * np.eye(3)),

@@ -1,14 +1,21 @@
 """Exact output of the layers that format text: the CLI's help and usage,
-the SVG frame on rows out of axis order or on one axis value, and the
-free-decay coherence at t = 0.  The expected texts were recorded before
-each of these was written as one rule, and must not move."""
+the SVG frame on rows out of axis order or on one axis value, the
+free-decay coherence at t = 0, and the writers' number formats.  The
+expected texts were recorded before each of these was written as one
+rule, and must not move."""
 
+import importlib
 import itertools
+import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mcmag import channel, cli, sweep
 from mcmag.plot import plot_csv
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SUBCOMMAND_HELP = """\
 usage: mcmag {name} [-h] [--out OUT] {arg}
@@ -141,3 +148,61 @@ def test_svg_of_an_axis_with_one_value():
 def test_free_decay_is_exactly_one_at_time_zero(T2_star, p, t):
     nu = channel.nu_stretched(T2_star, p, t)
     assert type(nu) is float and nu == 1.0 and nu.hex() == "0x1.0000000000000p+0"
+
+
+def adversarial_floats(seed):
+    """Seeded floats where a number format could slip: every bit pattern, the
+    subnormals, signed zeros, the neighbours of 1e-5 and 1e-4 (where ``.17g``
+    turns to exponent form) and of 1e16 and 1e17, and ``.xx5`` decimal
+    halfway points of ``.2f``."""
+    rng = np.random.default_rng(seed)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf,
+             math.nan, 1.7976931348623157e308, 0.125, 0.375, 2.5, 1.005, 2.675, 0.285]
+    for x in (1e-5, 1e-4, 1e16, 1e17, 2.2250738585072014e-308):
+        edges += [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf), -x]
+    halves = (rng.integers(0, 100_000, 2000) / 100.0 + 0.005).tolist()
+    return [
+        *edges,
+        *halves,
+        *[math.nextafter(x, d) for x in halves[:500] for d in (0.0, math.inf)],
+        *rng.integers(0, 2**64, 4000, dtype=np.uint64).view(np.float64).tolist(),
+        *(rng.uniform(-1, 1, 2000) * 10.0 ** rng.integers(-320, 308, 2000)).tolist(),
+        *rng.uniform(0.0, 800.0, 2000).tolist(),
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_unbound_float_format_writes_the_earlier_text(seed):
+    # rows_to_csv wrote format(x, ".17g") and plot_csv "%.2f" % x.
+    xs = adversarial_floats(seed)
+    assert sum(0.0 < abs(x) < 2.2250738585072014e-308 for x in xs) > 10
+    assert [float.__format__(x, ".17g") for x in xs] == [format(x, ".17g") for x in xs]
+    assert [float.__format__(x, ".2f") for x in xs] == ["%.2f" % x for x in xs]
+
+
+@pytest.fixture(scope="module")
+def sweep_rows():
+    """Rows of every sweep config, shipped (seed 0) and jittered (seeds 1-9)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(ROOT / "perfbench"))
+        inputs = importlib.import_module("inputs")
+        texts = {(seed, name): inputs.jittered_configs(seed)[name] for seed in range(10)
+                 for name in inputs.sweep_names(inputs.shipped_configs())}
+    assert len(texts) == 10 * 24
+    return {key: sweep.run_sweep(sweep.parse_config_text(text)) for key, text in texts.items()}
+
+
+def test_every_number_of_a_sweep_row_is_a_float(sweep_rows):
+    # The writer formats each number with float.__format__, which takes
+    # floats only: SweepRow annotates every number as float.
+    for key, rows in sweep_rows.items():
+        kinds = {type(x) for row in rows for x in row[:-1]}
+        assert kinds <= {float, type(None)} and float in kinds, key
+        assert {type(row.branch) for row in rows} == {str}, key
+
+
+def test_a_row_with_an_int_cell_is_a_type_error():
+    row = sweep.SweepRow(1, *[0.5] * 12, "interior")
+    with pytest.raises(TypeError, match="float"):
+        sweep.rows_to_csv([row])
+    assert sweep.rows_to_csv([row._replace(axis=1.0)]).splitlines()[1].startswith("1,0.5,")
