@@ -8,8 +8,7 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
 contract violation (including failed Monte Carlo consistency), 1 I/O or
-unexpected failure.  MCMAG_THREADS is accepted and has no effect: a sweep
-is solved as one stacked array pass.
+unexpected failure.
 
 Each subcommand imports only what it runs: ``plot`` needs the standard
 library alone (no numpy), the others load the sweep layer.

@@ -89,9 +89,10 @@ class McSolution:
     field for a stack of n pairs (:func:`solve_stack`), row k the solution
     of pair k.
 
-    Unless the pair is degenerate (confidences at the priors), ``c0_max``
-    is the top eigenvalue of ``eta0 * rho^(-1/2) rho0 rho^(-1/2)`` and
-    ``c1_max`` one minus its bottom one, both clipped to [0, 1].
+    ``c0_max`` is the top eigenvalue of ``eta0 * rho^(-1/2) rho0 rho^(-1/2)``
+    and ``c1_max`` one minus its bottom one, both clipped to [0, 1].  A
+    ``degenerate`` pair reports a convention instead (:func:`solve_stack`):
+    the priors as confidences, ``p_inc_opt = 0`` and the balanced measurement.
     ``branch`` names the solution family, one of :data:`BRANCHES`.  In a
     stack ``c0_max``, ``c1_max``, ``p_inc_opt`` and ``branch`` (the names)
     have shape ``(n,)`` and ``povm.ops`` has shape ``(n, 3, 2, 2)``; the
@@ -189,27 +190,28 @@ def solve_stack(pairs: StatePair) -> McSolution:
     one pair (a stack of one).  Every row runs the same array
     operations, so row k is bitwise the solution of pair k on its own.
     Pairs whose mixture is rank-deficient or whose transformed detector
-    state is scalar take the ``degenerate`` branch: the hypotheses are
-    operationally identical, confidences fall back to the priors, nothing
-    is gained by an inconclusive outcome, and the balanced projective
-    measurement is reported as the continuity limit.
+    state is scalar (``DEGENERACY_TOL``, relative) take the ``degenerate``
+    branch, whose values are a convention: the priors as confidences,
+    ``p_inc_opt = 0`` and the balanced projective measurement.  Every
+    measurement attains the priors there, but ``p_inc_opt`` is
+    discontinuous, so a pair's exact optimum may be far from 0.
     """
     rho0 = pairs.rho0.reshape(-1, 2, 2)
     rho = pairs.rho.reshape(-1, 2, 2)
     eta0 = pairs.eta0
     n = len(rho)
-    eig_rho = qmat.herm_eig2(rho)
-    s_inv = qmat.spectral_pow(eig_rho, -0.5)
+    rho_vals, rho_vecs = qmat.herm_eig2(rho)
+    s_inv = qmat.spectral_pow((rho_vals, rho_vecs), -0.5)
     d0 = qmat.hermitize(eta0 * (s_inv @ rho0 @ s_inv))  # top eigenvalue: c0_max
-    gamma = qmat.herm_eig2(d0)
+    gamma_vals, gamma_vecs = qmat.herm_eig2(d0)
 
     scale = np.maximum(1.0, np.maximum.reduce(np.abs(d0).reshape(n, 4), axis=1))
     shift = (0.5 * qmat.trace(d0))[:, None, None] * qmat.I2
     dev_from_scalar = np.maximum.reduce(np.abs(d0 - shift).reshape(n, 4), axis=1)
-    live = qmat.support(eig_rho.eigvals)[:, 0] & ~(dev_from_scalar <= DEGENERACY_TOL * scale)
+    live = qmat.support(rho_vals)[:, 0] & ~(dev_from_scalar <= DEGENERACY_TOL * scale)
     n_live = np.count_nonzero(live)
     if n_live == n:
-        values, branch, ops = _measure(rho, s_inv, gamma)
+        values, branch, ops = _measure(rho, s_inv, gamma_vals, gamma_vecs)
     else:
         values = np.empty((n, 3))
         values[:] = (0.0, eta0, 1.0 - eta0)
@@ -218,14 +220,14 @@ def solve_stack(pairs: StatePair) -> McSolution:
         if n_live:
             rows = np.flatnonzero(live)
             values[rows], branch[rows], ops[rows] = _measure(
-                rho[rows], s_inv[rows], qmat.EigPair2(gamma.eigvals[rows], gamma.eigvecs[rows])
+                rho[rows], s_inv[rows], gamma_vals[rows], gamma_vecs[rows]
             )
 
     p_inc, c0_max, c1_max = values.T
     return McSolution(c0_max, c1_max, p_inc, Povm(ops), _BRANCH_NAMES[branch])
 
 
-def _measure(rho: np.ndarray, s_inv: np.ndarray, gamma: qmat.EigPair2):
+def _measure(rho: np.ndarray, s_inv: np.ndarray, gamma_vals: np.ndarray, gamma_vecs: np.ndarray):
     """The optimal measurement of pairs that are not degenerate.
 
     Returns ``(values, branch, ops)``: columns p_inc, c0_max, c1_max; the
@@ -234,7 +236,7 @@ def _measure(rho: np.ndarray, s_inv: np.ndarray, gamma: qmat.EigPair2):
     n = len(rho)
     # Row j of gcols is eigenvector j of d0: j = 1 (top eigenvalue) is the
     # detector-0 direction, j = 0 the detector-1 direction.
-    gcols = gamma.eigvecs.transpose(0, 2, 1)
+    gcols = gamma_vecs.transpose(0, 2, 1)
     rho_g = (rho[:, None] @ gcols[..., None])[..., 0]
     rows = np.ascontiguousarray(gcols)  # r_jk = <g_j| rho |g_k>: dots of contiguous 2-vectors
     r_diag = np.vecdot(rows[:, ::-1], rho_g[:, ::-1]).real  # r00, r11
@@ -250,8 +252,8 @@ def _measure(rho: np.ndarray, s_inv: np.ndarray, gamma: qmat.EigPair2):
     values = np.empty((n, 5))
     values[:, :2] = (r_diag - c[:, None]) * r_diag[:, ::-1] / det_rho[:, None]
     values[:, 2] = 2.0 * c
-    values[:, 3] = gamma.eigvals[:, 1]
-    values[:, 4] = 1.0 - gamma.eigvals[:, 0]
+    values[:, 3] = gamma_vals[:, 1]
+    values[:, 4] = 1.0 - gamma_vals[:, 0]
     for rows, weights, r_kept in ((bound_a, (1.0, 0.0), 1), (bound_b, (0.0, 1.0), 0)):
         if np.count_nonzero(rows):
             values[rows, :2] = weights

@@ -27,7 +27,6 @@ Python-level wrappers (``np.max``, ``np.stack``, ``np.cross``) on 2x2 data.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,19 +40,6 @@ _PHASE_TOL = 1e-12
 I2 = np.eye(2, dtype=complex)
 _SIGNS = np.array([-1.0, 1.0])
 _EYE_FLAT = np.array([1.0, 0.0, 0.0, 1.0])
-
-
-class EigPair2(NamedTuple):
-    """Eigendecomposition of a 2x2 Hermitian matrix (or of each in a stack).
-
-    ``eigvals[..., :]`` is real and ascending; column ``i`` of
-    ``eigvecs[...]`` is the unit eigenvector of ``eigvals[..., i]``.  The
-    two columns are exactly orthonormal by construction, and each has its
-    first non-negligible component real and >= 0 (fixed phase convention).
-    """
-
-    eigvals: np.ndarray
-    eigvecs: np.ndarray
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -133,13 +119,15 @@ def _mean_radius(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return flat, mean, radius
 
 
-def herm_eig2(m: np.ndarray) -> EigPair2:
-    """Closed-form eigendecomposition of a 2x2 Hermitian matrix or a stack.
+def herm_eig2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form ``(eigvals, eigvecs)`` of a 2x2 Hermitian matrix or a stack.
 
-    Uses the trace/determinant discriminant rather than an iterative
-    routine, so results are exact to rounding and deterministic.  The
-    second eigenvector is the exact orthogonal complement of the first,
-    which keeps the pair orthonormal even near degeneracy.
+    ``eigvals[..., :]`` is real and ascending; column ``i`` of ``eigvecs[...]``
+    is the unit eigenvector of ``eigvals[..., i]``, its first non-negligible
+    component real and >= 0.  The trace/determinant discriminant, not an
+    iterative routine, makes the results exact to rounding and deterministic;
+    the second eigenvector is the exact orthogonal complement of the first,
+    so the columns are orthonormal even near degeneracy.
     """
     shape = np.shape(m)
     flat, mean, radius = _mean_radius(m)
@@ -169,7 +157,7 @@ def herm_eig2(m: np.ndarray) -> EigPair2:
     eigvecs[:, 1::2] = v_hi
     if any_degenerate:
         eigvecs[degenerate] = _EYE_FLAT
-    return EigPair2(eigvals.reshape(shape[:-1]), eigvecs.reshape(shape))
+    return eigvals.reshape(shape[:-1]), eigvecs.reshape(shape)
 
 
 def support(eigvals: np.ndarray) -> np.ndarray:
@@ -177,8 +165,8 @@ def support(eigvals: np.ndarray) -> np.ndarray:
     return eigvals > SUPPORT_CUTOFF * np.maximum(eigvals[..., 1:], 0.0)
 
 
-def spectral_pow(eig: EigPair2, exponent: float) -> np.ndarray:
-    """:func:`psd_pow` of the matrix (or stack) with eigendecomposition ``eig``."""
+def spectral_pow(eig: tuple[np.ndarray, np.ndarray], exponent: float) -> np.ndarray:
+    """:func:`psd_pow` of the matrix (or stack) whose :func:`herm_eig2` is ``eig``."""
     eigvals, eigvecs = eig
     if np.count_nonzero(eigvals[..., 0] < -PSD_TOL):
         raise PsdViolationError(

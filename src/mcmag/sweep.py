@@ -502,19 +502,19 @@ def validate_report(cfg: SweepConfig) -> tuple[str, bool]:
 
 
 def neumark_report(cfg: SweepConfig) -> str:
-    """Text dump of the projective extension at one parameter point."""
+    """Text dump of the projective extension of the optimum at one parameter
+    point.  A capped measurement is not rank one: ``p_inc_threshold`` is refused."""
     if cfg.point is None:
         raise ConfigError("neumark requires key 'point' (time or pulse count)")
+    if cfg.p_inc_threshold is not None:
+        raise ConfigError("neumark dilates the uncapped optimum: remove key 'p_inc_threshold'")
     axis_value = SCENARIOS[cfg.scenario].snap(cfg.point)
     nu, mu = factors_at(cfg, axis_value)
     pair = channel.build_state_pair(max(nu, NU_FLOOR), mu, cfg.eta0)
     sol = discrim.solve_max_confidence(pair)
-    povm = sol.povm
-    if cfg.p_inc_threshold is not None:
-        povm = discrim.threshold_inconclusive(sol, pair, cfg.p_inc_threshold).povm
-    dil = dilation.dilate_povm(povm)
+    dil = dilation.dilate_povm(sol.povm)
     factors = dilation.decompose_two_level(dil.u)
-    residual = dilation.born_residual(dil, povm, pair.states)
+    residual = dilation.born_residual(dil, sol.povm, pair.states)
     unit_dev = float(np.max(np.abs(dil.u.conj().T @ dil.u - np.eye(3))))
 
     def cell(z: complex) -> str:
@@ -529,7 +529,7 @@ def neumark_report(cfg: SweepConfig) -> str:
         f"branch={sol.branch} C0={sol.c0_max:.17g} C1={sol.c1_max:.17g} "
         f"P_inc={sol.p_inc_opt:.17g}",
     ]
-    for name, op in zip(("Pi0", "Pi1", "Pi_inc"), povm.ops):
+    for name, op in zip(("Pi0", "Pi1", "Pi_inc"), sol.povm.ops):
         lines.extend(mat_lines(name, op))
     lines.append(f"ancilla coefficients: c0={cell(dil.c0)} c1={cell(dil.c1)} c_inc={cell(dil.c2)}")
     lines.extend(mat_lines("U", dil.u))

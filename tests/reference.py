@@ -28,7 +28,7 @@ Bloch ball, where both states lie.  With ``rho_j = (I + r_j.sigma)/2``,
   ``A* <= 0``, detector 1 alone.
 * **Degenerate pairs** (``d = 0``, identical states): the confidences are
   the priors, the inconclusive rate is 0, and the measurement is the
-  solver's continuity limit, ``|+><+|`` and ``|-><-|``.
+  solver's balanced one, ``|+><+|`` and ``|-><-|``.
 * **Minimum-error measurement.**  ``eta1 rho1 - eta0 rho0 = (e I + m.sigma)/2``
   with ``e = eta1 - eta0`` and ``m = eta1 r1 - eta0 r0`` has the eigenvalues
   ``(e +- |m|)/2``.  Detector 1 takes the strictly positive eigenspace: all

@@ -68,7 +68,7 @@ def test_transformed_state_weight_is_eta0():
     for _ in range(5):
         pair = random_pair(rng, nu_range=(0.3, 0.9), eta_range=(0.15, 0.35))
         d0 = transformed_detector_state(pair)
-        c0_weighted = qmat.herm_eig2(d0).eigvals[1]
+        c0_weighted = qmat.herm_eig2(d0)[0][1]
         oracle = grid_search_povm(pair, grid_density=128, refine=3)
         assert abs(c0_weighted - oracle.c0) <= 2e-3
         # the misweighted variant scales the spectrum by eta1/eta0
@@ -125,7 +125,7 @@ def test_completeness_positivity_10k_random():
         for op in sol.povm.ops:
             eigvals, _ = qmat.herm_eig2(op)
             assert eigvals[0] >= -1e-12
-        top = qmat.herm_eig2(transformed_detector_state(pair)).eigvals[1]
+        top = qmat.herm_eig2(transformed_detector_state(pair))[0][1]
         assert sol.c0_max >= top - 1e-12
 
 
@@ -159,9 +159,9 @@ def test_complement_identity():
         s_inv = qmat.psd_pow(pair.rho, -0.5)
         d1 = pair.eta1 * (s_inv @ pair.rho1 @ s_inv)
         d1 = 0.5 * (d1 + d1.conj().T)
-        top_d1 = qmat.herm_eig2(d1).eigvals[1]
+        top_d1 = qmat.herm_eig2(d1)[0][1]
         d0 = transformed_detector_state(pair)
-        bottom_d0 = qmat.herm_eig2(d0).eigvals[0]
+        bottom_d0 = qmat.herm_eig2(d0)[0][0]
         assert abs(top_d1 - (1.0 - bottom_d0)) <= 1e-12
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mcmag import build_state_pair, discrim, solve_max_confidence
+from mcmag import build_state_pair, discrim, solve_max_confidence, sweep
 
 import reference
 from helpers import random_pair
@@ -96,6 +96,20 @@ def test_solver_is_within_the_conditioning_bound_of_exact(judged, key):
     outside = [(name, branch, f"{errors[key]:.2g} > {bounds[key]:.2g}")
                for name, branch, errors, bounds in judged if not errors[key] <= bounds[key]]
     assert outside == []
+
+
+def test_the_shipped_degenerate_cell_reports_the_convention_not_the_optimum():
+    # ROADMAP item 13: the degenerate branch reports the priors and
+    # p_inc_opt = 0 by convention.  On the shipped t = 2.5 row of
+    # ens_static_dq_b50 (mu = 1 + 1.7e-15j, eta0 = 1/2) the exact optimum is
+    # nu cos(arg(mu)/2), which is nu = 0.146 to rounding.
+    cfg = sweep.load_config(str(ROOT / "configs" / "ens_static_dq_b50.cfg"))
+    row = next(r for r in sweep.run_sweep(cfg) if r.axis == 2.5)
+    assert (row.branch, row.c0_max, row.c1_max, row.p_inc_opt) == ("degenerate", 0.5, 0.5, 0.0)
+    nu, mu = sweep.factors_at(cfg, 2.5)
+    assert (nu, abs(mu)) == (row.nu, row.mu_abs)
+    exact = reference.max_confidence(nu, mu, cfg.eta0)[2]
+    assert abs(float(exact) - nu) < 1e-15 and nu > 0.146
 
 
 # --- checks of the reference itself -----------------------------------------------

@@ -358,16 +358,19 @@ def test_cli_neumark_negative_point_exit_code(tmp_path, capsys):
     assert "'point'" in capsys.readouterr().err
 
 
-def test_cli_neumark_rank_error_exit_code(tmp_path, capsys):
-    # capping the inconclusive rate makes the conclusive operators rank
-    # two, which the projective extension must refuse by contract
-    cfg = make_cfg(
-        tmp_path,
-        BASE + "point = 0.05\np_inc_threshold = 0.6\n",
-        name="neu_rank2.cfg",
-    )
-    assert cli.main(["neumark", cfg]) == 3
-    assert "rank" in capsys.readouterr().err
+def test_cli_neumark_refuses_p_inc_threshold(tmp_path, capsys):
+    # A capped measurement is a mixture, not rank one, so it has no projective
+    # extension; the key is refused by name before anything is written.  The
+    # caps: 0 (the minimum-error measurement), one that binds, and one above
+    # this point's p_inc_opt = 0.4964 (which would leave the optimum as it is).
+    shipped = (CONFIG_DIR / "neumark_static_single.cfg").read_text(encoding="utf-8")
+    for cap in ("0", "0.2", "0.5"):
+        cfg = make_cfg(tmp_path, shipped + f"p_inc_threshold = {cap}\n", name="neu_cap.cfg")
+        out = tmp_path / f"dump_{cap}.txt"
+        assert cli.main(["neumark", cfg, "--out", str(out)]) == 2, cap
+        captured = capsys.readouterr()
+        assert "'p_inc_threshold'" in captured.err, cap
+        assert captured.out == "" and not out.exists(), cap
 
 
 def test_cli_validate_zero_coupling_exact(tmp_path, capsys):
