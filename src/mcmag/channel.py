@@ -380,7 +380,7 @@ class StatePair:
 
     ``states[..., j, :, :]`` (the view ``rhoj``) and ``rho = eta0*rho0 + eta1*rho1``
     are derived when the pair is made (by ``dataclasses.replace`` too), after the
-    one pair rule (:func:`_states`): ``nu`` in (0, 1] and ``|mu| <= 1`` with 1e-12
+    one pair rule (:func:`pair_factors`): ``nu`` in (0, 1] and ``|mu| <= 1`` with 1e-12
     of slack clamped away, ``eta0`` in (0, 1), else DomainError.  An array in
     ``nu`` or ``mu`` makes a stack under one prior (``states`` ``(n, 2, 2, 2)``);
     scalars make one pair, row 0 of that stack: a float ``nu``, a complex ``mu``
@@ -416,10 +416,11 @@ class StatePair:
         return 1.0 - self.eta0
 
 
-def _states(nu, mu):
-    """The pair rule and ``(nu, mu, states)`` of a stack, one row per pair:
-    ``nu*mu/2`` and the rescaling of ``mu`` repeat the bits of Python's
-    complex ``0.5*nu*mu`` and ``mu/abs(mu)``."""
+def pair_factors(nu, mu):
+    """The pair rule on a stack: ``(nu, mu)`` as ``(n,)`` arrays, one row per
+    pair, ``nu`` clamped to 1 and ``mu`` rescaled to the unit circle inside
+    the 1e-12 of slack (the rescaling repeats the bits of Python's complex
+    ``mu/abs(mu)``), else DomainError."""
     nu = np.asarray(nu, dtype=float).reshape(-1)
     mu = np.array(mu, dtype=complex).reshape(-1)
     size = np.hypot(mu.real, mu.imag)
@@ -437,6 +438,13 @@ def _states(nu, mu):
         re, im, size = mu.real[over], mu.imag[over], size[over]
         mu.real[over] = (re + im * 0.0) / size
         mu.imag[over] = (im - re * 0.0) / size
+    return nu, mu
+
+
+def _states(nu, mu):
+    """The pair rule and ``(nu, mu, states)`` of a stack, one row per pair:
+    ``nu*mu/2`` repeats the bits of Python's complex ``0.5*nu*mu``."""
+    nu, mu = pair_factors(nu, mu)
     off0 = 0.5 * nu
     # Each pair as [rho0, rho1] flattened: 0.5, off0, off0, 0.5, 0.5, off1, conj(off1), 0.5.
     pairs = np.empty((nu.size, 8), dtype=complex)
@@ -449,11 +457,6 @@ def _states(nu, mu):
     return nu, mu, pairs.reshape(-1, 2, 2, 2)
 
 
-def build_state_stack(nu, mu, eta0: float = 0.5) -> StatePair:
-    """State pairs for arrays of ``nu`` and ``mu`` under one prior (a scalar: a stack of one)."""
-    return StatePair(np.reshape(nu, -1), mu, eta0)
-
-
 def build_state_pair(nu: float, mu: complex, eta0: float = 0.5) -> StatePair:
-    """One state pair: row 0 of :func:`build_state_stack`, which makes a grid of them."""
+    """One state pair: row 0 of the stack that ``StatePair`` makes from arrays."""
     return StatePair(float(nu), mu, eta0)

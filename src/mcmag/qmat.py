@@ -188,8 +188,13 @@ def psd_pow(m: np.ndarray, exponent: float) -> np.ndarray:
     return spectral_pow(herm_eig2(m), exponent)
 
 
-def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> bool | np.ndarray:
-    """True when all eigenvalues of a Hermitian 2x2 matrix are >= -tol (per matrix)."""
+def min_eigval(m: np.ndarray) -> float | np.ndarray:
+    """The smaller eigenvalue of a Hermitian 2x2 matrix (per matrix)."""
     shape = np.shape(m)[:-2]
     _, mean, radius = _mean_radius(m)
-    return (mean - radius >= -tol).reshape(shape)[()]
+    return (mean - radius).reshape(shape)[()]
+
+
+def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> bool | np.ndarray:
+    """True when all eigenvalues of a Hermitian 2x2 matrix are >= -tol (per matrix)."""
+    return min_eigval(m) >= -tol

@@ -357,20 +357,21 @@ def _evaluate(cfg: SweepConfig, values: list[float]) -> list[SweepRow]:
     scenario = SCENARIOS[cfg.scenario]
     nus = scenario.nu(cfg, values)
     mus = scenario.mu(cfg, values)
-    pairs = channel.build_state_stack(np.maximum(nus, NU_FLOOR), mus, cfg.eta0)
-    sols = discrim.solve_stack(pairs)
-    helstrom = discrim.min_error_stack(pairs)
+    nu, mu = channel.pair_factors(np.maximum(nus, NU_FLOOR), mus)
+    optimum, branch, effective = discrim.plane_optimum(nu, mu, cfg.eta0)
+    p_inc_opt, c0_max, c1_max = optimum.T
+    helstrom = discrim.helstrom_error(nu, mu, cfg.eta0)
 
     c0_t = c1_t = p_inc_t = [None] * len(values)
-    effective = sols.povm
     if cfg.p_inc_threshold is not None:
-        capped = discrim.threshold_stack(sols, pairs, cfg.p_inc_threshold)
-        c0_t = [None if math.isnan(c) else c for c in capped.c0.tolist()]
-        c1_t = [None if math.isnan(c) else c for c in capped.c1.tolist()]
-        p_inc_t = capped.p_inc.tolist()
-        effective = capped.povm
+        c0, c1, p_inc, effective = discrim.plane_capped(
+            nu, mu, cfg.eta0, optimum, effective, cfg.p_inc_threshold
+        )
+        c0_t = [None if math.isnan(c) else c for c in c0.tolist()]
+        c1_t = [None if math.isnan(c) else c for c in c1.tolist()]
+        p_inc_t = p_inc.tolist()
 
-    cond = discrim.conditional_error_stack(effective, pairs)
+    cond = discrim.plane_conditional_error(nu, mu, cfg.eta0, effective)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(helstrom > 1e-300, cond / helstrom, np.nan)
 
@@ -381,16 +382,16 @@ def _evaluate(cfg: SweepConfig, values: list[float]) -> list[SweepRow]:
         # atan2(imag, real) bit for bit; cmath.phase raises where that
         # underflows to 0, which needs |real| > 1, and |mu| <= 1.
         map(cmath.phase, mus),
-        sols.c0_max.tolist(),
-        sols.c1_max.tolist(),
-        sols.p_inc_opt.tolist(),
+        c0_max.tolist(),
+        c1_max.tolist(),
+        p_inc_opt.tolist(),
         c0_t,
         c1_t,
         p_inc_t,
         helstrom.tolist(),
         [None if math.isnan(e) else e for e in cond.tolist()],
         [None if math.isnan(r) else r for r in rel.tolist()],
-        sols.branch.tolist(),
+        map(discrim.BRANCHES.__getitem__, branch.tolist()),
     )
     return list(map(tuple.__new__, itertools.repeat(SweepRow), zip(*columns)))
 

@@ -28,7 +28,9 @@ Bloch ball, where both states lie.  With ``rho_j = (I + r_j.sigma)/2``,
   ``A* <= 0``, detector 1 alone.
 * **Degenerate pairs** (``d = 0``, identical states): the confidences are
   the priors, the inconclusive rate is 0, and the measurement is the
-  solver's balanced one, ``|+><+|`` and ``|-><-|``.
+  solver's balanced one, ``|+><+|`` and ``|-><-|``.  With ``degenerate=True``
+  any pair gets this convention, as the solver reports it for a pair whose
+  detector state is within ``DEGENERACY_TOL`` of a scalar.
 * **Minimum-error measurement.**  ``eta1 rho1 - eta0 rho0 = (e I + m.sigma)/2``
   with ``e = eta1 - eta0`` and ``m = eta1 r1 - eta0 r0`` has the eigenvalues
   ``(e +- |m|)/2``.  Detector 1 takes the strictly positive eigenspace: all
@@ -62,10 +64,11 @@ def _dot(u, v):
 BALANCED = ((Decimal(1), [Decimal(1), Decimal(0)]), (Decimal(1), [Decimal(-1), Decimal(0)]))
 
 
-def _optimum(nu, mu, eta0):
+def _optimum(nu, mu, eta0, degenerate=False):
     """The pair in plane coordinates and its optimum, in the current context:
     ``(eta0, r0, r1, (c0, c1, p_inc), (pi0, pi1))``, each detector as
-    ``(alpha, beta)`` for ``(alpha I + beta.sigma)/2``."""
+    ``(alpha, beta)`` for ``(alpha I + beta.sigma)/2``; with ``degenerate``
+    the identical-states convention in place of the optimum."""
     mu = complex(mu)
     nu, eta0, x, y = (+Decimal(v) for v in (nu, eta0, mu.real, mu.imag))  # to the context
     size2 = x * x + y * y
@@ -77,7 +80,7 @@ def _optimum(nu, mu, eta0):
     d = (r0[0] - r1[0], r0[1] - r1[1])
     r = (eta0 * r0[0] + eta1 * r1[0], eta0 * r0[1] + eta1 * r1[1])
     dd = _dot(d, d)
-    if dd == 0:
+    if dd == 0 or degenerate:
         return eta0, r0, r1, (eta0, eta1, Decimal(0)), BALANCED
     a = eta0 * eta1
     dr = _dot(d, r)
@@ -100,11 +103,12 @@ def _optimum(nu, mu, eta0):
     return eta0, r0, r1, values, detectors
 
 
-def max_confidence(nu: float, mu: complex, eta0: float, digits: int = DIGITS):
+def max_confidence(nu: float, mu: complex, eta0: float, digits: int = DIGITS,
+                   degenerate: bool = False):
     """``(c0_max, c1_max, p_inc_opt)`` of the pair ``(nu, mu, eta0)``, as Decimals."""
     with localcontext() as ctx:
         ctx.prec = digits
-        return _optimum(nu, mu, eta0)[3]
+        return _optimum(nu, mu, eta0, degenerate)[3]
 
 
 def _min_error(eta0, r0, r1):
@@ -130,14 +134,14 @@ def _fire(r, detector):
 
 
 def capped(nu: float, mu: complex, eta0: float, p_thresh: float, digits: int = DIGITS,
-           tie_over: bool = False):
+           tie_over: bool = False, degenerate: bool = False):
     """``(c0, c1, p_inc, cond_err)`` of the optimum capped at ``p_thresh``, as
     Decimals; a confidence is None where its detector never fires, and
     ``cond_err`` where no outcome is conclusive.  ``tie_over`` says whether a
     rate that ties with the cap counts as over it."""
     with localcontext() as ctx:
         ctx.prec = digits
-        eta0, r0, r1, (c0, c1, p_inc), detectors = _optimum(nu, mu, eta0)
+        eta0, r0, r1, (c0, c1, p_inc), detectors = _optimum(nu, mu, eta0, degenerate)
         p = Decimal(p_thresh)
         gap = p_inc - p
         over = gap > 0 if abs(gap) > Decimal(10) ** (6 - digits) else tie_over  # 1e-44 at 50

@@ -307,7 +307,7 @@ def test_conditional_error_of_pure_state_is_not_negative():
     pair = build_state_pair(1.0, -0.9976005057690599 + 0.0692331632190524j, 0.49688464952256395)
     sol = solve_max_confidence(pair)
     assert conditional_error(sol.povm, pair) == 0.0
-    pairs = channel.build_state_stack([1.0, 1.0], [pair.mu, 1.0], pair.eta0)
+    pairs = channel.StatePair([1.0, 1.0], [pair.mu, 1.0], pair.eta0)
     povm = discrim.Povm(np.stack([
         sol.povm.ops,
         np.array((np.zeros((2, 2)), np.zeros((2, 2)), I2)),

@@ -1,19 +1,19 @@
-"""Early-time rounding in ``rho^(-1/2)``: known-defect pins for ROADMAP item 3 (3a).
+"""Early-time rounding in ``rho^(-1/2)`` (ROADMAP item 3, 3a).
 
 At early times of a balanced-prior static sweep ``nu`` is close to 1 and the
 phase is small, and the solver's ``rho^(-1/2)`` amplifies rounding in the
-inconclusive operator ``Pi_?`` both ways.  Below zero it fails the positivity
-check (``PsdViolationError``); above zero it leaves a second eigenvalue that
-the dilation's rank-one check refuses (``DilationRankError``).  The pins
-below solve and dilate each point, so they pass once item 3a's repair takes
-both signs of ``Pi_?``'s small eigenvalue into account.
+inconclusive operator ``Pi_?`` both ways.  Below zero it failed the
+positivity check (``PsdViolationError``); above zero it left a second
+eigenvalue that the dilation's rank-one check refused (``DilationRankError``).
+The solver now solves a row whose ``Pi_?`` has its small eigenvalue outside
++-1e-10, of either sign, again in plane coordinates; the tests below solve
+and dilate each point.
 """
 
 import dataclasses
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from mcmag import channel, dilation, discrim, sweep
 from mcmag.errors import DilationRankError, PsdViolationError
@@ -27,9 +27,6 @@ ETA0 = (0.05, 0.3, 0.5, 0.7, 0.95)
 TIMES_US = np.logspace(-7, -1, 60)
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True,
-                   reason="rho^(-1/2) rounding makes Pi_? lose positivity or rank one "
-                          "(ROADMAP item 3, 3a)")
 def test_early_time_family_solves_and_dilates():
     failures = {}
     for t2_star in T2_STAR_US:
@@ -50,9 +47,8 @@ def test_early_time_family_solves_and_dilates():
         {name: points[:3] for name, points in failures.items()})
 
 
-@pytest.mark.xfail(raises=DilationRankError, strict=True,
-                   reason="Pi_? keeps a +3.8e-10 eigenvalue at t = 1e-4 (ROADMAP item 3, 3a)")
 def test_shipped_neumark_config_dilates_at_an_early_point():
+    # The matrix path left Pi_? a second eigenvalue of +3.8e-10 at t = 1e-4.
     cfg = sweep.load_config(str(ROOT / "configs" / "neumark_static_single.cfg"))
     text = sweep.neumark_report(dataclasses.replace(cfg, point=1e-4))
     assert float(text.split("born_residual=")[1].splitlines()[0]) < 1e-12

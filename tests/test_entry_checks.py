@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mcmag import channel, dilation, discrim, noise_sim, sweep
-from mcmag.channel import SwitchingFunction, build_state_pair, build_state_stack, free_decay
+from mcmag.channel import StatePair, SwitchingFunction, build_state_pair, free_decay
 from mcmag.errors import ConfigError, DomainError
 from mcmag.noise_sim import ClickTally, OuParams
 
@@ -218,7 +218,7 @@ NOT_PAIRS = [
      "expected a StatePair"),
     ((1, 2), "expected a StatePair"),
     (None, "expected a StatePair"),
-    (build_state_stack([0.3, 0.8], [0.1, 0.9j], 0.5), "expected one pair, got a stack of 2"),
+    (StatePair([0.3, 0.8], [0.1, 0.9j], 0.5), "expected one pair, got a stack of 2"),
 ]
 
 
@@ -245,7 +245,7 @@ def test_every_one_pair_call_checks_the_pair(name, bad, message):
 
 RECORD_CALLS = one_record_calls((discrim, noise_sim, dilation), {"povm", "sol"})
 #: The solution of three pairs, operators of shape (3, 3, 2, 2).
-STACKED = discrim.solve_stack(build_state_stack([0.8, 0.6, 0.5], [0.5j, 0.1, 0.2], 0.4))
+STACKED = discrim.solve_stack(StatePair([0.8, 0.6, 0.5], [0.5j, 0.1, 0.2], 0.4))
 
 
 def test_the_one_record_calls_are_found():
@@ -294,7 +294,7 @@ def test_the_one_pair_cap_refuses_a_stacked_solution():
     # A stack's solution used to fail in the conversion to a stack of one
     # with numpy's "truth value of an array is ambiguous".
     pair = build_state_pair(0.8, 0.9j, 0.5)
-    sols = discrim.solve_stack(build_state_stack([0.3, 0.8], [0.1, 0.9j], 0.5))
+    sols = discrim.solve_stack(StatePair([0.3, 0.8], [0.1, 0.9j], 0.5))
     for cap in (0.1, 1.0):
         with pytest.raises(DomainError, match="expected the solution of one pair"):
             discrim.threshold_inconclusive(sols, pair, cap)
@@ -307,7 +307,7 @@ def test_the_cap_refuses_solutions_of_another_length(cap):
     # solution gives 0.55794), or passed through as one row at cap 1; the
     # other way round, numpy's broadcast failed at cap 0.05.
     pair = build_state_pair(0.8, 0.9j, 0.5)
-    pairs = build_state_stack([0.3, 0.8], [0.1, 0.9j], 0.5)
+    pairs = StatePair([0.3, 0.8], [0.1, 0.9j], 0.5)
     with pytest.raises(DomainError, match="one length, got 1 and 2$"):
         discrim.threshold_stack(discrim.solve_max_confidence(pair), pairs, cap)
     with pytest.raises(DomainError, match="one length, got 2 and 1$"):
@@ -323,7 +323,7 @@ def test_a_stack_has_one_length(nu, mu, lengths):
     # [0.5, 0.6] with [0.3j] made a record whose mu had one entry and its
     # matrices two rows; with three mu values numpy's broadcast failed.
     with pytest.raises(DomainError, match=f"one length, got {lengths[0]} and {lengths[1]}$"):
-        build_state_stack(nu, mu, 0.5)
+        StatePair(nu, mu, 0.5)
 
 
 @pytest.mark.parametrize(

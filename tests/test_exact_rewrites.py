@@ -281,13 +281,13 @@ def shipped_pairs():
         scenario = sweep.SCENARIOS[cfg.scenario]
         nus = np.maximum(scenario.nu(cfg, values), NU_FLOOR)
         mus = scenario.mu(cfg, values)
-        yield path.stem, channel.build_state_stack(nus, mus, cfg.eta0)
+        yield path.stem, channel.StatePair(nus, mus, cfg.eta0)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_helstrom_bound_equals_trace_norm_construction(seed):
     pairs = edge_pairs(seed)
-    even = channel.build_state_stack([p.nu for p in pairs], [p.mu for p in pairs], 0.5)
+    even = channel.StatePair([p.nu for p in pairs], [p.mu for p in pairs], 0.5)
     assert same(discrim.min_error_stack(even), reference_min_error_stack(even))
     for pair in pairs:  # each at its own prior
         assert abs(discrim.min_error_stack(pair) - reference_min_error_stack(pair)) <= 1.2e-16

@@ -1,11 +1,12 @@
-"""The solver against the exact optimum of :mod:`reference` (ROADMAP item 8).
+"""The one-pair solver against the exact optimum of :mod:`reference` (ROADMAP item 8).
 
 An output is accurate if it lies within ``1e-13 + 10*s`` of the exact value,
 where ``s`` is the spread of the exact value when one input (``nu``,
 ``Re mu``, ``Im mu`` or ``eta0``) moves by 4 ulps either way: the
 conditioning of the problem, not of the kernel.  The rows are the
 benchmark's seed-0 ``api_pointwise`` draws and the edge pairs of
-``test_exact_rewrites`` at seeds 0 and 1, none filtered out.
+``test_exact_rewrites`` at seeds 0 and 1, none filtered out.  The sweep's
+plane-coordinate kernel is judged on the same rows in ``test_plane``.
 """
 
 import importlib
@@ -80,7 +81,8 @@ def judged():
 
 
 def unstable(reason):
-    return pytest.mark.xfail(strict=True, reason=f"ROADMAP item 3b: {reason}")
+    return pytest.mark.xfail(
+        strict=True, reason=f"ROADMAP item 3b, one-pair half, then item 14: {reason}")
 
 
 @pytest.mark.parametrize("key", [

@@ -1,4 +1,4 @@
-"""The capped measurement against :func:`reference.capped` (ROADMAP item 8).
+"""The one-pair capped measurement against :func:`reference.capped` (ROADMAP item 8).
 
 The rows and the bound are those of ``test_reference_accuracy``: the
 benchmark's seed-0 ``api_pointwise`` draws at their own cap, and the edge
@@ -79,7 +79,8 @@ def judged():
 
 
 def unstable(reason):
-    return pytest.mark.xfail(strict=True, reason=f"ROADMAP item 3b: {reason}")
+    return pytest.mark.xfail(
+        strict=True, reason=f"ROADMAP item 3b, one-pair half, then item 14: {reason}")
 
 
 @pytest.mark.parametrize("key", [

@@ -6,7 +6,7 @@ import pytest
 
 from mcmag import channel, discrim, qmat
 from mcmag.discrim import BRANCHES, grid_search_povm
-from mcmag.errors import PsdViolationError, UndefinedConditionalError
+from mcmag.errors import UndefinedConditionalError
 from mcmag.sweep import NU_FLOOR, SweepConfig, run_sweep
 
 I2 = np.eye(2)
@@ -42,7 +42,7 @@ def blob(sol):
 def test_batch_rows_equal_batch_of_one(eta0):
     rng = np.random.default_rng([7, int(eta0 * 1e9)])
     nu, mu = draws(rng, 300)
-    pairs = channel.build_state_stack(nu, mu, eta0)
+    pairs = channel.StatePair(nu, mu, eta0)
     sols = discrim.solve_stack(pairs)
     helstrom = discrim.min_error_stack(pairs)
     cond = discrim.conditional_error_stack(sols.povm, pairs)
@@ -66,8 +66,7 @@ def test_stacked_solutions_meet_the_invariants():
     seen = set()
     for eta0 in (0.5, 0.3, 4e-7, 1.0 - 4e-7):
         nu, mu = draws(rng, 400)
-        nu, mu = without_known_psd_failures(nu, mu, eta0)
-        pairs = channel.build_state_stack(nu, mu, eta0)
+        pairs = channel.StatePair(nu, mu, eta0)
         sols = discrim.solve_stack(pairs)
         for k in range(len(nu)):
             sol = sols.row(k)
@@ -92,39 +91,19 @@ def test_stacked_solutions_meet_the_invariants():
     assert seen == set(BRANCHES)
 
 
-def without_known_psd_failures(nu, mu, eta0):
-    """Drop the rows the solver rejects, after checking they are the known defect.
-
-    A pure no-field state with a tiny phase factor and a prior within 1e-6
-    of one loses positivity of Pi_? to rounding (see
-    ``test_pure_state_extreme_prior_loses_positivity``); any other failing
-    row fails the test.
-    """
-    keep = np.ones(len(nu), dtype=bool)
-    for k in range(len(nu)):
-        try:
-            discrim.solve_max_confidence(channel.build_state_pair(nu[k], mu[k], eta0))
-        except PsdViolationError:
-            assert nu[k] == 1.0 and abs(mu[k]) < 1e-6 and min(eta0, 1.0 - eta0) < 1e-6
-            keep[k] = False
-    return nu[keep], mu[keep]
-
-
-@pytest.mark.xfail(raises=PsdViolationError, strict=True,
-                   reason="pure-state rounding of a rank-one Pi_? (ROADMAP item 3a)")
-def test_pure_state_extreme_prior_loses_positivity():
+def test_pure_state_extreme_prior_keeps_positivity():
+    # rho^(-1/2) rounding left Pi_? with an eigenvalue below -1e-10 here; the
+    # row is solved again in plane coordinates (ROADMAP item 3a).
     mu = 7.640057898065168e-08 - 2.555426162089355e-07j
-    pairs = channel.build_state_stack([1.0], [mu], 1.0 - 4e-7)
+    pairs = channel.StatePair([1.0], [mu], 1.0 - 4e-7)
     sol = discrim.solve_stack(pairs).row(0)
     assert np.linalg.eigvalsh(sol.povm.pi_inc)[0] >= -TOL
 
 
-@pytest.mark.xfail(raises=PsdViolationError, strict=True,
-                   reason="pure-state rounding of a rank-one Pi_? (ROADMAP item 3a)")
 def test_balanced_prior_sweep_from_t0_keeps_positivity():
-    # The same defect at eta0 = 0.5: a static sweep from t = 0 under a long
+    # The same rounding at eta0 = 0.5: a static sweep from t = 0 under a long
     # T2* has nu within about 1e-7 of 1 and a small phase on its first rows,
-    # and `mcmag sweep` exits 3 on it.
+    # where `mcmag sweep` exited 3 before the sweep solved in plane coordinates.
     cfg = SweepConfig(scenario="static_single", b0_uT=1.0, T2_star_us=10.0, grid_start=0.0,
                       grid_stop=1.0, grid_points=400, eta0=0.5)
     rows = run_sweep(cfg)
@@ -135,9 +114,9 @@ def test_balanced_prior_sweep_from_t0_keeps_positivity():
 
 def test_stack_builder_rejects_each_bad_row():
     with pytest.raises(discrim.DomainError, match="nu"):
-        channel.build_state_stack([0.5, np.nan], [0.1, 0.1], 0.5)
+        channel.StatePair([0.5, np.nan], [0.1, 0.1], 0.5)
     with pytest.raises(discrim.DomainError, match="mu"):
-        channel.build_state_stack([0.5, 0.5], [0.1, np.nan], 0.5)
+        channel.StatePair([0.5, 0.5], [0.1, np.nan], 0.5)
 
 
 def test_oracle_shares_no_code_with_the_solver(monkeypatch):
@@ -169,7 +148,7 @@ def same_confidence(one, stacked):
 def test_threshold_rows_equal_batch_of_one(eta0):
     rng = np.random.default_rng([7, int(eta0 * 1e9)])
     nu, mu = draws(rng, 300)
-    pairs = channel.build_state_stack(nu, mu, eta0)
+    pairs = channel.StatePair(nu, mu, eta0)
     sols = discrim.solve_stack(pairs)
     for cap in (0.0, 0.37, 1.0):
         capped = discrim.threshold_stack(sols, pairs, cap)

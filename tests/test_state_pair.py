@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mcmag import dilation, discrim, qmat, sweep
-from mcmag.channel import StatePair, build_state_pair, build_state_stack
+from mcmag.channel import StatePair, build_state_pair
 from mcmag.discrim import Povm
 from mcmag.errors import DomainError, HermiticityError
 
@@ -47,9 +47,9 @@ def test_replace_derives_the_matrices_from_the_new_factors():
     assert discrim.solve_max_confidence(dataclasses.replace(pair, nu=0.1)).c0_max == (
         pytest.approx(0.52707, abs=1e-5)
     )
-    stack = build_state_stack([0.8, 0.4], [0.5j, 0.1], 0.5)
+    stack = StatePair([0.8, 0.4], [0.5j, 0.1], 0.5)
     changed = dataclasses.replace(stack, nu=np.array([0.1, 0.2]))
-    assert pair_hexes(changed) == pair_hexes(build_state_stack([0.1, 0.2], [0.5j, 0.1], 0.5))
+    assert pair_hexes(changed) == pair_hexes(StatePair([0.1, 0.2], [0.5j, 0.1], 0.5))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -61,7 +61,7 @@ def test_the_constructor_is_bitwise_both_builders_at_the_edges(seed):
         made = StatePair(built.nu, built.mu, built.eta0)
         assert isinstance(made.nu, float) and isinstance(made.mu, complex)
         assert pair_hexes(made) == pair_hexes(built), k
-        assert pair_hexes(build_state_stack(nu, mu, built.eta0), k) == pair_hexes(made), k
+        assert pair_hexes(StatePair(nu, mu, built.eta0), k) == pair_hexes(made), k
 
 
 @pytest.mark.parametrize(
@@ -78,11 +78,11 @@ def test_the_pair_rule_clamps_alike_in_both_forms(nu, mu):
     assert made.states.shape == (2, 2, 2) and made.states.base is not None
     assert all(np.shares_memory(rho, made.states) for rho in (made.rho0, made.rho1))
     assert pair_hexes(made) == pair_hexes(build_state_pair(nu, mu, 0.4))
-    assert pair_hexes(build_state_stack([nu], [mu], 0.4), 0) == pair_hexes(made)
+    assert pair_hexes(StatePair([nu], [mu], 0.4), 0) == pair_hexes(made)
 
 
 def test_the_named_operators_are_views_of_one_array():
-    for pair in (build_state_pair(0.8, 0.5j, 0.3), build_state_stack([0.8, 0.4], [0.5j, 0.1], 0.3)):
+    for pair in (build_state_pair(0.8, 0.5j, 0.3), StatePair([0.8, 0.4], [0.5j, 0.1], 0.3)):
         assert all(np.shares_memory(rho, pair.states) for rho in (pair.rho0, pair.rho1))
         sols = discrim.solve_stack(pair)
         for povm in (sols.povm, sols.row(0).povm):
