@@ -6,12 +6,15 @@ Subcommands:
   validate <config>   run Monte Carlo consistency checks
   plot <csv>          render a sweep CSV as an SVG file
 
-Exit codes: 0 success, 2 configuration/validation error, 3 numerical
-contract violation (including failed Monte Carlo consistency), 1 I/O or
-unexpected failure.
+Exit codes: 0 success, 2 configuration/validation error (a config or CSV
+that is not UTF-8 text included), 3 numerical contract violation
+(including failed Monte Carlo consistency), 1 I/O or unexpected failure.
 
 Each subcommand imports only what it runs: ``plot`` needs the standard
-library alone (no numpy), the others load the sweep layer.
+library alone (no numpy); ``sweep`` loads numpy, :mod:`mcmag.channel` and
+the plane kernel :mod:`mcmag.plane`; ``neumark`` adds the matrix solver
+(:mod:`mcmag.discrim`, :mod:`mcmag.qmat`) and the dilation, ``validate``
+the matrix solver and the Monte Carlo (:mod:`mcmag.noise_sim`).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import argparse
 import os
 import sys
 
-from .errors import ConfigError, DomainError, NumericalContractError
+from .errors import ConfigError, DomainError, NumericalContractError, read_utf8
 
 #: Each subcommand: name, help, its one positional argument, help of --out.
 _COMMANDS = (
@@ -55,9 +58,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "plot":
             from .plot import plot_csv
 
-            with open(args.csv, "r", encoding="utf-8") as fh:
-                csv_text = fh.read()
-            svg = plot_csv(csv_text, title=args.csv)
+            svg = plot_csv(read_utf8(args.csv), title=args.csv)
             out = args.out or (os.path.splitext(args.csv)[0] + ".svg")
             _write_text(out, svg)
             print(f"wrote {out}")

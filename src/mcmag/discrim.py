@@ -33,16 +33,15 @@ grid search used to verify all of the above.  Each operation is one
 kernel on a stack of pairs (``*_stack``) whose row k is bitwise the
 kernel on pair k alone; the one-pair functions are a stack of one.
 
-The sweep takes none of these matrix kernels.  Both states lie in the
-equatorial plane of the Bloch ball, so the same optimum, the cap and the
-conditional error have closed forms in plane coordinates (Croke et al.,
-PRL 96, 070401 (2006); Herzog, PRA 85, 032312 (2012)), in real
-elementwise arithmetic on ``(n,)`` arrays of ``nu``, ``mu`` and ``eta0``:
-:func:`plane_optimum`, :func:`plane_capped`, :func:`helstrom_error` and
-:func:`plane_conditional_error` give every solver column of a grid.  The
-degenerate rule is stated there: ``(delta_0 + delta_1)/2 <= DEGENERACY_TOL``.
-The matrix path solves a row again with :func:`plane_optimum` where
+The sweep takes none of these matrix kernels: it solves whole grids in
+plane coordinates (:mod:`mcmag.plane`), whose ``plane_optimum`` states the
+same optimum in closed form and the degenerate rule
+``(delta_0 + delta_1)/2 <= DEGENERACY_TOL``.  This module takes from there
+the rules both solvers share (:data:`~mcmag.plane.BRANCHES`,
+:data:`~mcmag.plane.DEGENERACY_TOL`, :data:`~mcmag.plane.ZERO_FIRE`, the
+clip to [0, 1]), the Helstrom bound, and the re-solve of a row where
 ``rho^(-1/2)`` rounding has left ``Pi_?`` more than 1e-10 from rank one.
+Of the CLI subcommands only ``neumark`` and ``validate`` load this module.
 """
 
 from __future__ import annotations
@@ -55,12 +54,8 @@ import numpy as np
 from . import qmat
 from .channel import StatePair
 from .errors import DomainError, PsdViolationError, UndefinedConditionalError
+from .plane import BRANCHES, DEGENERACY_TOL, ZERO_FIRE, clip01, helstrom_error, plane_optimum
 
-#: Relative tolerance below which the transformed detector state counts as
-#: scalar, i.e. the two hypotheses are operationally identical.
-DEGENERACY_TOL = 1e-12
-
-BRANCHES = ("interior", "boundary_a", "boundary_b", "degenerate")
 _BRANCH_NAMES = np.array(BRANCHES)  # a stack's branch index -> its name
 
 
@@ -104,7 +99,7 @@ class McSolution:
     and ``c1_max`` one minus its bottom one, both clipped to [0, 1].  A
     ``degenerate`` pair reports a convention instead (:func:`solve_stack`):
     the priors as confidences, ``p_inc_opt = 0`` and the balanced measurement.
-    ``branch`` names the solution family, one of :data:`BRANCHES`.  In a
+    ``branch`` names the solution family, one of :data:`~mcmag.plane.BRANCHES`.  In a
     stack ``c0_max``, ``c1_max``, ``p_inc_opt`` and ``branch`` (the names)
     have shape ``(n,)`` and ``povm.ops`` has shape ``(n, 3, 2, 2)``; the
     solution of pair k holds the view ``povm.ops[k]``.
@@ -160,14 +155,6 @@ class OracleSolution:
     c1: float
     p_inc: float
     povm: Povm
-
-
-def _clip01(x: np.ndarray) -> np.ndarray:
-    """``min(max(x, 0.0), 1.0)`` elementwise, signed zeros and NaN included (``x`` if inside)."""
-    low, high = 0.0 > x, 1.0 < x
-    if np.count_nonzero(low) or np.count_nonzero(high):
-        x = np.where(low, 0.0, np.where(high, 1.0, x))
-    return x
 
 
 # The balanced projective measurement reported for identical hypotheses.
@@ -245,7 +232,7 @@ def _measure(rho, s_inv, gamma_vals, gamma_vecs, pairs: StatePair, live=slice(No
     branch index; the operators (pi0, pi1, pi_inc).  ``Pi_?`` is rank one
     at the optimum; a row where ``rho^(-1/2)`` has left its smaller
     eigenvalue outside +-1e-10 is solved again in plane coordinates
-    (:func:`plane_optimum`), from the pair's ``nu``, ``mu`` and ``eta0``.
+    (:func:`~mcmag.plane.plane_optimum`), from the pair's ``nu``, ``mu`` and ``eta0``.
     """
     n = len(rho)
     # Row j of gcols is eigenvector j of d0: j = 1 (top eigenvalue) is the
@@ -272,7 +259,7 @@ def _measure(rho, s_inv, gamma_vals, gamma_vecs, pairs: StatePair, live=slice(No
         if np.count_nonzero(rows):
             values[rows, :2] = weights
             values[rows, 2] = 1.0 - det_rho[rows] / r_diag[rows, r_kept]
-    values = _clip01(values)
+    values = clip01(values)
 
     # Detector directions (w, v): the eigenvectors pulled back through
     # rho^(-1/2) and normalized.
@@ -299,15 +286,11 @@ def solve_max_confidence(pair: StatePair) -> McSolution:
     return solve_stack(pair).row(0)
 
 
-#: Firing probability at or below which a detector counts as never firing.
-_ZERO_FIRE = 1e-15
-
-
 def achieved_confidences(povm: Povm, pair: StatePair) -> tuple[float | None, float | None]:
     """Confidences a given measurement actually attains on a pair.
 
     Returns ``None`` for a detector that never fires (firing probability
-    at most ``_ZERO_FIRE``), where the conditional probability is undefined.
+    at most ``ZERO_FIRE``), where the conditional probability is undefined.
     """
     check_pair(pair, povm)
     c0, c1 = _confidence_stack(povm.ops[:2], pair).tolist()
@@ -317,29 +300,17 @@ def achieved_confidences(povm: Povm, pair: StatePair) -> tuple[float | None, flo
 def _confidence_stack(detectors: np.ndarray, pairs: StatePair):
     """Confidences ``(c0, c1)`` that detectors ``(pi0, pi1)``, an array of
     shape ``(..., 2, 2, 2)``, attain on their pairs, clipped to [0, 1];
-    NaN where a detector fires with probability <= ``_ZERO_FIRE``."""
+    NaN where a detector fires with probability <= ``ZERO_FIRE``."""
     fire = qmat.trace(pairs.rho[..., None, :, :] @ detectors)
     hit = qmat.trace(pairs.states @ detectors)
     eta = np.array([pairs.eta0, pairs.eta1])
-    return _clip01(eta * hit / np.where(fire <= _ZERO_FIRE, np.nan, fire))
+    return clip01(eta * hit / np.where(fire <= ZERO_FIRE, np.nan, fire))
 
 
 def min_error_stack(pairs: StatePair) -> np.ndarray:
-    """Helstrom bound of every pair in a stack (row k = pair k): :func:`helstrom_error`
-    of its ``nu``, ``mu`` and ``eta0``."""
+    """Helstrom bound of every pair in a stack (row k = pair k):
+    :func:`~mcmag.plane.helstrom_error` of its ``nu``, ``mu`` and ``eta0``."""
     return helstrom_error(pairs.nu, pairs.mu, pairs.eta0)
-
-
-def helstrom_error(nu, mu, eta0) -> np.ndarray:
-    """Helstrom bound ``1/2 - max(|d|, |z|)`` of pairs in plane coordinates, for
-    ``eta1*rho1 - eta0*rho0 = [[d, z], [z*, d]]`` (both states have diagonal 1/2):
-    ``z = (eta1*nu*mu - eta0*nu)/2``, with the roundings of the complex
-    arithmetic on the matrix entries ``nu/2`` and ``nu*mu/2``."""
-    eta1 = 1.0 - eta0
-    off0 = 0.5 * nu
-    z_re = eta1 * (off0 * mu.real) - eta0 * off0
-    z_im = eta1 * (off0 * mu.imag)
-    return 0.5 - np.maximum(abs(0.5 * (eta1 - eta0)), np.hypot(z_re, z_im))
 
 
 def min_error_probability(pair: StatePair) -> float:
@@ -438,7 +409,7 @@ def conditional_error_stack(povm: Povm, pairs: StatePair) -> np.ndarray:
         pairs.rho1 @ povm.pi0
     )
     conclusive = 1.0 - qmat.trace(pairs.rho @ povm.pi_inc)
-    return _clip01(wrong / np.where(conclusive <= 1e-12, np.nan, conclusive))
+    return clip01(wrong / np.where(conclusive <= 1e-12, np.nan, conclusive))
 
 
 def conditional_error(povm: Povm, pair: StatePair) -> float:
@@ -448,166 +419,6 @@ def conditional_error(povm: Povm, pair: StatePair) -> float:
     if math.isnan(error):
         raise UndefinedConditionalError("measurement is (almost) never conclusive")
     return error
-
-
-# ---------------------------------------------------------------------------
-# Plane coordinates
-# ---------------------------------------------------------------------------
-#
-# Both states have diagonal 1/2, so with rho_j = (I + r_j.sigma)/2 their
-# Bloch vectors lie in the equatorial plane: r0 = nu (1, 0) and
-# r1 = nu (x, -y) for mu = x + iy.  Every operator of the optimum and of
-# the cap is (alpha I + beta.sigma)/2 with beta in that plane, held as the
-# row (alpha, beta_x, beta_y), and Tr(rho_j Pi) = (alpha + r_j.beta)/2.
-# The arithmetic is elementwise real + - * /, sqrt and hypot: no matrix and
-# no BLAS kernel, so the bits do not depend on the CPU kernel family.
-
-#: The balanced measurement of identical hypotheses: |+><+|, |-><-|, no inconclusive outcome.
-_BALANCED_PLANE = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
-
-
-def plane_optimum(nu: np.ndarray, mu: np.ndarray, eta0):
-    """The maximum-confidence optimum of pairs in plane coordinates.
-
-    ``nu`` and ``mu`` are ``(n,)`` arrays that passed the pair rule
-    (:func:`~mcmag.channel.pair_factors`), ``eta0`` a float or an ``(n,)``
-    array.  Returns ``(values, branch, ops)``: columns p_inc, c0_max, c1_max,
-    clipped to [0, 1]; the index into :data:`BRANCHES`; and ``ops`` of shape
-    ``(n, 3, 3)``, outcome k (pi0, pi1, pi_inc) of row i as
-    ``(alpha, beta_x, beta_y)``.
-
-    With ``D = |r0 - r1|^2/nu^2``, ``R = (r0 - r1).r/nu^2`` and
-    ``S = 1 - |r|^2`` for ``r = eta0 r0 + eta1 r1``, and
-    ``Q = sqrt((nu R)^2 + S D)``, the confidences are ``eta_j + delta_j``
-    with ``delta_0 = a nu D/(Q + nu R)`` and ``delta_1 = a nu D/(Q - nu R)``
-    (``a = eta0 eta1``), the smaller of ``Q +- nu R`` taken as ``S D`` over
-    the larger.  The detector directions have squared overlap
-    ``g = (nu y)^2/D``: detector 1 is dropped (``boundary_a``) where
-    ``g (Q + nu R) >= Q - nu R``, detector 0 (``boundary_b``) where
-    ``g (Q - nu R) >= Q + nu R``, and in the ``interior`` the inconclusive
-    rate is ``nu |y| sqrt(S)/Q``.  A pair whose detector state is within
-    ``DEGENERACY_TOL`` of a scalar, ``(delta_0 + delta_1)/2 <= DEGENERACY_TOL``
-    (the radius of its spectrum), or whose deltas are not numbers, is
-    ``degenerate``: the priors, ``p_inc = 0`` and the balanced measurement.
-    """
-    x, y = mu.real, mu.imag
-    eta1 = 1.0 - eta0
-    a = eta0 * eta1
-    one_x = 1.0 - x  # exact for x >= 1/2
-    # 1 - |mu|^2 from the larger part: no rounding of |mu| near the unit circle
-    # (clamped at 0, where the pair rule put mu on the circle).
-    hi, lo = np.maximum(abs(x), abs(y)), np.minimum(abs(x), abs(y))
-    mm = np.maximum((1.0 - hi) * (1.0 + hi) - lo * lo, 0.0)
-    d2 = one_x * one_x + y * y  # D
-    nu_r = nu * (0.5 * mm + 0.5 * (eta0 - eta1) * d2)  # nu R
-    s = (1.0 - nu) * (1.0 + nu) + nu * nu * (eta1 * eta1 * mm + 2.0 * a * one_x)  # S
-    q = np.sqrt(nu_r * nu_r + s * d2)  # Q
-    with np.errstate(divide="ignore", invalid="ignore"):
-        big = q + abs(nu_r)  # the larger of Q +- nu R; their product is S D
-        small = s * d2 / big
-        up = nu_r >= 0.0
-        near, far = a * nu * d2 / big, a * nu * big / s
-        delta0, delta1 = np.where(up, near, far), np.where(up, far, near)
-        q_plus, q_minus = np.where(up, big, small), np.where(up, small, big)
-        g = (nu * y) ** 2 / d2
-        h = q * q / d2  # 1 - g
-        bound_a = g * q_plus >= q_minus  # only detector 0 kept
-        bound_b = ~bound_a & (g * q_minus >= q_plus)  # only detector 1 kept
-        w = nu * abs(y) * np.sqrt(s)  # sqrt(g (Q + nu R) (Q - nu R))
-        p_inc = np.where(bound_a, 1.0 - q * q_plus / (2.0 * d2), w / q)
-        p_inc = np.where(bound_b, 1.0 - q * q_minus / (2.0 * d2), p_inc)
-        # (Q + nu R) - g (Q - nu R) = h (Q - nu R) + 2 nu R, and its mirror: no 1 - g.
-        weight_v = np.where(bound_a, 1.0, (h * q_minus + 2.0 * nu_r) / ((q_plus + w) * h))
-        weight_w = np.where(bound_a, 0.0, (h * q_plus - 2.0 * nu_r) / ((q_minus + w) * h))
-        weight_v = _clip01(np.where(bound_b, 0.0, weight_v))
-        weight_w = _clip01(np.where(bound_b, 1.0, weight_w))
-        # n_v, n_w = -r_perp +- (Q/D) (1 - x, y), r_perp the part of r normal to r0 - r1.
-        n_v = ((q * one_x - nu * y * y) / d2, y * (q + nu * one_x) / d2)
-        n_w = (-(q * one_x + nu * y * y) / d2, y * (nu * one_x - q) / d2)
-        live = 0.5 * (delta0 + delta1) > DEGENERACY_TOL
-    n = len(nu)
-    values = np.empty((n, 3))
-    values[:, 0] = np.where(live, p_inc, 0.0)
-    values[:, 1] = np.where(live, eta0 + delta0, eta0)
-    values[:, 2] = np.where(live, eta1 + delta1, eta1)
-    values = _clip01(values)
-    branch = np.where(live, bound_a + 2 * bound_b, 3)
-    ops = np.empty((n, 3, 3))
-    ops[:, 0, 0], ops[:, 0, 1], ops[:, 0, 2] = weight_v, weight_v * n_v[0], weight_v * n_v[1]
-    ops[:, 1, 0], ops[:, 1, 1], ops[:, 1, 2] = weight_w, weight_w * n_w[0], weight_w * n_w[1]
-    ops[:, 2] = -ops[:, 0] - ops[:, 1]
-    ops[:, 2, 0] += 2.0
-    if np.count_nonzero(~live):
-        ops[~live] = _BALANCED_PLANE
-    return values, branch, ops
-
-
-def _tr(op: np.ndarray, rx, ry) -> np.ndarray:
-    """``Tr(rho Pi)`` for ``rho = (I + r.sigma)/2``, ``r = (rx, ry)``, and ``Pi``
-    the row ``(alpha, beta_x, beta_y)``."""
-    return 0.5 * (op[..., 0] + op[..., 1] * rx + op[..., 2] * ry)
-
-
-def plane_capped(nu: np.ndarray, mu: np.ndarray, eta0, values: np.ndarray, ops: np.ndarray,
-                 p_thresh: float):
-    """:func:`threshold_stack` in plane coordinates, on :func:`plane_optimum`'s
-    ``values`` and ``ops``: ``(c0, c1, p_inc, detectors)``, the capped
-    confidences (NaN where a detector fires with probability <= ``_ZERO_FIRE``),
-    the inconclusive rate and the detectors ``(pi0, pi1)`` as ``(n, 2, 3)``.
-
-    A row over the cap mixes its detectors with the minimum-error ones,
-    ``(1 - mix) Pi_opt + mix Pi_minerr`` with ``mix = 1 - p_thresh/p_inc_opt``,
-    so its rate is ``p_thresh``.  Detector 1 of the minimum-error measurement
-    is the strictly positive eigenspace of ``eta1 rho1 - eta0 rho0 =
-    (e I + m.sigma)/2``, eigenvalues ``(e +- |m|)/2``: all of it where
-    ``e - |m| > 0``, none where ``e + |m| <= 0``, else ``(I + m.sigma/|m|)/2``.
-    """
-    if not 0.0 <= p_thresh <= 1.0:
-        raise DomainError("p_thresh must be in [0, 1]")
-    p_inc_opt, c0_max, c1_max = values.T
-    detectors = ops[:, :2]
-    over = ~(p_inc_opt <= p_thresh)
-    if not np.count_nonzero(over):
-        return c0_max, c1_max, p_inc_opt, detectors
-    eta1 = 1.0 - eta0
-    r0x, r1x, r1y = nu, nu * mu.real, -nu * mu.imag
-    e = eta1 - eta0
-    mx, my = eta1 * r1x - eta0 * r0x, eta1 * r1y
-    size = np.hypot(mx, my)
-    both = e - size > 0.0
-    split = ~both & (e + size > 0.0)
-    minerr = np.zeros((len(nu), 2, 3))
-    minerr[:, 1, 0] = np.where(both, 2.0, np.where(split, 1.0, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        minerr[:, 1, 1] = np.where(split, mx / size, 0.0)
-        minerr[:, 1, 2] = np.where(split, my / size, 0.0)
-    minerr[:, 0] = -minerr[:, 1]
-    minerr[:, 0, 0] += 2.0
-    mixed = minerr
-    if p_thresh > 0.0:  # else mix = 1: the minimum-error measurement itself
-        mix = 1.0 - p_thresh / np.where(over, p_inc_opt, np.inf)
-        mixed = (1.0 - mix)[:, None, None] * detectors + mix[:, None, None] * minerr
-    rx, ry = eta0 * r0x + eta1 * r1x, eta1 * r1y
-    fire = _tr(mixed, rx[:, None], ry[:, None])
-    hit = np.array((eta0 * _tr(mixed[:, 0], r0x, 0.0), eta1 * _tr(mixed[:, 1], r1x, r1y))).T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c0, c1 = _clip01(hit / np.where(fire <= _ZERO_FIRE, np.nan, fire)).T
-    return (np.where(over, c0, c0_max), np.where(over, c1, c1_max),
-            np.where(over, p_thresh, p_inc_opt), np.where(over[:, None, None], mixed, detectors))
-
-
-def plane_conditional_error(nu: np.ndarray, mu: np.ndarray, eta0, ops: np.ndarray):
-    """:func:`conditional_error_stack` in plane coordinates, for the detectors
-    ``ops[:, 0]`` and ``ops[:, 1]`` (pi0, pi1) of each row: the wrong
-    conclusive calls over all of them, NaN where those fire with probability
-    <= 1e-12."""
-    eta1 = 1.0 - eta0
-    r1x, r1y = nu * mu.real, -nu * mu.imag
-    rx, ry = eta0 * nu + eta1 * r1x, eta1 * r1y
-    wrong = eta0 * _tr(ops[:, 1], nu, 0.0) + eta1 * _tr(ops[:, 0], r1x, r1y)
-    conclusive = _tr(ops[:, 0], rx, ry) + _tr(ops[:, 1], rx, ry)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _clip01(wrong / np.where(conclusive <= 1e-12, np.nan, conclusive))
 
 
 def _matrices(ops: np.ndarray) -> np.ndarray:

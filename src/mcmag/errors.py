@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the reader of input files.
 
 Two families matter for the command line: configuration problems
 (exit code 2) and numerical-contract violations (exit code 3).
@@ -35,3 +35,13 @@ class DilationRankError(NumericalContractError, ValueError):
 
 class UndefinedConditionalError(NumericalContractError, ZeroDivisionError):
     """Conditional error requested for an (almost) all-inconclusive measurement."""
+
+
+def read_utf8(path: str) -> str:
+    """The text of the config or CSV file at ``path``; bytes that are not
+    UTF-8 are a :class:`ConfigError` naming the file and the byte offset."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()  # decoded in one piece: the offset counts from the file's start
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text at byte {exc.start}") from exc

@@ -2,10 +2,13 @@
 
 A config is flat ``key = value`` text (``#`` comments allowed).  Each
 scenario names one way of producing the coherence/phase factors over a
-grid of interrogation times or pulse counts; the whole grid is pushed
-through the channel -> discrimination pipeline as one stack and every
-point lands as one CSV row.  Rows are pure functions of the config, so
-output bytes are identical across runs.
+grid of interrogation times or pulse counts; the plane-coordinate kernel
+(:mod:`mcmag.plane`) solves the whole grid at once in real arithmetic,
+and every point lands as one CSV row.  Rows are pure functions of the
+config, so output bytes are identical across runs.  A sweep loads only
+:mod:`mcmag.channel` and :mod:`mcmag.plane`: the matrix solver
+(:mod:`mcmag.discrim`), the dilation and the Monte Carlo load inside
+:func:`neumark_report` and :func:`validate_report`, which use them.
 
 Four tables define the format: the fields of :class:`SweepConfig` are
 the config keys (a field's annotation is how its value parses, a field
@@ -27,8 +30,8 @@ from typing import Callable, NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
-from . import channel, dilation, discrim, noise_sim
-from .errors import ConfigError, DomainError
+from . import channel, plane
+from .errors import ConfigError, DomainError, read_utf8
 from .plot import plot_csv  # noqa: F401  (also reachable as mcmag.sweep.plot_csv)
 
 #: Coherence floor substituted for an underflowed dephasing factor so the
@@ -324,8 +327,8 @@ def parse_config_text(text: str) -> SweepConfig:
 
 
 def load_config(path: str) -> SweepConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    """The SweepConfig of the config file at ``path`` (UTF-8 text)."""
+    return parse_config_text(read_utf8(path))
 
 
 def grid_values(cfg: SweepConfig) -> list[float]:
@@ -358,20 +361,20 @@ def _evaluate(cfg: SweepConfig, values: list[float]) -> list[SweepRow]:
     nus = scenario.nu(cfg, values)
     mus = scenario.mu(cfg, values)
     nu, mu = channel.pair_factors(np.maximum(nus, NU_FLOOR), mus)
-    optimum, branch, effective = discrim.plane_optimum(nu, mu, cfg.eta0)
+    optimum, branch, effective = plane.plane_optimum(nu, mu, cfg.eta0)
     p_inc_opt, c0_max, c1_max = optimum.T
-    helstrom = discrim.helstrom_error(nu, mu, cfg.eta0)
+    helstrom = plane.helstrom_error(nu, mu, cfg.eta0)
 
     c0_t = c1_t = p_inc_t = [None] * len(values)
     if cfg.p_inc_threshold is not None:
-        c0, c1, p_inc, effective = discrim.plane_capped(
+        c0, c1, p_inc, effective = plane.plane_capped(
             nu, mu, cfg.eta0, optimum, effective, cfg.p_inc_threshold
         )
         c0_t = [None if math.isnan(c) else c for c in c0.tolist()]
         c1_t = [None if math.isnan(c) else c for c in c1.tolist()]
         p_inc_t = p_inc.tolist()
 
-    cond = discrim.plane_conditional_error(nu, mu, cfg.eta0, effective)
+    cond = plane.plane_conditional_error(nu, mu, cfg.eta0, effective)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(helstrom > 1e-300, cond / helstrom, np.nan)
 
@@ -391,7 +394,7 @@ def _evaluate(cfg: SweepConfig, values: list[float]) -> list[SweepRow]:
         helstrom.tolist(),
         [None if math.isnan(e) else e for e in cond.tolist()],
         [None if math.isnan(r) else r for r in rel.tolist()],
-        map(discrim.BRANCHES.__getitem__, branch.tolist()),
+        map(plane.BRANCHES.__getitem__, branch.tolist()),
     )
     return list(map(tuple.__new__, itertools.repeat(SweepRow), zip(*columns)))
 
@@ -450,6 +453,8 @@ def validate_report(cfg: SweepConfig) -> tuple[str, bool]:
     checks run for every scenario at the middle grid point, skipping a detector
     that never fires.  A check passes when |z| <= 3.
     """
+    from . import discrim, noise_sim
+
     lines = [f"validation report: scenario={cfg.scenario} seed={cfg.seed}"]
     oks = []
 
@@ -505,6 +510,8 @@ def validate_report(cfg: SweepConfig) -> tuple[str, bool]:
 def neumark_report(cfg: SweepConfig) -> str:
     """Text dump of the projective extension of the optimum at one parameter
     point.  A capped measurement is not rank one: ``p_inc_threshold`` is refused."""
+    from . import dilation, discrim
+
     if cfg.point is None:
         raise ConfigError("neumark requires key 'point' (time or pulse count)")
     if cfg.p_inc_threshold is not None:

@@ -1,10 +1,28 @@
 """Helpers shared by several test modules."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from mcmag import qmat
 from mcmag.channel import StatePair, SwitchingFunction, build_state_pair
 from mcmag.errors import DomainError
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_python(code, *args, cwd=None):
+    """Run ``code`` in a fresh interpreter that imports the package from ``src/``;
+    its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, cwd=cwd
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def random_pair(

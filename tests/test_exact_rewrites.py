@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from mcmag import channel, dilation, discrim, noise_sim, qmat, sweep
-from mcmag.discrim import BRANCHES
+from mcmag.plane import BRANCHES
 from mcmag.sweep import NU_FLOOR
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

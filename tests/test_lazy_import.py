@@ -1,7 +1,7 @@
-"""``import mcmag`` loads names on first use, and ``mcmag plot`` runs without numpy."""
+"""``import mcmag`` loads names on first use, and each CLI subcommand loads only
+what it runs: ``mcmag plot`` no numpy, ``mcmag sweep`` no matrix solver,
+dilation or Monte Carlo, ``mcmag neumark`` no Monte Carlo."""
 
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -10,18 +10,11 @@ import pytest
 import mcmag
 from mcmag import sweep
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
-CONFIG = Path(__file__).resolve().parent.parent / "configs" / "static_single_b50_thresh.cfg"
+from helpers import run_python
 
-
-def run_python(code, *args, cwd=None):
-    """Run ``code`` in a fresh interpreter that imports the package from ``src/``."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, cwd=cwd
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG = ROOT / "configs" / "static_single_b50_thresh.cfg"
+NEUMARK = ROOT / "configs" / "neumark_static_single.cfg"
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +35,31 @@ def test_cli_plot_leaves_numpy_unloaded(sweep_csv):
     assert run_python(code, str(sweep_csv), str(svg)).splitlines()[-1] == "0 False"
     expected = sweep.plot_csv(sweep_csv.read_text(), title=str(sweep_csv))
     assert svg.read_bytes() == expected.encode("utf-8")
+
+
+#: Prints the exit code and which of the matrix solver, qmat, the dilation and
+#: the Monte Carlo a CLI call loaded.
+LOADED = (
+    "import sys\n"
+    "import mcmag.cli\n"
+    "rc = mcmag.cli.main(sys.argv[1:])\n"
+    "names = ('discrim', 'qmat', 'dilation', 'noise_sim')\n"
+    "print(rc, [name for name in names if f'mcmag.{name}' in sys.modules])\n"
+)
+
+
+def test_cli_sweep_loads_no_matrix_solver_dilation_or_monte_carlo(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert run_python(LOADED, "sweep", str(CONFIG), "--out", str(out)).splitlines()[-1] == "0 []"
+    want = sweep.rows_to_csv(sweep.run_sweep(sweep.load_config(str(CONFIG))))
+    assert out.read_bytes() == want.encode("utf-8")
+
+
+def test_cli_neumark_loads_no_monte_carlo(tmp_path):
+    out = tmp_path / "neumark.txt"
+    got = run_python(LOADED, "neumark", str(NEUMARK), "--out", str(out)).splitlines()[-1]
+    assert got == "0 ['discrim', 'qmat', 'dilation']"
+    assert out.read_bytes() == sweep.neumark_report(sweep.load_config(str(NEUMARK))).encode("utf-8")
 
 
 def test_every_public_name_is_the_object_its_module_defines():

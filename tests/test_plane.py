@@ -1,4 +1,4 @@
-"""The plane-coordinate kernel that solves the sweep (ROADMAP items 3 and 13).
+"""The plane-coordinate kernel that solves the sweep, :mod:`mcmag.plane` (ROADMAP items 3 and 13).
 
 Judged against :mod:`reference` on the rows, caps and bound of
 ``test_reference_accuracy`` and ``test_reference_capped``: an output is
@@ -18,10 +18,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mcmag import channel, discrim, qmat, sweep
-from mcmag.discrim import BRANCHES
+from mcmag import channel, discrim, plane, sweep
+from mcmag.plane import BRANCHES
 
 import reference
+from helpers import run_python
 from test_reference_accuracy import pairs, moved
 from test_reference_capped import caps
 
@@ -34,12 +35,12 @@ def plane_columns(nu, mu, eta0, p_thresh=None):
     """The sweep's solver columns of pairs that passed the pair rule, as the
     plane kernel gives them: branch names and a dict of arrays, the capped
     ones (and the conditional error) only under a cap."""
-    optimum, branch, ops = discrim.plane_optimum(nu, mu, eta0)
+    optimum, branch, ops = plane.plane_optimum(nu, mu, eta0)
     cols = dict(zip(("p_inc_opt", "c0_max", "c1_max"), optimum.T))
     if p_thresh is not None:
-        *capped, detectors = discrim.plane_capped(nu, mu, eta0, optimum, ops, p_thresh)
+        *capped, detectors = plane.plane_capped(nu, mu, eta0, optimum, ops, p_thresh)
         cols.update(zip(("c0", "c1", "p_inc"), capped))
-        cols["cond_err"] = discrim.plane_conditional_error(nu, mu, eta0, detectors)
+        cols["cond_err"] = plane.plane_conditional_error(nu, mu, eta0, detectors)
     return np.array(BRANCHES)[branch], cols
 
 
@@ -90,6 +91,26 @@ def test_plane_kernel_reaches_every_branch(judged):
     assert {branch for _name, branch, _ok in judged} == set(BRANCHES)
 
 
+def test_the_conditional_error_of_pure_states_is_conditioning_not_a_defect():
+    # nu = 1 (no dephasing), t = 0.01, 0.02, 0.03: the ideal states are pure
+    # and a conclusive call is never wrong, yet the cond_err cells read 1e-11.
+    # Judged at the kernel's own nu and mu floats, they are within the bound.
+    cfg = sweep.parse_config_text(
+        "scenario = static_single\nb0_uT = 1\nT2_star_us = 1e12\np = 2\n"
+        "grid_start = 0.01\ngrid_stop = 0.03\ngrid_points = 3\n"
+    )
+    values = sweep.grid_values(cfg)
+    scenario = sweep.SCENARIOS[cfg.scenario]
+    nu, mu = channel.pair_factors(scenario.nu(cfg, values), scenario.mu(cfg, values))
+    rows = sweep.run_sweep(cfg)
+    assert nu.tolist() == [1.0] * 3 and max(r.cond_err for r in rows) > 1e-11
+    for k, row in enumerate(rows):
+        args = float(nu[k]), complex(mu[k]), cfg.eta0
+        exact = reference.capped(*args, 1.0)[3]  # a cap of 1 keeps the optimum
+        nearby = [reference.capped(*moved_args, 1.0)[3] for moved_args in moved(*args)]
+        assert within(row.cond_err, exact, nearby), values[k]
+
+
 def test_plane_rule_flags_the_matrix_solvers_degenerate_rows_on_the_judged_rows():
     flagged = []
     for name, nu, mu, eta0 in pairs():
@@ -128,7 +149,7 @@ def test_the_helstrom_error_keeps_the_matrix_bits_on_the_shipped_grids():
         pairs = channel.StatePair(nu, mu, eta0)
         z = pairs.eta1 * pairs.rho1[:, 0, 1] - pairs.eta0 * pairs.rho0[:, 0, 1]
         matrix = 0.5 - np.maximum(abs(0.5 * (pairs.eta1 - pairs.eta0)), np.hypot(z.real, z.imag))
-        assert discrim.helstrom_error(nu, mu, eta0).tobytes() == matrix.tobytes(), name
+        assert plane.helstrom_error(nu, mu, eta0).tobytes() == matrix.tobytes(), name
 
 
 @pytest.mark.parametrize("eta0", [0.5, 0.2, 0.9, 1e-6, 1.0 - 1e-6])
@@ -138,9 +159,9 @@ def test_a_cap_of_zero_keeps_the_optimum_where_it_is_conclusive(eta0):
     nu = np.random.default_rng(5).uniform(1e-6, 1.0, 300)
     nu[:3] = (1.0, 1e-300, 0.5)
     mu = np.zeros(len(nu), dtype=complex)
-    optimum, _branch, ops = discrim.plane_optimum(nu, mu, eta0)
+    optimum, _branch, ops = plane.plane_optimum(nu, mu, eta0)
     assert np.count_nonzero(optimum[:, 0]) == 0
-    c0, c1, p_inc, detectors = discrim.plane_capped(nu, mu, eta0, optimum, ops, 0.0)
+    c0, c1, p_inc, detectors = plane.plane_capped(nu, mu, eta0, optimum, ops, 0.0)
     assert np.array((p_inc, c0, c1)).T.tobytes() == optimum.tobytes()
     assert detectors.tobytes() == ops[:, :2].tobytes()
 
@@ -153,30 +174,27 @@ def test_plane_operators_are_a_measurement_with_a_rank_one_inconclusive_outcome(
         mu = np.sqrt(rng.uniform(0.0, 1.0, 500)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 500))
         mu[1::5] = np.exp(1j * 10.0 ** rng.uniform(-9, 0, 100))
         nu, mu = channel.pair_factors(nu, mu)
-        _values, _branch, ops = discrim.plane_optimum(nu, mu, eta0)
+        _values, _branch, ops = plane.plane_optimum(nu, mu, eta0)
         assert np.max(np.abs(ops.sum(axis=1) - (2.0, 0.0, 0.0))) <= 1e-15
         lowest = 0.5 * (ops[..., 0] - np.hypot(ops[..., 1], ops[..., 2]))
         assert np.min(lowest) >= -1e-15 and np.max(np.abs(lowest[:, 2])) <= 1e-15
 
 
-def test_the_sweep_builds_no_matrix(monkeypatch):
-    # Every solver column comes from the plane kernel: with the matrix
-    # solver, the state pairs and every qmat routine broken, sweeps with and
-    # without a cap give the same bytes.
-    texts = {name: (ROOT / "configs" / f"{name}.cfg").read_text(encoding="utf-8")
-             for name in ("static_single_b20", "static_single_b20_thresh", "cpmg_single_sigma0p4")}
-    want = {name: sweep.rows_to_csv(sweep.run_sweep(sweep.parse_config_text(text)))
-            for name, text in texts.items()}
-
-    def broken(*args, **kwargs):
-        raise AssertionError("the sweep reached matrix code")
-
-    for name in dir(qmat):
-        if callable(getattr(qmat, name)) and not isinstance(getattr(qmat, name), type):
-            monkeypatch.setattr(qmat, name, broken)
-    for name in ("solve_stack", "threshold_stack", "conditional_error_stack", "min_error_stack",
-                 "_measure", "_matrices"):
-        monkeypatch.setattr(discrim, name, broken)
-    monkeypatch.setattr(channel, "StatePair", broken)
-    for name, text in texts.items():
-        assert sweep.rows_to_csv(sweep.run_sweep(sweep.parse_config_text(text))) == want[name]
+def test_the_sweep_builds_no_matrix():
+    # Every solver column comes from the plane kernel: in a fresh interpreter
+    # where the matrix solver and qmat cannot be imported and the state pairs
+    # are broken, sweeps with and without a cap give the in-process bytes.
+    paths = [str(ROOT / "configs" / f"{name}.cfg")
+             for name in ("static_single_b20", "static_single_b20_thresh", "cpmg_single_sigma0p4")]
+    code = (
+        "import sys\n"
+        "sys.modules['mcmag.qmat'] = sys.modules['mcmag.discrim'] = None\n"
+        "from mcmag import channel, sweep\n"
+        "def broken(*args, **kwargs):\n"
+        "    raise AssertionError('the sweep reached matrix code')\n"
+        "channel.StatePair = broken\n"
+        "for path in sys.argv[1:]:\n"
+        "    sys.stdout.write(sweep.rows_to_csv(sweep.run_sweep(sweep.load_config(path))))\n"
+    )
+    want = "".join(sweep.rows_to_csv(sweep.run_sweep(sweep.load_config(p))) for p in paths)
+    assert run_python(code, *paths) == want

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mcmag import build_state_pair, discrim, solve_max_confidence, sweep
+from mcmag import build_state_pair, discrim, plane, solve_max_confidence, sweep
 
 import reference
 from helpers import random_pair
@@ -28,7 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 #: A pair whose detector state is within DEGENERACY_TOL of scalar is solved as
 #: identical states, with the priors as confidences; that moves a confidence
 #: by at most 2*sqrt(2) times the tolerance (for a detector state of norm <= 1).
-DEGENERATE_SLACK = 2.0 * math.sqrt(2.0) * discrim.DEGENERACY_TOL
+DEGENERATE_SLACK = 2.0 * math.sqrt(2.0) * plane.DEGENERACY_TOL
 
 
 def step(x: float, ulps: int) -> float:

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from mcmag import channel, discrim, qmat
-from mcmag.discrim import BRANCHES, grid_search_povm
+from mcmag.discrim import grid_search_povm
 from mcmag.errors import UndefinedConditionalError
+from mcmag.plane import BRANCHES
 from mcmag.sweep import NU_FLOOR, SweepConfig, run_sweep
 
 I2 = np.eye(2)
@@ -132,7 +133,7 @@ def test_oracle_shares_no_code_with_the_solver(monkeypatch):
         if callable(getattr(qmat, name)) and not isinstance(getattr(qmat, name), type):
             monkeypatch.setattr(qmat, name, broken)
     for name in ("solve_stack", "solve_max_confidence", "_measure",
-                 "_clip01", "min_error_stack",
+                 "clip01", "min_error_stack",
                  "conditional_error_stack", "threshold_inconclusive", "min_error_projectors"):
         monkeypatch.setattr(discrim, name, broken)
     got = grid_search_povm(pair, grid_density=64, refine=1)

@@ -336,6 +336,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["sweep", "neumark", "validate", "plot"])
+def test_cli_input_that_is_not_utf8_is_a_config_error(tmp_path, capsys, command):
+    # A byte that starts no UTF-8 sequence at byte offset 25: exit 2, one
+    # message naming the file and the offset, and no output written.
+    path = tmp_path / "bad.in"
+    path.write_bytes(b"scenario = static_single\n\xff\xfe\n")
+    out = tmp_path / "out.txt"
+    assert cli.main([command, str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: not UTF-8 text at byte 25\n"
+    assert captured.out == "" and not out.exists()
+    with pytest.raises(ConfigError, match="not UTF-8 text at byte 25"):
+        sweep.load_config(str(path))
+
+
 def test_cli_neumark_dump(tmp_path, capsys):
     cfg = make_cfg(
         tmp_path,
