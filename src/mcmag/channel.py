@@ -378,13 +378,13 @@ def mu_cpmg(b0: float, sigma_b: float, f: float, n_pulses: int) -> complex:
 class StatePair:
     """The two hypothesis states and their prior mixture, made from ``(nu, mu, eta0)``.
 
-    ``states[..., j, :, :]`` (the view ``rhoj``) and ``rho = eta0*rho0 + eta1*rho1``
-    are derived when the pair is made (by ``dataclasses.replace`` too), after the
-    one pair rule (:func:`pair_factors`): ``nu`` in (0, 1] and ``|mu| <= 1`` with 1e-12
-    of slack clamped away, ``eta0`` in (0, 1), else DomainError.  An array in
-    ``nu`` or ``mu`` makes a stack under one prior (``states`` ``(n, 2, 2, 2)``);
-    scalars make one pair, row 0 of that stack: a float ``nu``, a complex ``mu``
-    and ``states`` the ``(2, 2, 2)`` view of the row.
+    ``states[j]`` (the view ``rhoj``) and ``rho = eta0*rho0 + eta1*rho1`` are
+    derived when the pair is made (by ``dataclasses.replace`` too), after the
+    pair rule (:func:`pair_factors`): ``nu`` in (0, 1] and ``|mu| <= 1`` with 1e-12
+    of slack clamped away, ``eta0`` in (0, 1), else DomainError.  A StatePair is
+    one pair, a float ``nu``, a complex ``mu`` and ``states`` of shape ``(2, 2, 2)``:
+    an array in ``nu`` or ``mu`` is a DomainError.  Stacks of pairs are
+    :func:`pair_factors` arrays, solved by :mod:`mcmag.plane`.
     """
 
     nu: float
@@ -394,22 +394,39 @@ class StatePair:
     rho: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        nu, mu, states = _states(self.nu, self.mu)
-        if not (np.ndim(self.nu) or np.ndim(self.mu)):  # one pair: row 0
-            nu, mu, states = float(nu[0]), complex(mu[0]), states[0]
+        shapes = np.shape(self.nu), np.shape(self.mu)
+        if shapes != ((), ()):
+            raise DomainError(
+                f"a StatePair is one pair: nu and mu must be numbers, got shapes {shapes[0]} "
+                f"and {shapes[1]}"
+            )
+        nu, mu = pair_factors(self.nu, self.mu)
         eta0 = float(self.eta0)
         if not 0.0 < eta0 < 1.0:
             raise DomainError(f"eta0 must be in (0, 1), got {eta0}")
-        rho = eta0 * states[..., 0, :, :] + (1.0 - eta0) * states[..., 1, :, :]
-        self.__dict__.update(nu=nu, mu=mu, eta0=eta0, states=states, rho=rho)  # frozen
+        # [rho0, rho1] flattened: 0.5, off0, off0, 0.5, 0.5, off1, conj(off1), 0.5, where
+        # off1 = nu*mu/2 repeats the bits of Python's complex 0.5*nu*mu.
+        off0 = 0.5 * nu
+        flat = np.empty(8, dtype=complex)
+        flat.reshape(2, 4)[:, ::3] = 0.5
+        flat[1:3] = off0
+        off1 = flat[5:6]
+        off1.real = off0 * mu.real - 0.0 * mu.imag
+        off1.imag = off0 * mu.imag + 0.0 * mu.real
+        flat[6:7] = np.conj(off1)
+        states = flat.reshape(2, 2, 2)
+        rho = eta0 * states[0] + (1.0 - eta0) * states[1]
+        self.__dict__.update(  # frozen
+            nu=float(nu[0]), mu=complex(mu[0]), eta0=eta0, states=states, rho=rho
+        )
 
     @property
     def rho0(self) -> np.ndarray:
-        return self.states[..., 0, :, :]
+        return self.states[0]
 
     @property
     def rho1(self) -> np.ndarray:
-        return self.states[..., 1, :, :]
+        return self.states[1]
 
     @property
     def eta1(self) -> float:
@@ -441,22 +458,6 @@ def pair_factors(nu, mu):
     return nu, mu
 
 
-def _states(nu, mu):
-    """The pair rule and ``(nu, mu, states)`` of a stack, one row per pair:
-    ``nu*mu/2`` repeats the bits of Python's complex ``0.5*nu*mu``."""
-    nu, mu = pair_factors(nu, mu)
-    off0 = 0.5 * nu
-    # Each pair as [rho0, rho1] flattened: 0.5, off0, off0, 0.5, 0.5, off1, conj(off1), 0.5.
-    pairs = np.empty((nu.size, 8), dtype=complex)
-    pairs.reshape(-1, 2, 4)[:, :, ::3] = 0.5
-    pairs[:, 1:3] = off0[:, None]
-    off1 = pairs[:, 5]
-    off1.real = off0 * mu.real - 0.0 * mu.imag
-    off1.imag = off0 * mu.imag + 0.0 * mu.real
-    pairs[:, 6] = np.conj(off1)
-    return nu, mu, pairs.reshape(-1, 2, 2, 2)
-
-
 def build_state_pair(nu: float, mu: complex, eta0: float = 0.5) -> StatePair:
-    """One state pair: row 0 of the stack that ``StatePair`` makes from arrays."""
+    """One state pair: ``StatePair(nu, mu, eta0)`` with ``nu`` taken as a float."""
     return StatePair(float(nu), mu, eta0)

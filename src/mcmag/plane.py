@@ -133,8 +133,8 @@ def _tr(op: np.ndarray, rx, ry) -> np.ndarray:
 
 def plane_capped(nu: np.ndarray, mu: np.ndarray, eta0, values: np.ndarray, ops: np.ndarray,
                  p_thresh: float):
-    """:func:`~mcmag.discrim.threshold_stack` in plane coordinates, on
-    :func:`plane_optimum`'s ``values`` and ``ops``: ``(c0, c1, p_inc, detectors)``,
+    """:func:`~mcmag.discrim.threshold_inconclusive` of each row in plane
+    coordinates, on :func:`plane_optimum`'s ``values`` and ``ops``: ``(c0, c1, p_inc, detectors)``,
     the capped confidences (NaN where a detector fires with probability <=
     ``ZERO_FIRE``), the inconclusive rate and the detectors ``(pi0, pi1)`` as
     ``(n, 2, 3)``.
@@ -181,10 +181,10 @@ def plane_capped(nu: np.ndarray, mu: np.ndarray, eta0, values: np.ndarray, ops: 
 
 
 def plane_conditional_error(nu: np.ndarray, mu: np.ndarray, eta0, ops: np.ndarray):
-    """:func:`~mcmag.discrim.conditional_error_stack` in plane coordinates, for
-    the detectors ``ops[:, 0]`` and ``ops[:, 1]`` (pi0, pi1) of each row: the
-    wrong conclusive calls over all of them, NaN where those fire with
-    probability <= 1e-12."""
+    """:func:`~mcmag.discrim.conditional_error` of each row in plane coordinates,
+    for the detectors ``ops[:, 0]`` and ``ops[:, 1]`` (pi0, pi1): the wrong
+    conclusive calls over all of them, NaN where those fire with probability
+    <= 1e-12 (where the one-pair call raises)."""
     eta1 = 1.0 - eta0
     r1x, r1y = nu * mu.real, -nu * mu.imag
     rx, ry = eta0 * nu + eta1 * r1x, eta1 * r1y

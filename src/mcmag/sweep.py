@@ -36,7 +36,7 @@ from .plot import plot_csv  # noqa: F401  (also reachable as mcmag.sweep.plot_cs
 
 #: Coherence floor substituted for an underflowed dephasing factor so the
 #: far tail of a sweep stays well-defined (the solver then reports the
-#: identical-state limit).
+#: degenerate branch's convention: the priors, no inconclusive outcome).
 NU_FLOOR = 1e-300
 
 

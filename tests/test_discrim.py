@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mcmag import build_state_pair, channel, qmat
+from mcmag import build_state_pair, channel, plane, qmat
 from mcmag import discrim
 from mcmag.discrim import (
     achieved_confidences,
@@ -307,14 +307,12 @@ def test_conditional_error_of_pure_state_is_not_negative():
     pair = build_state_pair(1.0, -0.9976005057690599 + 0.0692331632190524j, 0.49688464952256395)
     sol = solve_max_confidence(pair)
     assert conditional_error(sol.povm, pair) == 0.0
-    pairs = channel.StatePair([1.0, 1.0], [pair.mu, 1.0], pair.eta0)
-    povm = discrim.Povm(np.stack([
-        sol.povm.ops,
-        np.array((np.zeros((2, 2)), np.zeros((2, 2)), I2)),
-    ]))
-    errors = discrim.conditional_error_stack(povm, pairs)
-    assert errors[0] == 0.0
-    assert np.isnan(errors[1])  # an undefined row is NaN
+    # In a stack: the same pair, then a row that is never conclusive (NaN).
+    nu, mu = channel.pair_factors([1.0, 1.0], [pair.mu, 1.0])
+    detectors = plane.plane_optimum(nu, mu, pair.eta0)[2][:, :2]
+    detectors[1] = 0.0
+    errors = plane.plane_conditional_error(nu, mu, pair.eta0, detectors)
+    assert errors[0] == 0.0 and np.isnan(errors[1])
 
 
 def test_capped_measurement_beats_forced_choice():

@@ -195,9 +195,9 @@ def test_numpy_ints_are_a_seed_and_a_shot_count():
 
 
 def one_record_calls(modules, records):
-    """Every public function of ``modules`` that takes one of ``records`` and
-    no stack of pairs, with the names of its required arguments and of the
-    records it takes: ``(function, names)``."""
+    """Every public function of ``modules`` that takes one of ``records``,
+    with the names of its required arguments and of the records it takes:
+    ``(function, names)``."""
     calls = {}
     for module in modules:
         for name, fn in vars(module).items():
@@ -205,7 +205,7 @@ def one_record_calls(modules, records):
             if not public or fn.__module__ != module.__name__:
                 continue
             params = inspect.signature(fn).parameters
-            if records & set(params) and "pairs" not in params:
+            if records & set(params):
                 names = [p for p, spec in params.items()
                          if spec.default is spec.empty or p in records]
                 calls[f"{module.__name__}.{name}"] = (fn, names)
@@ -218,7 +218,6 @@ NOT_PAIRS = [
      "expected a StatePair"),
     ((1, 2), "expected a StatePair"),
     (None, "expected a StatePair"),
-    (StatePair([0.3, 0.8], [0.1, 0.9j], 0.5), "expected one pair, got a stack of 2"),
 ]
 
 
@@ -230,10 +229,9 @@ def test_the_one_pair_calls_are_found():
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
-@pytest.mark.parametrize("bad, message", NOT_PAIRS, ids=["matrices", "tuple", "None", "stack"])
+@pytest.mark.parametrize("bad, message", NOT_PAIRS, ids=["matrices", "tuple", "None"])
 def test_every_one_pair_call_checks_the_pair(name, bad, message):
-    # achieved_confidences and simulate_clicks raised AttributeError, and a
-    # stack was answered for its first pair.
+    # achieved_confidences and simulate_clicks raised AttributeError.
     pair = build_state_pair(0.8, np.exp(-0.3j), 0.5)
     sol = discrim.solve_max_confidence(pair)
     others = {"pair": bad, "sol": sol, "povm": sol.povm, "p_thresh": 0.5, "shots": 10, "seed": 0}
@@ -244,8 +242,6 @@ def test_every_one_pair_call_checks_the_pair(name, bad, message):
 
 
 RECORD_CALLS = one_record_calls((discrim, noise_sim, dilation), {"povm", "sol"})
-#: The solution of three pairs, operators of shape (3, 3, 2, 2).
-STACKED = discrim.solve_stack(StatePair([0.8, 0.6, 0.5], [0.5j, 0.1, 0.2], 0.4))
 
 
 def test_the_one_record_calls_are_found():
@@ -254,23 +250,6 @@ def test_the_one_record_calls_are_found():
         "mcmag.discrim.threshold_inconclusive", "mcmag.noise_sim.simulate_clicks",
         "mcmag.dilation.dilate_povm", "mcmag.dilation.born_residual",
     } <= set(RECORD_CALLS)
-
-
-@pytest.mark.parametrize("name", sorted(RECORD_CALLS))
-def test_every_one_record_call_refuses_a_stacked_measurement(name):
-    # A stacked Povm with one pair failed in numpy with a broadcast ValueError
-    # (achieved_confidences, simulate_clicks, dilate_povm, born_residual) or a
-    # TypeError (conditional_error), and threshold_inconclusive named no shape.
-    pair = build_state_pair(0.8, np.exp(-0.3j), 0.5)
-    one = discrim.solve_max_confidence(pair).povm
-    others = {"pair": pair, "sol": STACKED, "povm": STACKED.povm, "p_thresh": 0.5,
-              "shots": 10, "seed": 0, "dilation": dilation.dilate_povm(one),
-              "states": pair.states}
-    fn, names = RECORD_CALLS[name]
-    record = "the solution of one pair" if "sol" in names else "one measurement"
-    message = f"expected {record}, got operators of shape (3, 3, 2, 2)"
-    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-        fn(*[others[p] for p in names])
 
 
 @pytest.mark.parametrize("name", sorted(RECORD_CALLS))
@@ -290,30 +269,6 @@ def test_every_one_record_call_refuses_a_record_of_another_type(name, wrong):
         fn(*[others[p] for p in names])
 
 
-def test_the_one_pair_cap_refuses_a_stacked_solution():
-    # A stack's solution used to fail in the conversion to a stack of one
-    # with numpy's "truth value of an array is ambiguous".
-    pair = build_state_pair(0.8, 0.9j, 0.5)
-    sols = discrim.solve_stack(StatePair([0.3, 0.8], [0.1, 0.9j], 0.5))
-    for cap in (0.1, 1.0):
-        with pytest.raises(DomainError, match="expected the solution of one pair"):
-            discrim.threshold_inconclusive(sols, pair, cap)
-
-
-@pytest.mark.parametrize("cap", [0.05, 1.0])
-def test_the_cap_refuses_solutions_of_another_length(cap):
-    # The solution of pair (0.8, 0.9j) against a two-pair stack was mixed
-    # into both rows (c0 0.55547 for pair 0 at cap 0.05, where its own
-    # solution gives 0.55794), or passed through as one row at cap 1; the
-    # other way round, numpy's broadcast failed at cap 0.05.
-    pair = build_state_pair(0.8, 0.9j, 0.5)
-    pairs = StatePair([0.3, 0.8], [0.1, 0.9j], 0.5)
-    with pytest.raises(DomainError, match="one length, got 1 and 2$"):
-        discrim.threshold_stack(discrim.solve_max_confidence(pair), pairs, cap)
-    with pytest.raises(DomainError, match="one length, got 2 and 1$"):
-        discrim.threshold_stack(discrim.solve_stack(pairs), pair, cap)
-
-
 @pytest.mark.parametrize(
     "nu, mu, lengths",
     [([0.5, 0.6], [0.3j], (2, 1)), ([0.5, 0.6], [0.3j, 0.1, 0.2], (2, 3)),
@@ -323,6 +278,19 @@ def test_a_stack_has_one_length(nu, mu, lengths):
     # [0.5, 0.6] with [0.3j] made a record whose mu had one entry and its
     # matrices two rows; with three mu values numpy's broadcast failed.
     with pytest.raises(DomainError, match=f"one length, got {lengths[0]} and {lengths[1]}$"):
+        channel.pair_factors(nu, mu)
+
+
+@pytest.mark.parametrize(
+    "nu, mu, shapes",
+    [([0.5, 0.6], [0.3j, 0.1], "(2,) and (2,)"), ([0.5], 0.3j, "(1,) and ()"),
+     (0.5, np.array([[0.3j]]), "() and (1, 1)")],
+)
+def test_a_state_pair_is_one_pair(nu, mu, shapes):
+    # Arrays made a stack of pairs, which every one-pair call had to refuse
+    # by the rank of its arrays; a stack is now pair_factors arrays.
+    message = f"a StatePair is one pair: nu and mu must be numbers, got shapes {shapes}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         StatePair(nu, mu, 0.5)
 
 
@@ -344,9 +312,10 @@ def test_a_tally_is_two_rows_of_three_counts(counts):
         ClickTally(counts, int(np.sum(counts)))
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 2, 2)], ids=["2x2", "3x2", "2x2x2"])
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 2, 2), (3, 3, 2, 2)],
+                         ids=["2x2", "3x2", "2x2x2", "stack"])
 def test_a_povm_is_three_2x2_operators(shape):
-    message = rf"shape \(\.\.\., 3, 2, 2\), got {re.escape(str(shape))}$"
+    message = rf"shape \(3, 2, 2\), got {re.escape(str(shape))}$"
     with pytest.raises(DomainError, match=message):
         discrim.Povm(np.zeros(shape))
 

@@ -7,7 +7,7 @@ kept verbatim as the oracle: ``np.cross`` and ``np.column_stack`` in
 in ``spectral_pow``, the per-level block builder in
 ``decompose_two_level``, the one-pair capping (the per-eigenvalue
 loop of ``min_error_projectors``, the scalar ``threshold_inconclusive``)
-that the stacked ``threshold_stack`` replaced, the six ``np.trace`` calls
+that the capping kernel replaced, the six ``np.trace`` calls
 of ``simulate_clicks``' Born table, and the Helstrom bound as a trace norm.
 The rewrites run the same floating-point operations in the same order, so
 every field must match exactly, not within a tolerance; the one exception
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mcmag import channel, dilation, discrim, noise_sim, qmat, sweep
+from mcmag import channel, dilation, discrim, noise_sim, plane, qmat, sweep
 from mcmag.plane import BRANCHES
 from mcmag.sweep import NU_FLOOR
 
@@ -180,8 +180,8 @@ def reference_trace_norm_herm2(m):
     return (np.abs(mean - radius) + np.abs(mean + radius)).reshape(shape)[()]
 
 
-def reference_min_error_stack(pairs):
-    diff = qmat.hermitize(pairs.eta1 * pairs.rho1 - pairs.eta0 * pairs.rho0)
+def reference_min_error(pair):
+    diff = qmat.hermitize(pair.eta1 * pair.rho1 - pair.eta0 * pair.rho0)
     return 0.5 * (1.0 - reference_trace_norm_herm2(diff))
 
 
@@ -273,30 +273,39 @@ def test_capping_equals_scalar_construction(seed):
             assert numbers(got) == numbers(want)
 
 
-def shipped_pairs():
-    """(name, pairs) of every shipped config's grid, as ``run_sweep`` builds them."""
+def shipped_grids():
+    """(name, nu, mu, eta0) of every shipped config's grid, as ``run_sweep`` takes them."""
     for path in sorted(CONFIG_DIR.glob("*.cfg")):
         cfg = sweep.load_config(str(path))
         values = sweep.grid_values(cfg)
         scenario = sweep.SCENARIOS[cfg.scenario]
         nus = np.maximum(scenario.nu(cfg, values), NU_FLOOR)
-        mus = scenario.mu(cfg, values)
-        yield path.stem, channel.StatePair(nus, mus, cfg.eta0)
+        yield (path.stem, *channel.pair_factors(nus, scenario.mu(cfg, values)), cfg.eta0)
+
+
+def same_rows(stacked, nu, mu, eta0):
+    """Whether row k of ``stacked`` is bitwise the trace-norm bound of pair k."""
+    rows = [reference_min_error(channel.build_state_pair(nu[k], mu[k], eta0))
+            for k in range(len(nu))]
+    return same(stacked, np.array(rows))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_helstrom_bound_equals_trace_norm_construction(seed):
     pairs = edge_pairs(seed)
-    even = channel.StatePair([p.nu for p in pairs], [p.mu for p in pairs], 0.5)
-    assert same(discrim.min_error_stack(even), reference_min_error_stack(even))
-    for pair in pairs:  # each at its own prior
-        assert abs(discrim.min_error_stack(pair) - reference_min_error_stack(pair)) <= 1.2e-16
+    nu, mu = channel.pair_factors([p.nu for p in pairs], [p.mu for p in pairs])
+    assert same_rows(plane.helstrom_error(nu, mu, 0.5), nu, mu, 0.5)
+    for pair in pairs:  # each at its own prior, and the one-pair call a stack's row bit for bit
+        one = discrim.min_error_probability(pair)
+        assert abs(one - reference_min_error(pair)) <= 1.2e-16
+        row = plane.helstrom_error(np.array([pair.nu]), np.array([pair.mu]), pair.eta0)
+        assert same(np.float64(one), row[0])
 
 
 def test_helstrom_bound_equals_trace_norm_construction_on_shipped_grids():
-    for name, pairs in shipped_pairs():
-        assert pairs.eta0 == 0.5, name
-        assert same(discrim.min_error_stack(pairs), reference_min_error_stack(pairs)), name
+    for name, nu, mu, eta0 in shipped_grids():
+        assert eta0 == 0.5, name
+        assert same_rows(plane.helstrom_error(nu, mu, eta0), nu, mu, eta0), name
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

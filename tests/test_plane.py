@@ -137,7 +137,8 @@ def test_plane_rule_flags_the_matrix_solvers_degenerate_rows_on_the_shipped_grid
     rows = degenerate = 0
     for name, nu, mu, eta0 in shipped_grids():
         plane = plane_columns(nu, mu, eta0)[0] == "degenerate"
-        matrix = discrim.solve_stack(channel.StatePair(nu, mu, eta0)).branch == "degenerate"
+        matrix = [discrim.solve_max_confidence(channel.build_state_pair(nu[k], mu[k], eta0))
+                  .branch == "degenerate" for k in range(len(nu))]
         assert np.flatnonzero(plane).tolist() == np.flatnonzero(matrix).tolist(), name
         rows += len(nu)
         degenerate += np.count_nonzero(plane)
@@ -146,10 +147,13 @@ def test_plane_rule_flags_the_matrix_solvers_degenerate_rows_on_the_shipped_grid
 
 def test_the_helstrom_error_keeps_the_matrix_bits_on_the_shipped_grids():
     for name, nu, mu, eta0 in shipped_grids():
-        pairs = channel.StatePair(nu, mu, eta0)
-        z = pairs.eta1 * pairs.rho1[:, 0, 1] - pairs.eta0 * pairs.rho0[:, 0, 1]
-        matrix = 0.5 - np.maximum(abs(0.5 * (pairs.eta1 - pairs.eta0)), np.hypot(z.real, z.imag))
-        assert plane.helstrom_error(nu, mu, eta0).tobytes() == matrix.tobytes(), name
+        matrix = []
+        for k in range(len(nu)):
+            pair = channel.build_state_pair(nu[k], mu[k], eta0)
+            z = pair.eta1 * pair.rho1[0, 1] - pair.eta0 * pair.rho0[0, 1]
+            d = abs(0.5 * (pair.eta1 - pair.eta0))
+            matrix.append(0.5 - np.maximum(d, np.hypot(z.real, z.imag)))
+        assert plane.helstrom_error(nu, mu, eta0).tobytes() == np.array(matrix).tobytes(), name
 
 
 @pytest.mark.parametrize("eta0", [0.5, 0.2, 0.9, 1e-6, 1.0 - 1e-6])

@@ -1,12 +1,11 @@
-"""The stacked solve and capping: every row bitwise its batch-of-one call, plus the POVM
-invariants."""
+"""The one-pair solver's POVM invariants on seeded draws that oversample the edges,
+its positivity pins, the stack pair rule and the oracle's independence."""
 
 import numpy as np
 import pytest
 
 from mcmag import channel, discrim, qmat
 from mcmag.discrim import grid_search_povm
-from mcmag.errors import UndefinedConditionalError
 from mcmag.plane import BRANCHES
 from mcmag.sweep import NU_FLOOR, SweepConfig, run_sweep
 
@@ -32,45 +31,14 @@ def draws(rng, n):
     return nu, mu
 
 
-def blob(sol):
-    p = sol.povm
-    arrays = (p.pi0, p.pi1, p.pi_inc)
-    scalars = np.array([sol.c0_max, sol.c1_max, sol.p_inc_opt])
-    return (sol.branch, scalars.tobytes()) + tuple(np.asarray(a).tobytes() for a in arrays)
-
-
-@pytest.mark.parametrize("eta0", [0.5, 0.23, 0.81, 4e-7, 1.0 - 4e-7])
-def test_batch_rows_equal_batch_of_one(eta0):
-    rng = np.random.default_rng([7, int(eta0 * 1e9)])
-    nu, mu = draws(rng, 300)
-    pairs = channel.StatePair(nu, mu, eta0)
-    sols = discrim.solve_stack(pairs)
-    helstrom = discrim.min_error_stack(pairs)
-    cond = discrim.conditional_error_stack(sols.povm, pairs)
-    for k in range(len(nu)):
-        pair = channel.build_state_pair(nu[k], mu[k], eta0)
-        for name in ("rho0", "rho1", "rho"):
-            assert getattr(pair, name).tobytes() == getattr(pairs, name)[k].tobytes()
-        one = discrim.solve_max_confidence(pair)
-        assert blob(one) == blob(sols.row(k)), k
-        assert np.float64(discrim.min_error_probability(pair)).tobytes() == helstrom[k].tobytes()
-        try:
-            single = discrim.conditional_error(one.povm, pair)
-        except UndefinedConditionalError:
-            assert np.isnan(cond[k])
-        else:
-            assert np.float64(single).tobytes() == cond[k].tobytes()
-
-
-def test_stacked_solutions_meet_the_invariants():
+def test_solutions_meet_the_invariants():
     rng = np.random.default_rng(2024)
     seen = set()
     for eta0 in (0.5, 0.3, 4e-7, 1.0 - 4e-7):
         nu, mu = draws(rng, 400)
-        pairs = channel.StatePair(nu, mu, eta0)
-        sols = discrim.solve_stack(pairs)
         for k in range(len(nu)):
-            sol = sols.row(k)
+            pair = channel.build_state_pair(nu[k], mu[k], eta0)
+            sol = discrim.solve_max_confidence(pair)
             seen.add(sol.branch)
             pi0, pi1, pi_inc = sol.povm.ops
             assert np.max(np.abs(pi0 + pi1 + pi_inc - I2)) <= TOL
@@ -78,7 +46,7 @@ def test_stacked_solutions_meet_the_invariants():
                 assert np.linalg.eigvalsh(op)[0] >= -TOL
             for x in (sol.c0_max, sol.c1_max, sol.p_inc_opt):
                 assert 0.0 <= x <= 1.0
-            rho, rho0, rho1 = pairs.rho[k], pairs.rho0[k], pairs.rho1[k]
+            rho, rho0, rho1 = pair.rho, pair.rho0, pair.rho1
             assert abs(np.trace(rho @ pi_inc).real - sol.p_inc_opt) <= TOL
             if sol.branch == "degenerate":
                 assert (sol.c0_max, sol.c1_max, sol.p_inc_opt) == (eta0, 1.0 - eta0, 0.0)
@@ -96,8 +64,7 @@ def test_pure_state_extreme_prior_keeps_positivity():
     # rho^(-1/2) rounding left Pi_? with an eigenvalue below -1e-10 here; the
     # row is solved again in plane coordinates (ROADMAP item 3a).
     mu = 7.640057898065168e-08 - 2.555426162089355e-07j
-    pairs = channel.StatePair([1.0], [mu], 1.0 - 4e-7)
-    sol = discrim.solve_stack(pairs).row(0)
+    sol = discrim.solve_max_confidence(channel.build_state_pair(1.0, mu, 1.0 - 4e-7))
     assert np.linalg.eigvalsh(sol.povm.pi_inc)[0] >= -TOL
 
 
@@ -115,9 +82,9 @@ def test_balanced_prior_sweep_from_t0_keeps_positivity():
 
 def test_stack_builder_rejects_each_bad_row():
     with pytest.raises(discrim.DomainError, match="nu"):
-        channel.StatePair([0.5, np.nan], [0.1, 0.1], 0.5)
+        channel.pair_factors([0.5, np.nan], [0.1, 0.1])
     with pytest.raises(discrim.DomainError, match="mu"):
-        channel.StatePair([0.5, 0.5], [0.1, np.nan], 0.5)
+        channel.pair_factors([0.5, 0.5], [0.1, np.nan])
 
 
 def test_oracle_shares_no_code_with_the_solver(monkeypatch):
@@ -132,31 +99,9 @@ def test_oracle_shares_no_code_with_the_solver(monkeypatch):
     for name in dir(qmat):
         if callable(getattr(qmat, name)) and not isinstance(getattr(qmat, name), type):
             monkeypatch.setattr(qmat, name, broken)
-    for name in ("solve_stack", "solve_max_confidence", "_measure",
-                 "clip01", "min_error_stack",
-                 "conditional_error_stack", "threshold_inconclusive", "min_error_projectors"):
+    for name in ("solve_max_confidence", "_measure", "clip01", "helstrom_error",
+                 "min_error_probability", "conditional_error", "threshold_inconclusive",
+                 "min_error_projectors"):
         monkeypatch.setattr(discrim, name, broken)
     got = grid_search_povm(pair, grid_density=64, refine=1)
     assert (got.c0, got.c1, got.p_inc) == (want.c0, want.c1, want.p_inc)
-
-
-def same_confidence(one, stacked):
-    """A one-pair confidence (None where undefined) against a stacked one (NaN there)."""
-    return np.isnan(stacked) if one is None else np.float64(one).tobytes() == stacked.tobytes()
-
-
-@pytest.mark.parametrize("eta0", [0.5, 0.23, 0.81, 4e-7, 1.0 - 4e-7])
-def test_threshold_rows_equal_batch_of_one(eta0):
-    rng = np.random.default_rng([7, int(eta0 * 1e9)])
-    nu, mu = draws(rng, 300)
-    pairs = channel.StatePair(nu, mu, eta0)
-    sols = discrim.solve_stack(pairs)
-    for cap in (0.0, 0.37, 1.0):
-        capped = discrim.threshold_stack(sols, pairs, cap)
-        for k in range(len(nu)):
-            pair = channel.build_state_pair(nu[k], mu[k], eta0)
-            one = discrim.threshold_inconclusive(discrim.solve_max_confidence(pair), pair, cap)
-            assert one.povm.ops.tobytes() == capped.povm.ops[k].tobytes(), (cap, k)
-            assert same_confidence(one.c0, capped.c0[k]) and same_confidence(one.c1, capped.c1[k])
-            for x, xs in ((one.p_inc, capped.p_inc), (one.mix, capped.mix)):
-                assert np.float64(x).tobytes() == xs[k].tobytes(), (cap, k)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mcmag import dilation, discrim, qmat, sweep
-from mcmag.channel import StatePair, build_state_pair
+from mcmag.channel import StatePair, build_state_pair, pair_factors
 from mcmag.discrim import Povm
 from mcmag.errors import DomainError, HermiticityError
 
@@ -23,10 +23,9 @@ def hexes(*values):
     return [x.hex() for part in parts for x in part]
 
 
-def pair_hexes(pair, k=None):
-    """Every float of a pair (row ``k`` of a stack) as ``float.hex``."""
-    values = (pair.nu, pair.mu, pair.rho0, pair.rho1, pair.rho)
-    return hexes(pair.eta0, *(v if k is None else v[k] for v in values))
+def pair_hexes(pair):
+    """Every float of a pair as ``float.hex``."""
+    return hexes(pair.eta0, pair.nu, pair.mu, pair.rho0, pair.rho1, pair.rho)
 
 
 def solution(pair):
@@ -47,21 +46,17 @@ def test_replace_derives_the_matrices_from_the_new_factors():
     assert discrim.solve_max_confidence(dataclasses.replace(pair, nu=0.1)).c0_max == (
         pytest.approx(0.52707, abs=1e-5)
     )
-    stack = StatePair([0.8, 0.4], [0.5j, 0.1], 0.5)
-    changed = dataclasses.replace(stack, nu=np.array([0.1, 0.2]))
-    assert pair_hexes(changed) == pair_hexes(StatePair([0.1, 0.2], [0.5j, 0.1], 0.5))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_the_constructor_is_bitwise_both_builders_at_the_edges(seed):
     pairs = edge_pairs(seed)
-    nu = np.array([p.nu for p in pairs])
-    mu = np.array([p.mu for p in pairs])
+    nu, mu = pair_factors([p.nu for p in pairs], [p.mu for p in pairs])
     for k, built in enumerate(pairs):
         made = StatePair(built.nu, built.mu, built.eta0)
         assert isinstance(made.nu, float) and isinstance(made.mu, complex)
         assert pair_hexes(made) == pair_hexes(built), k
-        assert pair_hexes(StatePair(nu, mu, built.eta0), k) == pair_hexes(made), k
+        assert hexes(nu[k], mu[k]) == hexes(made.nu, made.mu), k
 
 
 @pytest.mark.parametrize(
@@ -72,22 +67,20 @@ def test_the_constructor_is_bitwise_both_builders_at_the_edges(seed):
 def test_the_pair_rule_clamps_alike_in_both_forms(nu, mu):
     made = StatePair(nu, mu, 0.4)
     assert made.nu <= 1.0 and abs(made.mu) <= 1.0
-    # One pair is row 0 of the stack the rule makes: plain Python numbers, and
+    # One pair is plain Python numbers, the clamped row of the stack rule, and
     # states a (2, 2, 2) view whose hypotheses are views of it in turn.
     assert type(made.nu) is float and type(made.mu) is complex
     assert made.states.shape == (2, 2, 2) and made.states.base is not None
     assert all(np.shares_memory(rho, made.states) for rho in (made.rho0, made.rho1))
     assert pair_hexes(made) == pair_hexes(build_state_pair(nu, mu, 0.4))
-    assert pair_hexes(StatePair([nu], [mu], 0.4), 0) == pair_hexes(made)
+    assert hexes(*pair_factors([nu], [mu])) == hexes(made.nu, made.mu)
 
 
 def test_the_named_operators_are_views_of_one_array():
-    for pair in (build_state_pair(0.8, 0.5j, 0.3), StatePair([0.8, 0.4], [0.5j, 0.1], 0.3)):
-        assert all(np.shares_memory(rho, pair.states) for rho in (pair.rho0, pair.rho1))
-        sols = discrim.solve_stack(pair)
-        for povm in (sols.povm, sols.row(0).povm):
-            assert all(np.shares_memory(op, sols.povm.ops)
-                       for op in (povm.pi0, povm.pi1, povm.pi_inc))
+    pair = build_state_pair(0.8, 0.5j, 0.3)
+    assert all(np.shares_memory(rho, pair.states) for rho in (pair.rho0, pair.rho1))
+    povm = discrim.solve_max_confidence(pair).povm
+    assert all(np.shares_memory(op, povm.ops) for op in (povm.pi0, povm.pi1, povm.pi_inc))
 
 
 def test_a_matrix_cannot_be_handed_in():
@@ -106,8 +99,8 @@ def test_a_matrix_cannot_be_handed_in():
     "changes, message",
     [({"nu": 0.0}, "nu must be in"), ({"nu": 1.5}, "nu must be in"),
      ({"mu": 1.5}, r"\|mu\| must be"), ({"eta0": 1.0}, "eta0 must be in"),
-     ({"nu": np.array([0.5, np.nan])}, "nu must be in"),
-     ({"mu": [0.1, 0.2]}, "nu and mu must have one length, got 1 and 2")],
+     ({"nu": np.array([0.5, np.nan])}, r"one pair: .* got shapes \(2,\) and \(\)$"),
+     ({"mu": [0.1, 0.2]}, r"one pair: .* got shapes \(\) and \(2,\)$")],
 )
 def test_replace_runs_the_pair_rule(changes, message):
     with pytest.raises(DomainError, match=message):

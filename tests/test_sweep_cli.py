@@ -175,7 +175,7 @@ def test_readme_python_examples_run():
     # comment says "ConfigError: <message>..." must raise it.
     readme = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
-    assert len(blocks) == 2
+    assert len(blocks) == 3
     raised = []
     for block in blocks:
         scope = {}
