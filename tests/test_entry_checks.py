@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from mcmag import channel, dilation, discrim, noise_sim, sweep
+from mcmag import channel, dilation, discrim, noise_sim, plane, sweep
 from mcmag.channel import StatePair, SwitchingFunction, build_state_pair, free_decay
 from mcmag.errors import ConfigError, DomainError
 from mcmag.noise_sim import ClickTally, OuParams
@@ -218,6 +218,7 @@ NOT_PAIRS = [
      "expected a StatePair"),
     ((1, 2), "expected a StatePair"),
     (None, "expected a StatePair"),
+    (channel.pair_factors([0.3, 0.8], [0.1, 0.9j]), "expected a StatePair"),
 ]
 
 
@@ -229,9 +230,10 @@ def test_the_one_pair_calls_are_found():
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
-@pytest.mark.parametrize("bad, message", NOT_PAIRS, ids=["matrices", "tuple", "None"])
+@pytest.mark.parametrize("bad, message", NOT_PAIRS, ids=["matrices", "tuple", "None", "stack"])
 def test_every_one_pair_call_checks_the_pair(name, bad, message):
-    # achieved_confidences and simulate_clicks raised AttributeError.
+    # achieved_confidences and simulate_clicks raised AttributeError.  A stack
+    # of pairs is the factor arrays of pair_factors, which no one-pair call takes.
     pair = build_state_pair(0.8, np.exp(-0.3j), 0.5)
     sol = discrim.solve_max_confidence(pair)
     others = {"pair": bad, "sol": sol, "povm": sol.povm, "p_thresh": 0.5, "shots": 10, "seed": 0}
@@ -253,15 +255,19 @@ def test_the_one_record_calls_are_found():
 
 
 @pytest.mark.parametrize("name", sorted(RECORD_CALLS))
-@pytest.mark.parametrize("wrong", ["part", "None"])
+@pytest.mark.parametrize("wrong", ["part", "None", "stack"])
 def test_every_one_record_call_refuses_a_record_of_another_type(name, wrong):
     # A measurement's operator array or None for the measurement, and a
     # measurement or None for the solution, failed with an AttributeError.
+    # The optimum of a stack is plane_optimum's (values, branch, ops), its
+    # measurements the (n, 3, 3) plane operators: neither is one record.
     pair = build_state_pair(0.8, np.exp(-0.3j), 0.5)
     sol = discrim.solve_max_confidence(pair)
     fn, names = RECORD_CALLS[name]
     record, expected = ("sol", "an McSolution") if "sol" in names else ("povm", "a Povm")
-    bad = None if wrong == "None" else {"sol": sol.povm, "povm": sol.povm.ops}[record]
+    stacked = plane.plane_optimum(*channel.pair_factors([0.8, 0.6, 0.5], [0.5j, 0.1, 0.2]), 0.4)
+    bad = {"part": {"sol": sol.povm, "povm": sol.povm.ops}[record], "None": None,
+           "stack": {"sol": stacked, "povm": stacked[2]}[record]}[wrong]
     others = {"pair": pair, "sol": sol, "povm": sol.povm, "p_thresh": 0.5, "shots": 10,
               "seed": 0, "dilation": dilation.dilate_povm(sol.povm), "states": pair.states,
               record: bad}
