@@ -383,8 +383,8 @@ class StatePair:
     pair rule (:func:`pair_factors`): ``nu`` in (0, 1] and ``|mu| <= 1`` with 1e-12
     of slack clamped away, ``eta0`` in (0, 1), else DomainError.  A StatePair is
     one pair, a float ``nu``, a complex ``mu`` and ``states`` of shape ``(2, 2, 2)``:
-    an array in ``nu`` or ``mu`` is a DomainError.  Stacks of pairs are
-    :func:`pair_factors` arrays, solved by :mod:`mcmag.plane`.
+    an array in ``nu`` or ``mu``, or a bool or a string in any factor, is a
+    DomainError.  Stacks of pairs are :func:`pair_factors` arrays, solved by :mod:`mcmag.plane`.
     """
 
     nu: float
@@ -394,6 +394,9 @@ class StatePair:
     rho: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name, value in (("nu", self.nu), ("mu", self.mu), ("eta0", self.eta0)):
+            if isinstance(value, (bool, np.bool_, str, bytes)):
+                raise DomainError(f"{name} must be a number, got {value!r}")
         shapes = np.shape(self.nu), np.shape(self.mu)
         if shapes != ((), ()):
             raise DomainError(
@@ -459,5 +462,5 @@ def pair_factors(nu, mu):
 
 
 def build_state_pair(nu: float, mu: complex, eta0: float = 0.5) -> StatePair:
-    """One state pair: ``StatePair(nu, mu, eta0)`` with ``nu`` taken as a float."""
-    return StatePair(float(nu), mu, eta0)
+    """One state pair: ``StatePair(nu, mu, eta0)``."""
+    return StatePair(nu, mu, eta0)

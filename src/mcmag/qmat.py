@@ -4,9 +4,10 @@ Everything the rest of the package needs from linear algebra lives here:
 a closed-form Hermitian eigensolver, spectral powers restricted to the
 positive support, a positivity test, and the 2x2 idioms every layer shares
 (``I2``, ``trace``, ``proj``, ``hermitize``).  Every function takes one matrix
-of shape ``(2, 2)`` or a stack of shape ``(n, 2, 2)`` and runs the same
-array operations on both, so row ``k`` of a stacked call is bitwise the
-call on matrix ``k`` alone.  The closed forms are exact and fully
+of shape ``(2, 2)`` or a stack of shape ``(n, 2, 2)``; the eigensolver,
+:func:`min_eigval`, :func:`unit` and :func:`pin_phase` run one body per
+matrix or vector, which a stack loops, so row ``k`` of a stacked call is
+bitwise the call on matrix ``k`` alone.  The closed forms are exact and fully
 deterministic -- repeated calls on identical input return
 bitwise-identical output, which the sweep tooling relies on.
 
@@ -14,14 +15,22 @@ Matrices are plain ``numpy`` arrays of ``complex128``; no wrapper types.
 Input is Hermitian by contract and is not checked here; the dilation
 checks a user's operators with :func:`require_hermitian`.
 Bitwise stability rests on a few rules: magnitudes of complex numbers
-are ``np.hypot`` of the parts, inner products and norms go through
-``np.vecdot`` and ``@`` (the BLAS dot and gemv kernels, as ``np.vdot``
-and ``np.linalg.norm`` use them), real powers go through ``math.pow``,
-traces are the sum of the two diagonal entries (``np.trace``'s sum
-without its call), and a cross product is written out with the multiply
-and subtract ``np.cross`` uses.  Fixed per-call cost matters as much as
-the arithmetic: one pair is a stack of one, so helpers avoid numpy's
-Python-level wrappers (``np.max``, ``np.stack``, ``np.cross``) on 2x2 data.
+are libm's ``hypot`` of the parts (``np.hypot``, or ``abs`` of a Python
+complex), inner products and norms go through ``np.vecdot`` and ``@``
+(the BLAS dot and gemv kernels, as ``np.vdot`` and ``np.linalg.norm`` use
+them), real powers go through ``math.pow``, traces are the sum of the two
+diagonal entries (``np.trace``'s sum without its call), and a cross
+product is written out with the multiply and subtract ``np.cross`` uses.
+
+The matrix path solves one pair at a time, so fixed per-call cost matters
+as much as the arithmetic: the eigensolver reads a matrix's entries once
+and does its real arithmetic (the mean, the radius, the eigenvalues, the
+degenerate guard, the choice of candidate) on Python floats, whose IEEE
+operations give numpy's bits.  The kernels whose last bits depend on the
+CPU kernel family (OpenBLAS's dots, numpy's SIMD loops) stay numpy calls
+on the strides of a stacked row: ``np.vecdot`` for the candidate norms and
+in :func:`unit`, and the complex divide and multiply of :func:`pin_phase`.
+A NaN output's sign is unspecified: ``abs`` of a complex gives +NaN.
 """
 
 from __future__ import annotations
@@ -38,8 +47,6 @@ PSD_TOL = 1e-12
 _PHASE_TOL = 1e-12
 
 I2 = np.eye(2, dtype=complex)
-_SIGNS = np.array([-1.0, 1.0])
-_EYE_FLAT = np.array([1.0, 0.0, 0.0, 1.0])
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -62,12 +69,13 @@ def proj(vec: np.ndarray) -> np.ndarray:
 
 
 def unit(vec: np.ndarray) -> np.ndarray:
-    """Each row of an ``(n, k)`` complex stack divided by its Euclidean norm.
+    """Each row of an ``(n, k)`` complex stack divided by its Euclidean norm."""
+    return np.array([_unit(row) for row in vec], dtype=complex)
 
-    The norm is ``np.linalg.norm``'s: the real parts' dot plus the
-    imaginary parts', each a strided BLAS dot.
-    """
-    return vec / np.sqrt(np.vecdot(vec.real, vec.real) + np.vecdot(vec.imag, vec.imag))[:, None]
+
+def _unit(vec: np.ndarray) -> np.ndarray:
+    """One vector over ``np.linalg.norm``'s norm: two strided BLAS dots, real and imaginary."""
+    return vec / math.sqrt(np.vecdot(vec.real, vec.real) + np.vecdot(vec.imag, vec.imag))
 
 
 def require_hermitian(m: np.ndarray) -> np.ndarray:
@@ -93,30 +101,26 @@ def pin_phase(vec: np.ndarray) -> np.ndarray:
     no component above ``_PHASE_TOL`` comes back unchanged.
     """
     vec = np.asarray(vec, dtype=complex)
-    flat = vec.reshape(-1, 2)
-    head = flat[:, 0]
-    head_size = np.hypot(head.real, head.imag)
-    first = head_size > _PHASE_TOL
-    if np.count_nonzero(first) == len(flat):  # every pivot is the first component
-        return (flat * (np.conj(head) / head_size)[:, None]).reshape(vec.shape)
-    tail = flat[:, 1]
-    pivot = np.where(first, head, tail)
-    size = np.where(first, head_size, np.hypot(tail.real, tail.imag))
-    found = size > _PHASE_TOL
-    phase = np.conj(pivot) / np.where(found, size, 1.0)
-    return np.where(found[:, None], flat * phase[:, None], flat).reshape(vec.shape)
+    return np.array([_pin(row) for row in vec.reshape(-1, 2)], dtype=complex).reshape(vec.shape)
 
 
-def _mean_radius(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``m`` as an ``(n, 4)`` stack of flattened matrices, with the mean and
-    half-gap of each spectrum (read from the diagonal and the upper corner)."""
-    flat = np.asarray(m, dtype=complex).reshape(-1, 4)
-    a = flat[:, 0].real
-    c = flat[:, 3].real
-    b = flat[:, 1]
+def _pin(vec: np.ndarray) -> np.ndarray:
+    """:func:`pin_phase` of one 2-vector."""
+    for z in vec.tolist():
+        size = abs(z)  # libm hypot, as np.hypot
+        if size > _PHASE_TOL:
+            return vec * (np.conj(z) / size)
+    return vec
+
+
+def _spectrum(a: float, b: complex, c: float) -> tuple[float, float, float, float]:
+    """Eigenvalues (ascending), mean and half-gap of ``[[a, b], [conj b, c]]``."""
     mean = 0.5 * (a + c)
-    radius = np.hypot(0.5 * (a - c), np.hypot(b.real, b.imag))
-    return flat, mean, radius
+    try:
+        radius = abs(complex(0.5 * (a - c), abs(b)))
+    except OverflowError:  # hypot past the float range, where np.hypot returns inf
+        radius = math.inf
+    return mean - radius, mean + radius, mean, radius
 
 
 def herm_eig2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -129,35 +133,28 @@ def herm_eig2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the second eigenvector is the exact orthogonal complement of the first,
     so the columns are orthonormal even near degeneracy.
     """
-    shape = np.shape(m)
-    flat, mean, radius = _mean_radius(m)
-    eigvals = mean[:, None] + radius[:, None] * _SIGNS  # mean - radius, mean + radius
-    # Degenerate spectrum: canonical basis under the phase convention.  The
-    # scale max(1, |lo|, |hi|) is max(1, |mean| + radius), rounding included.
-    degenerate = radius <= 0.5e-12 * np.maximum(1.0, np.abs(mean) + radius)
-    any_degenerate = np.count_nonzero(degenerate)
+    m = np.asarray(m, dtype=complex)
+    eig = [_eig2(a.real, b, c.real) for a, b, _, c in m.reshape(-1, 4).tolist()]
+    vals = np.array([pair for pair, _ in eig]).reshape(m.shape[:-1])
+    return vals, np.array([vecs for _, vecs in eig], dtype=complex).reshape(m.shape)
 
+
+def _eig2(a: float, b: complex, c: float) -> tuple[tuple, tuple]:
+    """Ascending eigenvalues and row-major eigenvector matrix of ``[[a, b], [conj b, c]]``."""
+    lo, hi, mean, radius = _spectrum(a, b, c)
+    # Degenerate spectrum: canonical basis under the phase convention.  The
+    # scale max(1, |lo|, |hi|) is max(1, |mean| + radius), rounding included;
+    # it is NaN only beside a NaN or infinite radius, which fails either way.
+    if radius <= 0.5e-12 * max(1.0, abs(mean) + radius):
+        return (lo, hi), (1.0, 0.0, 0.0, 1.0)
     # Eigenvector of the top eigenvalue; pick the better-conditioned of the
     # two algebraic candidates (b, hi - a) and (hi - c, conj b), then build
     # the bottom one as its exact orthogonal complement.
-    cand = np.empty(flat.shape, dtype=complex)
-    cand[:, 0] = flat[:, 1]
-    cand[:, 1:3] = eigvals[:, 1:] - flat[:, ::3].real
-    cand[:, 3] = np.conj(flat[:, 1])
-    cand = cand.reshape(-1, 2)
-    sq = np.vecdot(cand, cand).real
-    v_hi = np.where((sq[0::2] >= sq[1::2])[:, None], cand[0::2], cand[1::2])
-    if any_degenerate:
-        v_hi[degenerate] = 1.0  # any nonzero vector; replaced below
-    v_hi = pin_phase(unit(v_hi))
-    v_lo = np.conj(v_hi[:, ::-1])
-    v_lo[:, 0] = -v_lo[:, 0]
-    eigvecs = np.empty(flat.shape, dtype=complex)
-    eigvecs[:, 0::2] = pin_phase(v_lo)
-    eigvecs[:, 1::2] = v_hi
-    if any_degenerate:
-        eigvecs[degenerate] = _EYE_FLAT
-    return eigvals.reshape(shape[:-1]), eigvecs.reshape(shape)
+    cand = np.array([[b, hi - a], [hi - c, b.conjugate()]])
+    sq0, sq1 = np.vecdot(cand, cand).real.tolist()
+    v_hi = _pin(_unit(cand[0] if sq0 >= sq1 else cand[1])).tolist()
+    v_lo = _pin(np.array([-v_hi[1].conjugate(), v_hi[0].conjugate()])).tolist()
+    return (lo, hi), (v_lo[0], v_hi[0], v_lo[1], v_hi[1])
 
 
 def support(eigvals: np.ndarray) -> np.ndarray:
@@ -190,9 +187,9 @@ def psd_pow(m: np.ndarray, exponent: float) -> np.ndarray:
 
 def min_eigval(m: np.ndarray) -> float | np.ndarray:
     """The smaller eigenvalue of a Hermitian 2x2 matrix (per matrix)."""
-    shape = np.shape(m)[:-2]
-    _, mean, radius = _mean_radius(m)
-    return (mean - radius).reshape(shape)[()]
+    m = np.asarray(m, dtype=complex)
+    lows = [_spectrum(a.real, b, c.real)[0] for a, b, _, c in m.reshape(-1, 4).tolist()]
+    return np.array(lows).reshape(m.shape[:-2])[()]
 
 
 def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> bool | np.ndarray:

@@ -300,6 +300,23 @@ def test_a_state_pair_is_one_pair(nu, mu, shapes):
         StatePair(nu, mu, 0.5)
 
 
+@pytest.mark.parametrize("make", [StatePair, build_state_pair])
+@pytest.mark.parametrize(
+    "args, name",
+    [((True, 0.1, 0.5), "nu"), (("0.5", 0.1, 0.5), "nu"), ((0.5, True, 0.5), "mu"),
+     ((0.5, 0.1, "0.5"), "eta0"), (("abc", 0.1, 0.5), "nu"), ((0.5, "x", 0.5), "mu"),
+     ((0.5, 0.1, "q"), "eta0"), ((np.True_, 0.1, 0.5), "nu"), ((0.5, b"0.1", 0.5), "mu")],
+)
+def test_a_state_pair_refuses_a_bool_or_a_string(make, args, name):
+    # The factors follow the rule SweepConfig keeps for config keys: no bool
+    # and no string, whatever numpy would convert it to.
+    value = args[("nu", "mu", "eta0").index(name)]
+    with pytest.raises(DomainError) as err:
+        make(*args)
+    assert type(err.value) is DomainError
+    assert str(err.value) == f"{name} must be a number, got {value!r}"
+
+
 @pytest.mark.parametrize(
     "counts",
     [

@@ -176,7 +176,10 @@ def reference_spectral_pow(eig, exponent):
 
 def reference_trace_norm_herm2(m):
     shape = np.shape(m)[:-2]
-    _, mean, radius = qmat._mean_radius(m)
+    flat = np.asarray(m, dtype=complex).reshape(-1, 4)
+    a, c, b = flat[:, 0].real, flat[:, 3].real, flat[:, 1]
+    mean = 0.5 * (a + c)
+    radius = np.hypot(0.5 * (a - c), np.hypot(b.real, b.imag))
     return (np.abs(mean - radius) + np.abs(mean + radius)).reshape(shape)[()]
 
 

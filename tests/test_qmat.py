@@ -126,3 +126,59 @@ def test_support_rank():
     assert support_rank(np.eye(2)) == 2
     assert support_rank(np.diag([1.0, 0.0])) == 1
     assert support_rank(np.diag([1.0, 1e-14])) == 1
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_a_stack_is_the_one_matrix_body_looped():
+    # A stack loops the body the one-matrix call runs, so every row is the
+    # call on its own matrix bit for bit; (2, 2) and (1, 2, 2) are one input.
+    from mcmag import channel, discrim
+
+    rng = np.random.default_rng(35)
+    ops = []
+    for _ in range(60):
+        mu = rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        pair = channel.build_state_pair(rng.uniform(0.05, 1.0), mu, rng.uniform(0.1, 0.9))
+        ops.append(discrim.solve_max_confidence(pair).povm.ops)
+    stack = np.concatenate(ops)
+    vals, vecs = qmat.herm_eig2(stack)
+    tops = vecs[:, :, 1]  # strided columns, as the dilation pins them
+    rows = rng.normal(size=(len(stack), 3)) + 1j * rng.normal(size=(len(stack), 3))
+    pinned, units, lows = qmat.pin_phase(tops), qmat.unit(rows), qmat.min_eigval(stack)
+    for k, m in enumerate(stack):
+        for one in (m, m[None]):
+            got_vals, got_vecs = qmat.herm_eig2(one)
+            assert same_bits(got_vals.reshape(2), vals[k]) and same_bits(got_vecs.reshape(2, 2), vecs[k])
+            assert same_bits(np.reshape(qmat.min_eigval(one), ()), lows[k])
+        assert same_bits(qmat.pin_phase(tops[k]), pinned[k])
+        assert same_bits(qmat.pin_phase(tops[k][None]), pinned[k][None])
+        assert same_bits(qmat.unit(rows[k][None]), units[k][None])
+
+    # A NaN entry, or a radius past the float range: the outputs the stacked
+    # numpy solver gave, NaN where it had NaN.  Only the upper triangle is
+    # read; an infinite radius makes the spectrum degenerate (the canonical
+    # basis) unless the mean is NaN.
+    nan, inf = float("nan"), float("inf")
+    base = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.4]])
+    cases = [((0, 0), nan, None), ((1, 1), nan, None), ((0, 1), complex(nan, -0.1), None),
+             ((0, 1), complex(0.2, nan), None), ((1, 0), nan, base),
+             ((0, 1), complex(inf, nan), ([-inf, inf], np.eye(2))),
+             ((0, 1), complex(1.5e308, 1.5e308), ([-inf, inf], np.eye(2)))]
+    for idx, value, want in cases:
+        m = base.copy()
+        m[idx] = value
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = qmat.herm_eig2(m)
+            low = qmat.min_eigval(m)
+        if want is None:
+            assert np.isnan(got[0]).all() and np.isnan(got[1].view(float)).all() and np.isnan(low)
+        elif want is base:
+            assert all(same_bits(g, w) for g, w in zip(got, qmat.herm_eig2(base)))
+            assert same_bits(low, qmat.min_eigval(base))
+        else:
+            assert same_bits(got[0], np.array(want[0])) and same_bits(got[1], want[1].astype(complex))
+            assert low == -inf
