@@ -383,8 +383,9 @@ class StatePair:
     pair rule (:func:`pair_factors`): ``nu`` in (0, 1] and ``|mu| <= 1`` with 1e-12
     of slack clamped away, ``eta0`` in (0, 1), else DomainError.  A StatePair is
     one pair, a float ``nu``, a complex ``mu`` and ``states`` of shape ``(2, 2, 2)``:
-    an array in ``nu`` or ``mu``, or a bool or a string in any factor, is a
-    DomainError.  Stacks of pairs are :func:`pair_factors` arrays, solved by :mod:`mcmag.plane`.
+    an array in ``nu`` or ``mu``, None, a bool or a string in any factor, or a complex ``nu``
+    or ``eta0`` (numpy scalars and 0-d arrays too), is a DomainError.  Stacks of pairs are
+    :func:`pair_factors` arrays, solved by :mod:`mcmag.plane`.
     """
 
     nu: float
@@ -395,8 +396,11 @@ class StatePair:
 
     def __post_init__(self) -> None:
         for name, value in (("nu", self.nu), ("mu", self.mu), ("eta0", self.eta0)):
-            if isinstance(value, (bool, np.bool_, str, bytes)):
+            kind = np.asarray(value).dtype.kind  # a scalar, an array or a 0-d array alike
+            if value is None or kind in "bSU":
                 raise DomainError(f"{name} must be a number, got {value!r}")
+            if kind == "c" and name != "mu":
+                raise DomainError(f"{name} must be a real number, got {value!r}")
         shapes = np.shape(self.nu), np.shape(self.mu)
         if shapes != ((), ()):
             raise DomainError(
@@ -404,24 +408,16 @@ class StatePair:
                 f"and {shapes[1]}"
             )
         nu, mu = pair_factors(self.nu, self.mu)
-        eta0 = float(self.eta0)
+        nu, mu, eta0 = float(nu[0]), complex(mu[0]), float(self.eta0)
         if not 0.0 < eta0 < 1.0:
             raise DomainError(f"eta0 must be in (0, 1), got {eta0}")
-        # [rho0, rho1] flattened: 0.5, off0, off0, 0.5, 0.5, off1, conj(off1), 0.5, where
-        # off1 = nu*mu/2 repeats the bits of Python's complex 0.5*nu*mu.
+        # off1 = nu*mu/2 with the roundings of Python's complex 0.5*nu*mu.
         off0 = 0.5 * nu
-        flat = np.empty(8, dtype=complex)
-        flat.reshape(2, 4)[:, ::3] = 0.5
-        flat[1:3] = off0
-        off1 = flat[5:6]
-        off1.real = off0 * mu.real - 0.0 * mu.imag
-        off1.imag = off0 * mu.imag + 0.0 * mu.real
-        flat[6:7] = np.conj(off1)
-        states = flat.reshape(2, 2, 2)
+        off1 = complex(off0 * mu.real - 0.0 * mu.imag, off0 * mu.imag + 0.0 * mu.real)
+        states = np.array([[[0.5, off0], [off0, 0.5]], [[0.5, off1], [off1.conjugate(), 0.5]]],
+                          dtype=complex)
         rho = eta0 * states[0] + (1.0 - eta0) * states[1]
-        self.__dict__.update(  # frozen
-            nu=float(nu[0]), mu=complex(mu[0]), eta0=eta0, states=states, rho=rho
-        )
+        self.__dict__.update(nu=nu, mu=mu, eta0=eta0, states=states, rho=rho)  # frozen
 
     @property
     def rho0(self) -> np.ndarray:

@@ -33,8 +33,8 @@ import numpy as np
 from . import qmat
 from .discrim import Povm, check_povm
 from .errors import DilationRankError, DomainError
+from .plane import RANK_TOL
 
-_RANK_TOL = 1e-10
 _ZERO_WEIGHT = 1e-14
 _PIN_TOL = 1e-8
 _UNITARY_TOL = 1e-10
@@ -80,7 +80,7 @@ def measurement_vector(op: np.ndarray) -> np.ndarray:
     """
     eigvals, eigvecs = qmat.herm_eig2(qmat.require_hermitian(op))
     top = np.maximum(eigvals[..., 1], 0.0)
-    bad = eigvals[..., 0] > _RANK_TOL * np.maximum(1.0, top)
+    bad = eigvals[..., 0] > RANK_TOL * np.maximum(1.0, top)
     if np.count_nonzero(bad):
         raise DilationRankError(
             f"operator has second eigenvalue {eigvals[..., 0][bad].flat[0]:.3e}; "
@@ -136,6 +136,11 @@ def born_residual(dilation: Dilation, povm: Povm, states) -> float:
     return float(np.maximum.reduce(np.abs(direct - via_u), axis=None, initial=0.0))
 
 
+def unitarity_residual(u: np.ndarray) -> float:
+    """Largest entry of ``|u^H u - I|`` for a 3x3 matrix ``u`` (NaN if any is NaN)."""
+    return float(np.maximum.reduce(np.abs(u.conj().T @ u - _I3), axis=None))
+
+
 def decompose_two_level(u: np.ndarray) -> list[np.ndarray]:
     """Factor a 3x3 unitary into at most three two-level unitaries.
 
@@ -147,7 +152,7 @@ def decompose_two_level(u: np.ndarray) -> list[np.ndarray]:
     u = np.asarray(u, dtype=complex)
     if u.shape != (3, 3):
         raise DomainError("expected a 3x3 matrix")
-    if not np.maximum.reduce(np.abs(u.conj().T @ u - _I3), axis=None) <= _UNITARY_TOL:
+    if not unitarity_residual(u) <= _UNITARY_TOL:
         raise DomainError("input is not unitary within tolerance")
 
     # Right-multiply by two-level rotations on levels (j, 2) clearing the

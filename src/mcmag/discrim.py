@@ -29,9 +29,8 @@ outcome.  For a pair of qubit states the optimum is closed-form:
 Also here: the minimum-error (Helstrom) baseline, capping of the
 inconclusive rate by mixing toward the minimum-error measurement, the
 conditional error of a conclusive call, and an independent brute-force
-grid search used to verify all of the above.  Each call takes one pair
-and one measurement; its matrices are ``(1, 2, 2)`` stacks of one, the
-shapes whose numpy kernels give the pinned bits.
+grid search used to verify all of the above.  Each call takes one pair and one measurement
+as ``(2, 2)`` matrices; branch, weights and clip run on Python floats, as numpy's bits.
 
 Stacks of pairs are solved in plane coordinates: the pair rule
 :func:`~mcmag.channel.pair_factors`, then :mod:`mcmag.plane`, whose
@@ -39,10 +38,11 @@ Stacks of pairs are solved in plane coordinates: the pair rule
 degenerate rule ``(delta_0 + delta_1)/2 <= DEGENERACY_TOL``.  This module
 takes from there the rules both solvers share
 (:data:`~mcmag.plane.BRANCHES`, :data:`~mcmag.plane.DEGENERACY_TOL`,
-:data:`~mcmag.plane.ZERO_FIRE`, the clip to [0, 1]), the Helstrom bound,
+:data:`~mcmag.plane.ZERO_FIRE`, :data:`~mcmag.plane.NEVER_CONCLUSIVE`,
+:data:`~mcmag.plane.RANK_TOL`, the clip to [0, 1]), the Helstrom bound,
 and the re-solve of a pair where ``rho^(-1/2)`` rounding has left ``Pi_?``
-more than 1e-10 from rank one.  Of the CLI subcommands only ``neumark``
-and ``validate`` load this module.
+more than ``RANK_TOL`` from rank one.  Of the CLI subcommands only
+``neumark`` and ``validate`` load this module.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ import numpy as np
 from . import qmat
 from .channel import StatePair
 from .errors import DomainError, PsdViolationError, UndefinedConditionalError
-from .plane import BRANCHES, DEGENERACY_TOL, ZERO_FIRE, clip01, helstrom_error, plane_optimum
+from .plane import (BRANCHES, DEGENERACY_TOL, NEVER_CONCLUSIVE, RANK_TOL, ZERO_FIRE, helstrom_error,
+                    plane_optimum)
 
 
 @dataclass(frozen=True)
@@ -159,74 +160,63 @@ def solve_max_confidence(pair: StatePair) -> McSolution:
     discontinuous, so a pair's exact optimum may be far from 0.
     """
     check_pair(pair)
-    rho0 = pair.rho0.reshape(-1, 2, 2)
-    rho = pair.rho.reshape(-1, 2, 2)
-    eta0 = pair.eta0
+    rho, eta0 = pair.rho, pair.eta0
     rho_vals, rho_vecs = qmat.herm_eig2(rho)
     s_inv = qmat.spectral_pow((rho_vals, rho_vecs), -0.5)
-    d0 = qmat.hermitize(eta0 * (s_inv @ rho0 @ s_inv))  # top eigenvalue: c0_max
+    d0 = qmat.hermitize(eta0 * (s_inv @ pair.rho0 @ s_inv))  # top eigenvalue: c0_max
     gamma_vals, gamma_vecs = qmat.herm_eig2(d0)
 
     scale = max(1.0, np.maximum.reduce(np.abs(d0), axis=None))
-    shift = (0.5 * qmat.trace(d0))[:, None, None] * qmat.I2
-    dev_from_scalar = np.maximum.reduce(np.abs(d0 - shift), axis=None)
-    if not qmat.support(rho_vals)[0, 0] or dev_from_scalar <= DEGENERACY_TOL * scale:
+    dev_from_scalar = np.maximum.reduce(np.abs(d0 - 0.5 * qmat.trace(d0) * qmat.I2), axis=None)
+    if not qmat.support(rho_vals)[0] or dev_from_scalar <= DEGENERACY_TOL * scale:
         return McSolution(eta0, 1.0 - eta0, 0.0, Povm(_BALANCED.copy()), "degenerate")
-    return _measure(rho, s_inv, gamma_vals, gamma_vecs, pair)
+    return _measure(rho, s_inv, gamma_vals.tolist(), gamma_vecs, pair)
+
+
+def _clip(x: float) -> float:
+    """:func:`~mcmag.plane.clip01` of one float: ``min(max(x, 0.0), 1.0)``."""
+    return min(max(x, 0.0), 1.0)
 
 
 def _measure(rho, s_inv, gamma_vals, gamma_vecs, pair: StatePair) -> McSolution:
     """The optimal measurement of a pair that is not degenerate.
 
     ``Pi_?`` is rank one at the optimum; a pair where ``rho^(-1/2)`` has
-    left its smaller eigenvalue outside +-1e-10 is solved again in plane
-    coordinates (:func:`~mcmag.plane.plane_optimum`), from its ``nu``,
+    left its smaller eigenvalue outside +-``RANK_TOL`` is solved again in
+    plane coordinates (:func:`~mcmag.plane.plane_optimum`), from its ``nu``,
     ``mu`` and ``eta0``.
     """
     # Row j of gcols is eigenvector j of d0: j = 1 (top eigenvalue) is the
     # detector-0 direction, j = 0 the detector-1 direction.
-    gcols = gamma_vecs.transpose(0, 2, 1)
-    rho_g = (rho[:, None] @ gcols[..., None])[..., 0]
+    gcols = gamma_vecs.T
+    rho_g = (rho @ gcols[..., None])[..., 0]
     rows = np.ascontiguousarray(gcols)  # r_jk = <g_j| rho |g_k>: dots of contiguous 2-vectors
-    r_diag = np.vecdot(rows[:, ::-1], rho_g[:, ::-1]).real  # r00, r11
-    r01 = np.vecdot(rows[:, 1], rho_g[:, 0])
-    c = np.hypot(r01.real, r01.imag)  # |r01|
-    det_rho = np.linalg.det(rho).real
-
-    # Columns a, b, p_inc, c0_max, c1_max before clipping to [0, 1].
-    values = np.empty((1, 5))
-    values[:, 3] = gamma_vals[:, 1]
-    values[:, 4] = 1.0 - gamma_vals[:, 0]
-    if c[0] >= r_diag[0, 1]:  # only detector 0 kept
-        branch = 1
-        values[0, :3] = 1.0, 0.0, 1.0 - det_rho[0] / r_diag[0, 1]
-    elif c[0] >= r_diag[0, 0]:  # only detector 1 kept
-        branch = 2
-        values[0, :3] = 0.0, 1.0, 1.0 - det_rho[0] / r_diag[0, 0]
+    r00, r11 = np.vecdot(rows[::-1], rho_g[::-1]).real.tolist()
+    c = abs(complex(np.vecdot(rows[1], rho_g[0])))  # |r01|, libm hypot
+    det_rho = float(np.linalg.det(rho).real)
+    if c >= r11:  # only detector 0 kept
+        branch, a, b, p_inc = 1, 1.0, 0.0, 1.0 - det_rho / r11
+    elif c >= r00:  # only detector 1 kept
+        branch, a, b, p_inc = 2, 0.0, 1.0, 1.0 - det_rho / r00
     else:
-        branch = 0
-        values[:, :2] = (r_diag - c[:, None]) * r_diag[:, ::-1] / det_rho[:, None]
-        values[:, 2] = 2.0 * c
-    values = clip01(values)
+        branch, a, b, p_inc = 0, (r00 - c) * r11 / det_rho, (r11 - c) * r00 / det_rho, 2.0 * c
+    a, b, p_inc, c0_max, c1_max = map(_clip, (a, b, p_inc, gamma_vals[1], 1.0 - gamma_vals[0]))
 
     # Detector directions (w, v): the eigenvectors pulled back through
     # rho^(-1/2) and normalized.
-    wv = (s_inv[:, None] @ gcols[..., None])[..., 0]
-    wv = qmat.pin_phase(qmat.unit(wv.reshape(-1, 2))).reshape(1, 2, 2)
-    ops = np.empty((1, 3, 2, 2), dtype=complex)
-    ops[:, 1::-1] = qmat.proj(wv) * values[:, 1::-1, None, None]  # a|v><v|, b|w><w|
-    ops[:, 2] = qmat.hermitize(qmat.I2 - ops[:, 0] - ops[:, 1])
-    values = values[:, 2:]
-    if not abs(qmat.min_eigval(ops[:, 2])[0]) <= 1e-10:
+    wv = qmat.pin_phase(qmat.unit((s_inv @ gcols[..., None])[..., 0]))
+    ops = np.empty((3, 2, 2), dtype=complex)
+    ops[1::-1] = qmat.proj(wv) * np.array([b, a])[:, None, None]  # a|v><v|, b|w><w|
+    ops[2] = qmat.hermitize(qmat.I2 - ops[0] - ops[1])
+    if not abs(qmat.min_eigval(ops[2])) <= RANK_TOL:
         values, branches, plane_ops = plane_optimum(
             np.array([pair.nu]), np.array([pair.mu]), pair.eta0
         )
         branch = int(branches[0])
-        ops = _matrices(plane_ops)
-        if not qmat.is_psd(ops[:, 2], tol=1e-10)[0]:
+        (p_inc, c0_max, c1_max), ops = values[0].tolist(), _matrices(plane_ops[0])
+        if not qmat.is_psd(ops[2], tol=RANK_TOL):
             raise PsdViolationError("inconclusive operator lost positivity")
-    p_inc, c0_max, c1_max = values[0].tolist()
-    return McSolution(c0_max, c1_max, p_inc, Povm(ops[0]), BRANCHES[branch])
+    return McSolution(c0_max, c1_max, p_inc, Povm(ops), BRANCHES[branch])
 
 
 def achieved_confidences(povm: Povm, pair: StatePair) -> tuple[float | None, float | None]:
@@ -241,13 +231,13 @@ def achieved_confidences(povm: Povm, pair: StatePair) -> tuple[float | None, flo
 
 def _confidences(detectors: np.ndarray, pair: StatePair) -> tuple[float | None, float | None]:
     """Confidences ``(c0, c1)`` that detectors ``(pi0, pi1)``, an array of
-    shape ``(2, 2, 2)`` or ``(1, 2, 2, 2)``, attain on the pair, clipped to
-    [0, 1]; None where a detector fires with probability <= ``ZERO_FIRE``."""
-    fire = qmat.trace(pair.rho[..., None, :, :] @ detectors)
-    hit = qmat.trace(pair.states @ detectors)
-    eta = np.array([pair.eta0, pair.eta1])
-    c0, c1 = clip01(eta * hit / np.where(fire <= ZERO_FIRE, np.nan, fire)).reshape(2).tolist()
-    return (None if math.isnan(c0) else c0), (None if math.isnan(c1) else c1)
+    shape ``(2, 2, 2)``, attain on the pair, clipped to [0, 1]; None where a
+    detector fires with probability <= ``ZERO_FIRE`` or the ratio is NaN."""
+    fire = qmat.trace(pair.rho @ detectors).tolist()
+    hit = qmat.trace(pair.states @ detectors).tolist()
+    conf = [_clip(eta * h / f) if f > ZERO_FIRE else math.nan
+            for eta, h, f in zip((pair.eta0, pair.eta1), hit, fire)]
+    return tuple(None if math.isnan(x) else x for x in conf)
 
 
 def min_error_probability(pair: StatePair) -> float:
@@ -258,15 +248,15 @@ def min_error_probability(pair: StatePair) -> float:
 
 
 def _min_error_ops(pair: StatePair) -> np.ndarray:
-    """:func:`min_error_projectors` of a pair, as the ``(1, 3, 2, 2)`` array of
+    """:func:`min_error_projectors` of a pair, as the ``(3, 2, 2)`` array of
     the operators (pi0, pi1, pi_inc)."""
-    diff = qmat.hermitize(pair.eta1 * pair.rho1 - pair.eta0 * pair.rho0).reshape(-1, 2, 2)
+    diff = qmat.hermitize(pair.eta1 * pair.rho1 - pair.eta0 * pair.rho0)
     eigvals, eigvecs = qmat.herm_eig2(diff)
-    kept = np.where((eigvals > 0.0)[..., None, None], qmat.proj(eigvecs.swapaxes(1, 2)), 0.0)
-    ops = np.zeros((1, 3, 2, 2), dtype=complex)
+    kept = np.where((eigvals > 0.0)[:, None, None], qmat.proj(eigvecs.T), 0.0)
+    ops = np.zeros((3, 2, 2), dtype=complex)
     # Summed from +0.0, so no entry is -0.0 (the neumark dump prints the sign).
-    ops[:, 1] = 0.0 + kept[:, 0] + kept[:, 1]
-    ops[:, 0] = qmat.hermitize(qmat.I2 - ops[:, 1])
+    ops[1] = 0.0 + kept[0] + kept[1]
+    ops[0] = qmat.hermitize(qmat.I2 - ops[1])
     return ops
 
 
@@ -277,7 +267,7 @@ def min_error_projectors(pair: StatePair) -> Povm:
     eta1*rho1 - eta0*rho0; ties at zero go to detector 0.
     """
     check_pair(pair)
-    return Povm(_min_error_ops(pair)[0])
+    return Povm(_min_error_ops(pair))
 
 
 def threshold_inconclusive(
@@ -305,12 +295,11 @@ def threshold_inconclusive(
     mix = 1.0 - p_thresh / sol.p_inc_opt
     ops = _min_error_ops(pair)
     if p_thresh > 0.0:  # else mix = 1: the minimum-error measurement itself
-        optimum = sol.povm.ops[None, :2]
-        ops[:, :2] = qmat.hermitize((1.0 - mix) * optimum + mix * ops[:, :2])
-        ops[:, 2] = qmat.hermitize(qmat.I2 - ops[:, 0] - ops[:, 1])
-    c0, c1 = _confidences(ops[:, :2], pair)
-    p_inc = float(qmat.trace(pair.rho @ ops[:, 2])[0])
-    return ThresholdResult(povm=Povm(ops[0]), c0=c0, c1=c1, p_inc=p_inc, mix=mix)
+        ops[:2] = qmat.hermitize((1.0 - mix) * sol.povm.ops[:2] + mix * ops[:2])
+        ops[2] = qmat.hermitize(qmat.I2 - ops[0] - ops[1])
+    c0, c1 = _confidences(ops[:2], pair)
+    p_inc = float(qmat.trace(pair.rho @ ops[2]))
+    return ThresholdResult(povm=Povm(ops), c0=c0, c1=c1, p_inc=p_inc, mix=mix)
 
 
 def conditional_error(povm: Povm, pair: StatePair) -> float:
@@ -318,14 +307,14 @@ def conditional_error(povm: Povm, pair: StatePair) -> float:
 
     Clipped to [0, 1] (one that is never wrong can round below 0).  A
     measurement that is (almost) never conclusive, a conclusive probability
-    ``1 - Tr(rho Pi_?)`` at most 1e-12, or NaN, is an UndefinedConditionalError.
+    ``1 - Tr(rho Pi_?)`` at most ``NEVER_CONCLUSIVE``, or NaN, is an
+    UndefinedConditionalError.
     """
     check_pair(pair, povm)
-    wrong = pair.eta0 * qmat.trace(pair.rho0 @ povm.pi1) + pair.eta1 * qmat.trace(
-        pair.rho1 @ povm.pi0
-    )
-    conclusive = 1.0 - qmat.trace(pair.rho @ povm.pi_inc)
-    error = float(clip01(wrong / np.where(conclusive <= 1e-12, np.nan, conclusive)))
+    wrong = float(pair.eta0 * qmat.trace(pair.rho0 @ povm.pi1)
+                  + pair.eta1 * qmat.trace(pair.rho1 @ povm.pi0))
+    conclusive = float(1.0 - qmat.trace(pair.rho @ povm.pi_inc))
+    error = _clip(wrong / conclusive) if conclusive > NEVER_CONCLUSIVE else math.nan
     if math.isnan(error):
         raise UndefinedConditionalError("measurement is (almost) never conclusive")
     return error

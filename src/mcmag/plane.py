@@ -16,8 +16,8 @@ The sweep takes every solver column of a grid from here
 (:func:`plane_optimum`, :func:`plane_capped`, :func:`plane_conditional_error`
 and :func:`helstrom_error`), so it loads neither the matrix solver nor
 :mod:`mcmag.qmat`.  The rules both solvers share live here too: the
-degenerate tolerance, the branch names, the never-firing threshold and the
-clip to [0, 1].
+degenerate tolerance, the branch names, the never-firing threshold, the
+never-conclusive floor, the rank-one tolerance and the clip to [0, 1].
 """
 
 from __future__ import annotations
@@ -35,6 +35,14 @@ BRANCHES = ("interior", "boundary_a", "boundary_b", "degenerate")
 
 #: Firing probability at or below which a detector counts as never firing.
 ZERO_FIRE = 1e-15
+
+#: Conclusive probability at or below which a measurement counts as never
+#: conclusive, so that its conditional error is undefined.
+NEVER_CONCLUSIVE = 1e-12
+
+#: Largest smaller eigenvalue, in size, of a rank-one operator: the matrix solver's
+#: ``Pi_?``, and each operator the dilation takes relative to ``max(1, top eigenvalue)``.
+RANK_TOL = 1e-10
 
 
 def clip01(x: np.ndarray) -> np.ndarray:
@@ -184,14 +192,14 @@ def plane_conditional_error(nu: np.ndarray, mu: np.ndarray, eta0, ops: np.ndarra
     """:func:`~mcmag.discrim.conditional_error` of each row in plane coordinates,
     for the detectors ``ops[:, 0]`` and ``ops[:, 1]`` (pi0, pi1): the wrong
     conclusive calls over all of them, NaN where those fire with probability
-    <= 1e-12 (where the one-pair call raises)."""
+    <= ``NEVER_CONCLUSIVE`` (where the one-pair call raises)."""
     eta1 = 1.0 - eta0
     r1x, r1y = nu * mu.real, -nu * mu.imag
     rx, ry = eta0 * nu + eta1 * r1x, eta1 * r1y
     wrong = eta0 * _tr(ops[:, 1], nu, 0.0) + eta1 * _tr(ops[:, 0], r1x, r1y)
     conclusive = _tr(ops[:, 0], rx, ry) + _tr(ops[:, 1], rx, ry)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return clip01(wrong / np.where(conclusive <= 1e-12, np.nan, conclusive))
+        return clip01(wrong / np.where(conclusive <= NEVER_CONCLUSIVE, np.nan, conclusive))
 
 
 def helstrom_error(nu, mu, eta0) -> np.ndarray:

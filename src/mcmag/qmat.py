@@ -27,9 +27,9 @@ as much as the arithmetic: the eigensolver reads a matrix's entries once
 and does its real arithmetic (the mean, the radius, the eigenvalues, the
 degenerate guard, the choice of candidate) on Python floats, whose IEEE
 operations give numpy's bits.  The kernels whose last bits depend on the
-CPU kernel family (OpenBLAS's dots, numpy's SIMD loops) stay numpy calls
-on the strides of a stacked row: ``np.vecdot`` for the candidate norms and
-in :func:`unit`, and the complex divide and multiply of :func:`pin_phase`.
+CPU kernel family (OpenBLAS's dots, numpy's SIMD loops) stay numpy calls:
+``np.vecdot`` for the candidate norms and in :func:`unit`, and the complex
+divide and multiply of :func:`pin_phase`.
 A NaN output's sign is unspecified: ``abs`` of a complex gives +NaN.
 """
 

@@ -523,7 +523,6 @@ def neumark_report(cfg: SweepConfig) -> str:
     dil = dilation.dilate_povm(sol.povm)
     factors = dilation.decompose_two_level(dil.u)
     residual = dilation.born_residual(dil, sol.povm, pair.states)
-    unit_dev = float(np.max(np.abs(dil.u.conj().T @ dil.u - np.eye(3))))
 
     def cell(z: complex) -> str:
         return f"{z.real:+.17g}{z.imag:+.17g}j"
@@ -545,6 +544,6 @@ def neumark_report(cfg: SweepConfig) -> str:
     for i, f in enumerate(factors):
         lines.extend(mat_lines(f"factor[{i}]", f))
     lines.append(f"born_residual={residual:.3e}")
-    lines.append(f"unitarity_residual={unit_dev:.3e}")
+    lines.append(f"unitarity_residual={dilation.unitarity_residual(dil.u):.3e}")
     return "\n".join(lines) + "\n"
 

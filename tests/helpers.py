@@ -51,3 +51,59 @@ def sign_at(switching: SwitchingFunction, t: float) -> int:
         raise DomainError("t outside [0, T]")
     flips = sum(1 for ft in switching.flip_times if ft <= t)
     return 1 if flips % 2 == 0 else -1
+
+
+#: Unit roundoff of a double: half an ulp of 1, the largest relative error of one rounding.
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def optimality_certificate(nu, mu, eta0, values, ops):
+    """Dual and complementary-slackness residuals of plane optimum rows, with
+    the bound each one's own rounding allows.
+
+    ``nu``, ``mu`` and ``eta0`` are the rows' factors (``eta0`` a float or an
+    array), ``values`` and ``ops`` :func:`~mcmag.plane.plane_optimum`'s.  With
+    ``r_j`` the Bloch vectors of the states and ``r`` that of ``rho``,
+    ``c0_max`` is the least ``c`` with ``c rho - eta0 rho0 >= 0`` (Croke et al.,
+    PRL 96, 070401 (2006)).  That operator is ``((c - eta0) I + v.sigma)/2``
+    with ``v = c r - eta0 r0``, so at the optimum its smaller eigenvalue,
+    ``dual = (c - eta0) - |v|``, is 0, and so is ``slack = Tr(Pi0 (c rho -
+    eta0 rho0)) = ((c - eta0) alpha + v.beta)/2`` for ``Pi0 = (alpha, beta)``.
+    ``c1_max`` mirrors both with ``eta1``, ``r1`` and ``Pi1``.  Neither uses
+    the kernel's Q, R or deltas.
+
+    Returns ``(dual, dual_bound, slack, slack_bound)`` for detector 0 and for
+    detector 1.  Each bound is ``u`` (:data:`UNIT_ROUNDOFF`) times a count of
+    roundings times the sum of the magnitudes of the terms they round:
+
+    * evaluating ``dual`` rounds ``vx`` at most 6 deep (``eta1``, ``nu*x``,
+      their product, ``rx``, ``c*rx``, the difference), ``vy`` 5 deep, then
+      ``hypot``, ``c - eta`` (2 with ``eta1``) and the difference: at most
+      ``8u`` of ``scale = c + eta + |vx|_terms + |vy|_terms``;
+    * ``c`` itself may be 2 ulps (``4u c``) from the exact optimum, and
+      ``dual`` moves at most 2 per unit of ``c``: ``8u c``;
+    * evaluating ``slack`` adds a product per term and two sums to those
+      depths, 9 in all, of ``sscale``, the same sum with each term times its
+      operator entry; each operator entry may be 2 ulps from exact, ``4u`` of
+      ``sscale`` in all; and ``slack`` moves by ``Tr(rho Pi) <= alpha`` per
+      unit of ``c``: ``4u c alpha``.
+    """
+    u = UNIT_ROUNDOFF
+    eta1 = 1.0 - eta0
+    r1x, r1y = nu * mu.real, -(nu * mu.imag)
+    rx, ry = eta0 * nu + eta1 * r1x, eta1 * r1y
+    out = []
+    for c, eta, sx, sy, op in ((values[:, 1], eta0, nu, 0.0, ops[:, 0]),
+                               (values[:, 2], eta1, r1x, r1y, ops[:, 1])):
+        vx, vy = c * rx - eta * sx, c * ry - eta * sy
+        # The magnitudes of the terms each coordinate of v sums.
+        avx = c * (abs(eta0 * nu) + abs(eta1 * r1x)) + eta * abs(sx)
+        avy = c * abs(ry) + eta * abs(sy)
+        alpha, beta_x, beta_y = op[:, 0], op[:, 1], op[:, 2]
+        dual = (c - eta) - np.hypot(vx, vy)
+        dual_bound = 8.0 * u * (c + eta + avx + avy) + 8.0 * u * c
+        slack = 0.5 * ((c - eta) * alpha + vx * beta_x + vy * beta_y)
+        sscale = 0.5 * ((c + eta) * abs(alpha) + avx * abs(beta_x) + avy * abs(beta_y))
+        slack_bound = 13.0 * u * sscale + 4.0 * u * c * abs(alpha)
+        out.append((dual, dual_bound, slack, slack_bound))
+    return out

@@ -305,7 +305,9 @@ def test_a_state_pair_is_one_pair(nu, mu, shapes):
     "args, name",
     [((True, 0.1, 0.5), "nu"), (("0.5", 0.1, 0.5), "nu"), ((0.5, True, 0.5), "mu"),
      ((0.5, 0.1, "0.5"), "eta0"), (("abc", 0.1, 0.5), "nu"), ((0.5, "x", 0.5), "mu"),
-     ((0.5, 0.1, "q"), "eta0"), ((np.True_, 0.1, 0.5), "nu"), ((0.5, b"0.1", 0.5), "mu")],
+     ((0.5, 0.1, "q"), "eta0"), ((np.True_, 0.1, 0.5), "nu"), ((0.5, b"0.1", 0.5), "mu"),
+     ((np.array(True), 0.1, 0.5), "nu"), ((0.5, np.array("0.1"), 0.5), "mu"),
+     ((0.5, 0.1, np.array("0.5")), "eta0")],
 )
 def test_a_state_pair_refuses_a_bool_or_a_string(make, args, name):
     # The factors follow the rule SweepConfig keeps for config keys: no bool

@@ -161,7 +161,7 @@ def test_oracle_shares_no_code_with_the_solver(monkeypatch):
     for name in dir(qmat):
         if callable(getattr(qmat, name)) and not isinstance(getattr(qmat, name), type):
             monkeypatch.setattr(qmat, name, broken)
-    for name in ("solve_max_confidence", "_measure", "clip01", "helstrom_error",
+    for name in ("solve_max_confidence", "_measure", "_clip", "helstrom_error",
                  "min_error_probability", "conditional_error", "threshold_inconclusive",
                  "min_error_projectors"):
         monkeypatch.setattr(discrim, name, broken)

@@ -68,9 +68,9 @@ def test_the_pair_rule_clamps_alike_in_both_forms(nu, mu):
     made = StatePair(nu, mu, 0.4)
     assert made.nu <= 1.0 and abs(made.mu) <= 1.0
     # One pair is plain Python numbers, the clamped row of the stack rule, and
-    # states a (2, 2, 2) view whose hypotheses are views of it in turn.
+    # states one (2, 2, 2) array whose hypotheses are views of it.
     assert type(made.nu) is float and type(made.mu) is complex
-    assert made.states.shape == (2, 2, 2) and made.states.base is not None
+    assert made.states.shape == (2, 2, 2) and made.states.dtype == complex
     assert all(np.shares_memory(rho, made.states) for rho in (made.rho0, made.rho1))
     assert pair_hexes(made) == pair_hexes(build_state_pair(nu, mu, 0.4))
     assert hexes(*pair_factors([nu], [mu])) == hexes(made.nu, made.mu)
@@ -105,6 +105,27 @@ def test_a_matrix_cannot_be_handed_in():
 def test_replace_runs_the_pair_rule(changes, message):
     with pytest.raises(DomainError, match=message):
         dataclasses.replace(build_state_pair(0.8, 0.5j, 0.5), **changes)
+
+
+@pytest.mark.parametrize("make", [StatePair, build_state_pair])
+@pytest.mark.parametrize(
+    "args, name",
+    [((0.5 + 0.3j, 0.1, 0.5), "nu"), ((0.5, 0.1, 0.5 + 0j), "eta0"),
+     ((np.complex128(0.5 + 0.3j), 0.1, 0.5), "nu"), ((np.complex64(0.5), 0.1, 0.5), "nu"),
+     ((np.array(0.5 + 0.1j), 0.1, 0.5), "nu"), ((0.5, 0.1, np.complex128(0.4)), "eta0"),
+     ((0.5, 0.1, np.array(0.4 + 0j)), "eta0"), ((None, 0.1, 0.5), "nu"),
+     ((0.5, None, 0.5), "mu"), ((0.5, 0.1, None), "eta0")],
+)
+def test_a_state_pair_refuses_a_complex_nu_or_eta0_and_none(make, args, name):
+    # A Python complex nu or eta0 raised a bare TypeError, a numpy complex nu
+    # made a pair with nu = 0.5 and only a ComplexWarning, and None read as
+    # "nu must be in (0, 1], got nan".
+    value = args[("nu", "mu", "eta0").index(name)]
+    with pytest.raises(DomainError) as err:
+        make(*args)
+    assert type(err.value) is DomainError
+    kind = "a number" if value is None else "a real number"
+    assert str(err.value) == f"{name} must be {kind}, got {value!r}"
 
 
 def test_dilation_rejects_a_non_hermitian_measurement():
