@@ -72,23 +72,24 @@ class Dilation:
         return self.e_vectors[2, 2]
 
 
-def measurement_vector(op: np.ndarray) -> np.ndarray:
-    """Weighted vector |p> with op = |p><p|; zero vector for a zero operator.
+def measurement_vector(ops: np.ndarray) -> np.ndarray:
+    """Weighted vectors |p_k> with op_k = |p_k><p_k|, one row per operator of
+    the ``(n, 2, 2)`` measurement ``ops``; a zero operator gets the zero vector.
 
-    ``op`` is one operator or a stack of them; each gets its own vector.
-    A non-Hermitian operator raises :class:`~mcmag.errors.HermiticityError`.
+    The whole measurement is checked for Hermiticity before any operator's rank:
+    :class:`~mcmag.errors.HermiticityError`, then :class:`~mcmag.errors.DilationRankError`.
     """
-    eigvals, eigvecs = qmat.herm_eig2(qmat.require_hermitian(op))
-    top = np.maximum(eigvals[..., 1], 0.0)
-    bad = eigvals[..., 0] > RANK_TOL * np.maximum(1.0, top)
-    if np.count_nonzero(bad):
-        raise DilationRankError(
-            f"operator has second eigenvalue {eigvals[..., 0][bad].flat[0]:.3e}; "
-            "rank-one required"
-        )
-    vec = np.sqrt(top)[..., None] * qmat.pin_phase(eigvecs[..., :, 1])
-    vec[top <= _ZERO_WEIGHT] = 0.0
-    return vec
+    ops = qmat.require_hermitian(ops)
+    vecs = np.zeros((len(ops), 2), dtype=complex)
+    for k, op in enumerate(ops):
+        eigvals, eigvecs = qmat.herm_eig2(op)
+        top = np.maximum(eigvals[1], 0.0)
+        if eigvals[0] > RANK_TOL * np.maximum(1.0, top):
+            raise DilationRankError(f"operator has second eigenvalue {eigvals[0]:.3e}; "
+                                    "rank-one required")
+        if not top <= _ZERO_WEIGHT:
+            vecs[k] = np.sqrt(top) * qmat.pin_phase(eigvecs[:, 1])
+    return vecs
 
 
 def dilate_povm(povm: Povm) -> Dilation:
@@ -107,7 +108,7 @@ def dilate_povm(povm: Povm) -> Dilation:
     col0 = b[:, 0]
     col1 = b[:, 1]
     cross = col0[_NEXT] * col1[_LAST] - col0[_LAST] * col1[_NEXT]
-    anc = qmat.unit(np.conj(cross)[None])[0]
+    anc = qmat.unit(np.conj(cross))
 
     # c_k = conj(U[k, 2]); pin the first non-negligible coefficient real >= 0.
     c = np.conj(anc)

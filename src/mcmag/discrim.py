@@ -204,7 +204,7 @@ def _measure(rho, s_inv, gamma_vals, gamma_vecs, pair: StatePair) -> McSolution:
 
     # Detector directions (w, v): the eigenvectors pulled back through
     # rho^(-1/2) and normalized.
-    wv = qmat.pin_phase(qmat.unit((s_inv @ gcols[..., None])[..., 0]))
+    wv = np.array([qmat.pin_phase(qmat.unit(d)) for d in (s_inv @ gcols[..., None])[..., 0]])
     ops = np.empty((3, 2, 2), dtype=complex)
     ops[1::-1] = qmat.proj(wv) * np.array([b, a])[:, None, None]  # a|v><v|, b|w><w|
     ops[2] = qmat.hermitize(qmat.I2 - ops[0] - ops[1])
@@ -214,7 +214,7 @@ def _measure(rho, s_inv, gamma_vals, gamma_vecs, pair: StatePair) -> McSolution:
         )
         branch = int(branches[0])
         (p_inc, c0_max, c1_max), ops = values[0].tolist(), _matrices(plane_ops[0])
-        if not qmat.is_psd(ops[2], tol=RANK_TOL):
+        if not qmat.min_eigval(ops[2]) >= -RANK_TOL:
             raise PsdViolationError("inconclusive operator lost positivity")
     return McSolution(c0_max, c1_max, p_inc, Povm(ops), BRANCHES[branch])
 

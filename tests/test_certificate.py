@@ -1,10 +1,12 @@
-"""The optimality certificate of the plane kernel (ROADMAP item 18).
+"""The optimality certificate of the plane kernel and of the one-pair solve (ROADMAP item 18).
 
 Every non-degenerate row of :func:`~mcmag.plane.plane_optimum` on the
 shipped grids, the benchmark's jittered grids (seeds 1-9) and the seeded
 edge pairs must meet the dual and complementary-slackness conditions of
 its confidences within the bounds :func:`helpers.optimality_certificate`
 derives from their rounding.  The check shares no formula with the kernel.
+The one-pair :func:`~mcmag.discrim.solve_max_confidence` is judged with the
+same bounds on the benchmark's pair draws and the edge pairs.
 """
 
 import importlib
@@ -13,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mcmag import channel, plane, sweep
+from mcmag import channel, discrim, plane, sweep
 from mcmag.plane import BRANCHES
 
 from helpers import optimality_certificate
@@ -78,3 +80,45 @@ def test_the_certificate_sees_a_confidence_1e_12_off(certified_rows, column):
         moved += np.count_nonzero(failing(nu, mu, eta0, values, ops)[column - 1])
         total += len(nu)
     assert moved >= 0.95 * total
+
+
+def plane_coordinates(ops):
+    """``(alpha, beta_x, beta_y)`` of 2x2 operators ``(alpha I + beta.sigma)/2`` (last two axes)."""
+    return np.stack([(ops[..., 0, 0] + ops[..., 1, 1]).real,
+                     2.0 * ops[..., 0, 1].real, -2.0 * ops[..., 0, 1].imag], axis=-1)
+
+
+@pytest.fixture(scope="module")
+def one_pair_rows():
+    """(pairs, values, ops) of the non-degenerate one-pair solves of the
+    benchmark's pair draws (seeds 0-3) and the edge pairs (seeds 0, 1)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(ROOT / "perfbench"))
+        draws = [d for seed in range(4)
+                 for d in importlib.import_module("inputs").pair_draws(seed)]
+    pairs = [channel.build_state_pair(d.nu, d.mu, d.eta0) for d in draws]
+    pairs += edge_pairs(0) + edge_pairs(1)
+    rows = []
+    for pair in pairs:
+        try:
+            sol = discrim.solve_max_confidence(pair)
+        except discrim.PsdViolationError:  # rank-one Pi_? positivity: ROADMAP item 3 (3a)
+            continue
+        if sol.branch != "degenerate":
+            rows.append((pair, sol))
+    values = np.array([(sol.p_inc_opt, sol.c0_max, sol.c1_max) for _, sol in rows])
+    ops = plane_coordinates(np.array([sol.povm.ops for _, sol in rows]))
+    assert len(rows) > 2_000
+    return [pair for pair, _ in rows], values, ops
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 14: rho^(-1/2) amplifies rounding in the one-pair solve; 305 of "
+    "1,728 non-degenerate pair draws fail the dual bound and 270 the slackness bound, "
+    "by up to 7.8e-13"))
+def test_every_one_pair_optimum_meets_its_certificate(one_pair_rows):
+    pairs, values, ops = one_pair_rows
+    nu, mu, eta0 = (np.array([getattr(p, key) for p in pairs]) for key in ("nu", "mu", "eta0"))
+    for detector, bad in enumerate(failing(nu, mu, eta0, values, ops)):
+        rows = np.flatnonzero(bad)
+        assert rows.size == 0, (detector, rows.size, nu[rows[:3]], mu[rows[:3]], eta0[rows[:3]])

@@ -6,7 +6,7 @@ import pytest
 from mcmag import build_state_pair, decompose_two_level, dilate_povm
 from mcmag.dilation import born_residual, measurement_vector
 from mcmag.discrim import Povm, solve_max_confidence
-from mcmag.errors import DilationRankError, DomainError
+from mcmag.errors import DilationRankError, DomainError, HermiticityError
 
 from helpers import random_pair
 
@@ -122,7 +122,17 @@ def test_rank_two_operator_rejected():
     with pytest.raises(DilationRankError):
         dilate_povm(rank2)
     with pytest.raises(DilationRankError):
-        measurement_vector(0.5 * I2)
+        measurement_vector(np.array([0.5 * I2]))
+
+
+def test_hermiticity_is_checked_before_rank():
+    # The whole measurement is checked for Hermiticity before any operator's
+    # rank, so a rank-two operator ahead of a non-Hermitian one does not
+    # decide the exception.
+    skew = np.array([[0.5, 0.25], [0.0, 0.0]])
+    ops = Povm(np.array((0.5 * I2, skew, 0.5 * I2 - skew)))
+    with pytest.raises(HermiticityError):
+        dilate_povm(ops)
 
 
 def test_incomplete_triple_rejected():

@@ -63,7 +63,7 @@ def same(a, b):
 
 
 def reference_dilate_povm(povm):
-    pis = dilation.measurement_vector(np.stack(povm.ops))
+    pis = np.array([dilation.measurement_vector(op[None])[0] for op in povm.ops])
     b = pis.conj()
     col0 = b[:, 0]
     col1 = b[:, 1]
@@ -246,10 +246,9 @@ def random_hermitian_stack(rng, n):
 
 def test_spectral_pow_equals_frompyfunc():
     rng = np.random.default_rng(23)
-    stack = random_hermitian_stack(rng, 1200)
-    stack = stack[qmat.is_psd(stack)]
+    psd = [m for m in random_hermitian_stack(rng, 1200) if qmat.min_eigval(m) >= -qmat.PSD_TOL]
     for exponent in (-0.5, 0.5, -1.0, 2.0):
-        for m in (stack, *stack[:200]):
+        for m in psd:
             eig = qmat.herm_eig2(m)
             assert same(qmat.spectral_pow(eig, exponent), reference_spectral_pow(eig, exponent))
 

@@ -1,7 +1,10 @@
-"""The package holds no code that only the tests use, and no module of it
-uses another module's private names."""
+"""The package holds no code that only the tests use, no module of it
+uses another module's private names, and every docstring cross-reference
+names something."""
 
 import ast
+import dataclasses
+import importlib
 import re
 from pathlib import Path
 
@@ -75,6 +78,41 @@ def test_every_package_name_is_used_outside_the_tests():
             if not found:
                 unused.append(f"{path.name}:{first} {defined}")
     assert not unused, "used only by the tests (or by nobody): " + ", ".join(unused)
+
+
+_ROLE = re.compile(r":(?:func|data|class|mod|attr):`~?([^`]+)`")
+
+
+def resolves(module, target):
+    """Whether a docstring's dotted target names an object: from ``mcmag``
+    when it starts there, else from the names of the docstring's own module.
+    A dataclass field counts as an attribute of its class."""
+    *path, name = target.split(".")
+    owner = module
+    if path[:1] == ["mcmag"]:
+        owner, path = importlib.import_module("mcmag"), path[1:]
+    try:
+        for part in path:
+            owner = getattr(owner, part)
+    except AttributeError:
+        return False
+    if hasattr(owner, name):
+        return True
+    return dataclasses.is_dataclass(owner) and name in {f.name for f in dataclasses.fields(owner)}
+
+
+def test_every_docstring_cross_reference_resolves():
+    unresolved, count = [], 0
+    for path in SOURCES:
+        name = "mcmag" if path.stem == "__init__" else f"mcmag.{path.stem}"
+        module = importlib.import_module(name)
+        for doc in docstrings(ast.parse(path.read_text(encoding="utf-8"))):
+            for target in _ROLE.findall(doc.value):
+                count += 1
+                if not resolves(module, target):
+                    unresolved.append(f"{path.name}:{doc.lineno} {target}")
+    assert count, "no cross-references found: the scan is broken"
+    assert not unresolved, "docstring targets that name nothing: " + ", ".join(unresolved)
 
 
 def private(name):
