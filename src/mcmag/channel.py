@@ -395,29 +395,43 @@ class StatePair:
     rho: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        shapes = []
         for name, value in (("nu", self.nu), ("mu", self.mu), ("eta0", self.eta0)):
-            kind = np.asarray(value).dtype.kind  # a scalar, an array or a 0-d array alike
-            if value is None or kind in "bSU":
-                raise DomainError(f"{name} must be a number, got {value!r}")
-            if kind == "c" and name != "mu":
+            array = as_number(name, value)
+            if array.dtype.kind == "c" and name != "mu":
                 raise DomainError(f"{name} must be a real number, got {value!r}")
-        shapes = np.shape(self.nu), np.shape(self.mu)
-        if shapes != ((), ()):
+            shapes.append(array.shape)
+        if shapes[:2] != [(), ()]:
             raise DomainError(
                 f"a StatePair is one pair: nu and mu must be numbers, got shapes {shapes[0]} "
                 f"and {shapes[1]}"
             )
-        nu, mu = pair_factors(self.nu, self.mu)
-        nu, mu, eta0 = float(nu[0]), complex(mu[0]), float(self.eta0)
+        # pair_factors on one pair, on Python numbers: the same operations, the same bits.
+        nu, mu, eta0 = float(self.nu), complex(self.mu), float(self.eta0)
+        try:
+            size = abs(mu)  # libm hypot, as np.hypot
+        except OverflowError:  # past the float range, where np.hypot returns inf
+            size = math.inf
+        if not 0.0 < nu <= 1.0 + 1e-12:
+            raise DomainError(f"nu must be in (0, 1], got {nu}")
+        if not size <= 1.0 + 1e-12:
+            raise DomainError(f"|mu| must be <= 1, got {size}")
+        nu = min(nu, 1.0)
+        if size > 1.0:
+            mu = complex((mu.real + mu.imag * 0.0) / size, (mu.imag - mu.real * 0.0) / size)
         if not 0.0 < eta0 < 1.0:
             raise DomainError(f"eta0 must be in (0, 1), got {eta0}")
-        # off1 = nu*mu/2 with the roundings of Python's complex 0.5*nu*mu.
-        off0 = 0.5 * nu
+        # off1 = nu*mu/2 with the roundings of Python's complex 0.5*nu*mu, and
+        # rho = eta0*rho0 + eta1*rho1 with numpy's: (r + 0j) * z, zero terms written out.
+        eta1, off0 = 1.0 - eta0, 0.5 * nu
         off1 = complex(off0 * mu.real - 0.0 * mu.imag, off0 * mu.imag + 0.0 * mu.real)
-        states = np.array([[[0.5, off0], [off0, 0.5]], [[0.5, off1], [off1.conjugate(), 0.5]]],
-                          dtype=complex)
-        rho = eta0 * states[0] + (1.0 - eta0) * states[1]
-        self.__dict__.update(nu=nu, mu=mu, eta0=eta0, states=states, rho=rho)  # frozen
+        half, off0 = complex(0.5), complex(off0)
+        rows = [[half, off0], [off0, half]], [[half, off1], [off1.conjugate(), half]]
+        rho = [[complex(eta0 * p.real, 0.0) + complex(eta1 * q.real - 0.0 * q.imag,
+                                                      eta1 * q.imag + 0.0 * q.real)
+                for p, q in zip(row0, row1)] for row0, row1 in zip(*rows)]
+        self.__dict__.update(nu=nu, mu=mu, eta0=eta0, states=np.array(rows),
+                             rho=np.array(rho))  # frozen
 
     @property
     def rho0(self) -> np.ndarray:
@@ -430,6 +444,15 @@ class StatePair:
     @property
     def eta1(self) -> float:
         return 1.0 - self.eta0
+
+
+def as_number(name: str, value) -> np.ndarray:
+    """``np.asarray(value)`` of a number, a numpy scalar or an array; None, a bool or
+    a string (numpy's dtype kinds ``b``, ``S`` and ``U``) is a DomainError naming it."""
+    array = np.asarray(value)
+    if value is None or array.dtype.kind in "bSU":
+        raise DomainError(f"{name} must be a number, got {value!r}")
+    return array
 
 
 def pair_factors(nu, mu):

@@ -22,10 +22,16 @@ Its phase is fixed so the first non-negligible c_k (in outcome order
 
 Any three-level unitary further factors into at most three two-level
 unitaries, each acting on one pair of levels.
+
+The functions follow :mod:`mcmag.qmat`'s rule: guards, weights, rotation
+coefficients and checks' reductions on Python numbers with numpy's bits;
+numpy keeps the matrix products, the dots, the complex products of the cross
+product and the phase, and the complex magnitudes that decide a check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +45,7 @@ _ZERO_WEIGHT = 1e-14
 _PIN_TOL = 1e-8
 _UNITARY_TOL = 1e-10
 _I3 = np.eye(3)
+_I3C = np.eye(3, dtype=complex)
 _NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])  # (a x b)_k = a_n b_l - a_l b_n
 
 
@@ -80,23 +87,27 @@ def measurement_vector(ops: np.ndarray) -> np.ndarray:
     :class:`~mcmag.errors.HermiticityError`, then :class:`~mcmag.errors.DilationRankError`.
     """
     ops = qmat.require_hermitian(ops)
-    vecs = np.zeros((len(ops), 2), dtype=complex)
-    for k, op in enumerate(ops):
-        eigvals, eigvecs = qmat.herm_eig2(op)
-        top = np.maximum(eigvals[1], 0.0)
-        if eigvals[0] > RANK_TOL * np.maximum(1.0, top):
-            raise DilationRankError(f"operator has second eigenvalue {eigvals[0]:.3e}; "
-                                    "rank-one required")
-        if not top <= _ZERO_WEIGHT:
-            vecs[k] = np.sqrt(top) * qmat.pin_phase(eigvecs[:, 1])
-    return vecs
+    vecs = []
+    for op in ops:
+        lo, hi, v_hi = qmat.herm_top(op)  # herm_eig2's eigenvalues and top eigenvector
+        top = max(hi, 0.0)
+        if lo > RANK_TOL * max(top, 1.0):
+            raise DilationRankError(f"operator has second eigenvalue {lo:.3e}; rank-one required")
+        if top <= _ZERO_WEIGHT:
+            vecs.append([0j, 0j])
+        else:
+            root = math.sqrt(top)
+            v_hi = qmat.I2[:, 1] if v_hi is None else v_hi
+            vecs.append([qmat.scale(root, z) for z in qmat.pin_phase(v_hi).tolist()])
+    return np.array(vecs, dtype=complex).reshape(len(ops), 2)
 
 
 def dilate_povm(povm: Povm) -> Dilation:
     """Build the three-level unitary realizing a rank-one measurement triple."""
     check_povm(povm)
-    total = povm.pi0 + povm.pi1 + povm.pi_inc
-    if not np.maximum.reduce(np.abs(total - qmat.I2), axis=None) <= 1e-9:
+    (s00, s01), (s10, s11) = [[p + q + r for p, q, r in zip(*rows)]
+                              for rows in zip(*povm.ops.tolist())]  # pi0 + pi1 + pi_inc
+    if not all(x <= 1e-9 for x in np.abs(np.array([s00 - 1.0, s01, s10, s11 - 1.0])).tolist()):
         raise DomainError("measurement operators do not sum to the identity")
 
     pis = measurement_vector(povm.ops)
@@ -112,13 +123,12 @@ def dilate_povm(povm: Povm) -> Dilation:
 
     # c_k = conj(U[k, 2]); pin the first non-negligible coefficient real >= 0.
     c = np.conj(anc)
-    for k in range(3):
-        if abs(c[k]) > _PIN_TOL:
-            phase = c[k].conjugate() / abs(c[k])
-            c = c * phase
+    for k, z in enumerate(c.tolist()):
+        size = abs(z)  # libm hypot, as numpy's complex scalar abs
+        if size > _PIN_TOL:
+            c = (c * qmat.over(z.conjugate(), size)).tolist()
             c[k] = abs(c[k])
             break
-
     e_vectors = np.empty((3, 3), dtype=complex)
     e_vectors[:, :2] = pis
     e_vectors[:, 2] = c
@@ -126,9 +136,17 @@ def dilate_povm(povm: Povm) -> Dilation:
 
 
 def born_residual(dilation: Dilation, povm: Povm, states) -> float:
-    """Largest deviation between Tr(rho Pi_k) and the projective readout (NaN if any is NaN)."""
+    """Largest deviation between Tr(rho Pi_k) and the projective readout (NaN if any is NaN).
+
+    ``states`` is one 2x2 state or several, of shape ``(..., 2, 2)``, or none; else DomainError.
+    """
     check_povm(povm)
-    rhos = np.array(states, dtype=complex).reshape(-1, 1, 2, 2)
+    if not isinstance(dilation, Dilation):
+        raise DomainError(f"expected a Dilation, got {type(dilation).__name__}")
+    rhos = np.array(states, dtype=complex)
+    if rhos.size and rhos.shape[-2:] != (2, 2):  # no states: residual 0
+        raise DomainError(f"states must have shape (..., 2, 2), got {rhos.shape}")
+    rhos = rhos.reshape(-1, 1, 2, 2)
     direct = qmat.trace(rhos @ povm.ops)
     ext = np.zeros((len(rhos), 1, 3, 3), dtype=complex)
     ext[..., :2, :2] = rhos
@@ -139,7 +157,8 @@ def born_residual(dilation: Dilation, povm: Povm, states) -> float:
 
 def unitarity_residual(u: np.ndarray) -> float:
     """Largest entry of ``|u^H u - I|`` for a 3x3 matrix ``u`` (NaN if any is NaN)."""
-    return float(np.maximum.reduce(np.abs(u.conj().T @ u - _I3), axis=None))
+    devs = np.abs(u.conj().T @ u - _I3).ravel().tolist()
+    return math.nan if any(map(math.isnan, devs)) else max(devs)
 
 
 def decompose_two_level(u: np.ndarray) -> list[np.ndarray]:
@@ -150,7 +169,10 @@ def decompose_two_level(u: np.ndarray) -> list[np.ndarray]:
     factors within ``_UNITARY_TOL`` of the identity are dropped (so the identity
     yields an empty list and a block-diagonal input a single factor).
     """
-    u = np.asarray(u, dtype=complex)
+    try:
+        u = np.asarray(u, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"u must be a 3x3 complex matrix, got {u!r}") from exc
     if u.shape != (3, 3):
         raise DomainError("expected a 3x3 matrix")
     if not unitarity_residual(u) <= _UNITARY_TOL:
@@ -159,20 +181,23 @@ def decompose_two_level(u: np.ndarray) -> list[np.ndarray]:
     # Right-multiply by two-level rotations on levels (j, 2) clearing the
     # bottom row; what remains is a single 2x2 block on levels (0, 1).
     work = u.copy()
-    inverses: list[np.ndarray] = []
+    inverses = []
     for j in (0, 1):
-        s = work[2, j]
-        t = work[2, 2]
-        n = np.hypot(abs(s), abs(t))
+        bottom = work[2].tolist()
+        s, t = bottom[j], bottom[2]
+        try:
+            n = abs(complex(abs(s), abs(t)))  # np.hypot: libm hypot
+        except OverflowError:
+            n = math.inf
         if n == 0.0:
             continue
-        k = _I3.astype(complex)
-        k[j, j] = t / n
-        k[j, 2] = s.conjugate() / n
-        k[2, j] = -s / n
-        k[2, 2] = t.conjugate() / n
+        k = _I3C.copy()
+        k[j, j], k[j, 2] = qmat.over(t, n), qmat.over(s.conjugate(), n)
+        k[2, j], k[2, 2] = qmat.over(-s, n), qmat.over(t.conjugate(), n)
         work = work @ k
         inverses.append(k.conj().T)
 
     factors = [work, *reversed(inverses)]
-    return [f for f in factors if np.maximum.reduce(np.abs(f - _I3), axis=None) > _UNITARY_TOL]
+    mags = np.abs(np.array(factors) - _I3).tolist()
+    # A factor is unitary to _UNITARY_TOL, so no deviation is NaN.
+    return [f for f, dev in zip(factors, mags) if any(x > _UNITARY_TOL for row in dev for x in row)]

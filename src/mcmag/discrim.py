@@ -30,7 +30,9 @@ Also here: the minimum-error (Helstrom) baseline, capping of the
 inconclusive rate by mixing toward the minimum-error measurement, the
 conditional error of a conclusive call, and an independent brute-force
 grid search used to verify all of the above.  Each call takes one pair and one measurement
-as ``(2, 2)`` matrices; branch, weights and clip run on Python floats, as numpy's bits.
+as ``(2, 2)`` matrices, under :mod:`mcmag.qmat`'s rule: branch, weights, clip, traces and
+the degenerate test run on Python numbers with numpy's bits; numpy keeps the matrix
+products, the dots, ``det`` and the complex magnitudes that decide the branch.
 
 Stacks of pairs are solved in plane coordinates: the pair rule
 :func:`~mcmag.channel.pair_factors`, then :mod:`mcmag.plane`, whose
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .channel import StatePair
+from .channel import StatePair, as_number
 from .errors import DomainError, PsdViolationError, UndefinedConditionalError
 from .plane import (BRANCHES, DEGENERACY_TOL, NEVER_CONCLUSIVE, RANK_TOL, ZERO_FIRE, helstrom_error,
                     plane_optimum)
@@ -166,9 +168,13 @@ def solve_max_confidence(pair: StatePair) -> McSolution:
     d0 = qmat.hermitize(eta0 * (s_inv @ pair.rho0 @ s_inv))  # top eigenvalue: c0_max
     gamma_vals, gamma_vecs = qmat.herm_eig2(d0)
 
-    scale = max(1.0, np.maximum.reduce(np.abs(d0), axis=None))
-    dev_from_scalar = np.maximum.reduce(np.abs(d0 - 0.5 * qmat.trace(d0) * qmat.I2), axis=None)
-    if not qmat.support(rho_vals)[0] or dev_from_scalar <= DEGENERACY_TOL * scale:
+    # |d0| and |d0 - Tr(d0)/2 I|: numpy's complex magnitudes, which decide the branch.
+    (d00, d01), (d10, d11) = d0.tolist()
+    half = 0.5 * (d00.real + d11.real)
+    mags = np.abs(np.array([d00, d01, d10, d11, d00 - half, d01, d10, d11 - half])).tolist()
+    within = DEGENERACY_TOL * max(1.0, *mags[:4])
+    lo, hi = rho_vals.tolist()
+    if not lo > qmat.SUPPORT_CUTOFF * max(hi, 0.0) or all(x <= within for x in mags[4:]):
         return McSolution(eta0, 1.0 - eta0, 0.0, Povm(_BALANCED.copy()), "degenerate")
     return _measure(rho, s_inv, gamma_vals.tolist(), gamma_vecs, pair)
 
@@ -229,6 +235,12 @@ def achieved_confidences(povm: Povm, pair: StatePair) -> tuple[float | None, flo
     return _confidences(povm.ops[:2], pair)
 
 
+def _trace(m: np.ndarray) -> float:
+    """Real trace of one 2x2 (``np.trace``'s sum of the diagonal), read by ``tolist()``."""
+    (p, _), (_, s) = m.tolist()
+    return p.real + s.real
+
+
 def _confidences(detectors: np.ndarray, pair: StatePair) -> tuple[float | None, float | None]:
     """Confidences ``(c0, c1)`` that detectors ``(pi0, pi1)``, an array of
     shape ``(2, 2, 2)``, attain on the pair, clipped to [0, 1]; None where a
@@ -252,10 +264,11 @@ def _min_error_ops(pair: StatePair) -> np.ndarray:
     the operators (pi0, pi1, pi_inc)."""
     diff = qmat.hermitize(pair.eta1 * pair.rho1 - pair.eta0 * pair.rho0)
     eigvals, eigvecs = qmat.herm_eig2(diff)
-    kept = np.where((eigvals > 0.0)[:, None, None], qmat.proj(eigvecs.T), 0.0)
     ops = np.zeros((3, 2, 2), dtype=complex)
     # Summed from +0.0, so no entry is -0.0 (the neumark dump prints the sign).
-    ops[1] = 0.0 + kept[0] + kept[1]
+    for lam, op in zip(eigvals.tolist(), qmat.proj(eigvecs.T)):
+        if lam > 0.0:
+            ops[1] += op
     ops[0] = qmat.hermitize(qmat.I2 - ops[1])
     return ops
 
@@ -283,11 +296,16 @@ def threshold_inconclusive(
     with mix = 1 - p_thresh / p_inc_opt; the inconclusive operator only
     shrinks, so Tr(rho Pi_?) = p_thresh holds exactly, positivity is
     automatic, and mix = 1 reproduces the minimum-error measurement.
-    Confidences are re-evaluated on the mixed measurement.
+    Confidences are re-evaluated on the mixed measurement.  ``p_thresh`` is
+    a real number in [0, 1] (numpy scalars and 0-d arrays too), else DomainError.
     """
     check_pair(pair)
     if not isinstance(sol, McSolution):
         raise DomainError(f"expected an McSolution, got {type(sol).__name__}")
+    cap = as_number("p_thresh", p_thresh)
+    if cap.dtype.kind == "c" or cap.shape:
+        raise DomainError(f"p_thresh must be a real number, got {p_thresh!r}")
+    p_thresh = float(p_thresh)
     if not 0.0 <= p_thresh <= 1.0:
         raise DomainError("p_thresh must be in [0, 1]")
     if sol.p_inc_opt <= p_thresh:
@@ -298,7 +316,7 @@ def threshold_inconclusive(
         ops[:2] = qmat.hermitize((1.0 - mix) * sol.povm.ops[:2] + mix * ops[:2])
         ops[2] = qmat.hermitize(qmat.I2 - ops[0] - ops[1])
     c0, c1 = _confidences(ops[:2], pair)
-    p_inc = float(qmat.trace(pair.rho @ ops[2]))
+    p_inc = _trace(pair.rho @ ops[2])
     return ThresholdResult(povm=Povm(ops), c0=c0, c1=c1, p_inc=p_inc, mix=mix)
 
 
@@ -311,9 +329,8 @@ def conditional_error(povm: Povm, pair: StatePair) -> float:
     UndefinedConditionalError.
     """
     check_pair(pair, povm)
-    wrong = float(pair.eta0 * qmat.trace(pair.rho0 @ povm.pi1)
-                  + pair.eta1 * qmat.trace(pair.rho1 @ povm.pi0))
-    conclusive = float(1.0 - qmat.trace(pair.rho @ povm.pi_inc))
+    wrong = pair.eta0 * _trace(pair.rho0 @ povm.pi1) + pair.eta1 * _trace(pair.rho1 @ povm.pi0)
+    conclusive = 1.0 - _trace(pair.rho @ povm.pi_inc)
     error = _clip(wrong / conclusive) if conclusive > NEVER_CONCLUSIVE else math.nan
     if math.isnan(error):
         raise UndefinedConditionalError("measurement is (almost) never conclusive")

@@ -21,13 +21,17 @@ diagonal entries (``np.trace``'s sum without its call), and a cross
 product is written out with the multiply and subtract ``np.cross`` uses.
 
 The matrix path solves one pair at a time, so fixed per-call cost matters
-as much as the arithmetic: the eigensolver reads a matrix's entries once
-and does its real arithmetic (the mean, the radius, the eigenvalues, the
-degenerate guard, the choice of candidate) on Python floats, whose IEEE
-operations give numpy's bits.  The kernels whose last bits depend on the
-CPU kernel family (OpenBLAS's dots, numpy's SIMD loops) stay numpy calls:
-``np.vecdot`` for the candidate norms and in :func:`unit`, and the complex
-divide and multiply of :func:`pin_phase`.
+as much as the arithmetic.  The rule, here and in ``discrim``, ``dilation``
+and ``StatePair``: read each 2x2 or 3x3 once with ``tolist()`` and do on
+Python numbers every step whose IEEE result numpy does not own -- branches,
+guards and clips, scalar arithmetic, entrywise add, subtract and ``conj``,
+real x complex scalings (:func:`scale`), ``hypot`` as ``abs(complex(x, y))``,
+complex / real as numpy does it (:func:`over`), traces and maxima.  Keep as
+numpy calls, on the same strides, only the kernels whose last bits depend on
+the CPU kernel family: ``np.vecdot`` and ``@`` (OpenBLAS dot and gemm),
+``np.linalg.det``, complex x complex array products (:func:`proj`, the
+rotation of :func:`pin_phase`), the divide in :func:`unit`, and ``np.abs``
+of a complex array wherever it decides a branch, a count or a check.
 A NaN output's sign is unspecified: ``abs`` of a complex gives +NaN.
 """
 
@@ -87,6 +91,18 @@ def require_hermitian(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def scale(r: float, z: complex) -> complex:
+    """``r * z`` with numpy's bits: ``(r + 0j) * z``, the zero terms written out."""
+    return complex(r * z.real - 0.0 * z.imag, r * z.imag + 0.0 * z.real)
+
+
+def over(z: complex, n: float) -> complex:
+    """``z / n`` for a real ``n > 0`` with numpy's bits: numpy divides a complex by a
+    real by multiplying with the reciprocal, where Python's ``/`` divides."""
+    inv = 1.0 / n
+    return complex((z.real + z.imag * 0.0) * inv, (z.imag - z.real * 0.0) * inv)
+
+
 def pin_phase(vec: np.ndarray) -> np.ndarray:
     """Rotate a 2-vector's global phase so its first non-negligible component is real >= 0.
 
@@ -95,11 +111,11 @@ def pin_phase(vec: np.ndarray) -> np.ndarray:
     for z in vec.tolist():
         size = abs(z)  # libm hypot, as np.hypot
         if size > _PHASE_TOL:
-            return vec * (np.conj(z) / size)
+            return vec * over(z.conjugate(), size)
     return vec
 
 
-def _spectrum(a: float, b: complex, c: float) -> tuple[float, float, float, float]:
+def spectrum(a: float, b: complex, c: float) -> tuple[float, float, float, float]:
     """Eigenvalues (ascending), mean and half-gap of ``[[a, b], [conj b, c]]``."""
     mean = 0.5 * (a + c)
     try:
@@ -107,6 +123,24 @@ def _spectrum(a: float, b: complex, c: float) -> tuple[float, float, float, floa
     except OverflowError:  # hypot past the float range, where np.hypot returns inf
         radius = math.inf
     return mean - radius, mean + radius, mean, radius
+
+
+def herm_top(m: np.ndarray) -> tuple[float, float, np.ndarray | None]:
+    """``(lo, hi, v_hi)`` of a 2x2 Hermitian matrix: its ascending eigenvalues and
+    the unit eigenvector of ``hi`` as :func:`herm_eig2` gives it, or None where
+    the spectrum is degenerate and :func:`herm_eig2` gives the canonical basis."""
+    (a, b), (_, c) = np.asarray(m, dtype=complex).tolist()
+    a, c = a.real, c.real
+    lo, hi, mean, radius = spectrum(a, b, c)
+    # Degenerate spectrum.  The scale max(1, |lo|, |hi|) is max(1, |mean| + radius),
+    # rounding included; it is NaN only beside a NaN or infinite radius, which fails either way.
+    if radius <= 0.5e-12 * max(1.0, abs(mean) + radius):
+        return lo, hi, None
+    # Pick the better-conditioned of the two algebraic candidates (b, hi - a)
+    # and (hi - c, conj b).
+    cand = np.array([[b, hi - a], [hi - c, b.conjugate()]])
+    sq0, sq1 = np.vecdot(cand, cand).real.tolist()
+    return lo, hi, pin_phase(unit(cand[0] if sq0 >= sq1 else cand[1]))
 
 
 def herm_eig2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,36 +153,22 @@ def herm_eig2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     second eigenvector is the exact orthogonal complement of the first,
     so the columns are orthonormal even near degeneracy.
     """
-    (a, b), (_, c) = np.asarray(m, dtype=complex).tolist()
-    a, c = a.real, c.real
-    lo, hi, mean, radius = _spectrum(a, b, c)
-    # Degenerate spectrum: canonical basis under the phase convention.  The
-    # scale max(1, |lo|, |hi|) is max(1, |mean| + radius), rounding included;
-    # it is NaN only beside a NaN or infinite radius, which fails either way.
-    if radius <= 0.5e-12 * max(1.0, abs(mean) + radius):
+    lo, hi, v_hi = herm_top(m)
+    if v_hi is None:  # canonical basis under the phase convention
         return np.array([lo, hi]), I2.copy()
-    # Eigenvector of the top eigenvalue; pick the better-conditioned of the
-    # two algebraic candidates (b, hi - a) and (hi - c, conj b), then build
-    # the bottom one as its exact orthogonal complement.
-    cand = np.array([[b, hi - a], [hi - c, b.conjugate()]])
-    sq0, sq1 = np.vecdot(cand, cand).real.tolist()
-    v_hi = pin_phase(unit(cand[0] if sq0 >= sq1 else cand[1])).tolist()
+    v_hi = v_hi.tolist()
     v_lo = pin_phase(np.array([-v_hi[1].conjugate(), v_hi[0].conjugate()])).tolist()
     return np.array([lo, hi]), np.array([[v_lo[0], v_hi[0]], [v_lo[1], v_hi[1]]])
-
-
-def support(eigvals: np.ndarray) -> np.ndarray:
-    """Which ascending eigenvalues lie above the relative support cutoff."""
-    return eigvals > SUPPORT_CUTOFF * np.maximum(eigvals[..., 1:], 0.0)
 
 
 def spectral_pow(eig: tuple[np.ndarray, np.ndarray], exponent: float) -> np.ndarray:
     """:func:`psd_pow` of the matrix whose :func:`herm_eig2` is ``eig``."""
     eigvals, eigvecs = eig
-    if eigvals[0] < -PSD_TOL:
-        raise PsdViolationError(f"eigenvalue {eigvals[0]:.3e} below -{PSD_TOL:g}")
-    lams, kept = eigvals.tolist(), support(eigvals).tolist()
-    powered = np.array([math.pow(lam, exponent) if k else 0.0 for lam, k in zip(lams, kept)])
+    lams = eigvals.tolist()
+    if lams[0] < -PSD_TOL:
+        raise PsdViolationError(f"eigenvalue {lams[0]:.3e} below -{PSD_TOL:g}")
+    floor = SUPPORT_CUTOFF * max(lams[1], 0.0)  # the support: eigenvalues above it
+    powered = np.array([math.pow(lam, exponent) if lam > floor else 0.0 for lam in lams])
     return hermitize((eigvecs * powered) @ _dagger(eigvecs))
 
 
@@ -166,4 +186,4 @@ def psd_pow(m: np.ndarray, exponent: float) -> np.ndarray:
 def min_eigval(m: np.ndarray) -> float:
     """The smaller eigenvalue of a Hermitian 2x2 matrix."""
     (a, b), (_, c) = np.asarray(m, dtype=complex).tolist()
-    return _spectrum(a.real, b, c.real)[0]
+    return spectrum(a.real, b, c.real)[0]

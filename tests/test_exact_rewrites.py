@@ -169,7 +169,8 @@ def reference_threshold_inconclusive(sol, pair, p_thresh):
 def reference_spectral_pow(eig, exponent):
     eigvals, eigvecs = eig
     powered = np.frompyfunc(lambda lam, kept: math.pow(lam, exponent) if kept else 0.0, 2, 1)
-    powered = powered(eigvals, qmat.support(eigvals)).astype(float)
+    support = eigvals > qmat.SUPPORT_CUTOFF * np.maximum(eigvals[..., 1:], 0.0)
+    powered = powered(eigvals, support).astype(float)
     out = (eigvecs * powered[..., None, :]) @ qmat._dagger(eigvecs)
     return 0.5 * (out + qmat._dagger(out))
 

@@ -118,7 +118,8 @@ def test_psd_pow_rejects_negative():
 
 def support_rank(m):
     """Number of eigenvalues above the relative support cutoff (per matrix)."""
-    rank = qmat.support(qmat.herm_eig2(m)[0]).sum(axis=-1)
+    eigvals = qmat.herm_eig2(m)[0]
+    rank = (eigvals > qmat.SUPPORT_CUTOFF * np.maximum(eigvals[..., 1:], 0.0)).sum(axis=-1)
     return int(rank) if rank.ndim == 0 else rank
 
 
